@@ -1,16 +1,11 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log"
-	"sync"
-	"time"
 
-	"blueq/internal/charm"
-	"blueq/internal/converse"
-	"blueq/internal/fft3d"
 	"blueq/internal/ft"
+	"blueq/internal/scenario"
 	"blueq/internal/transport"
 )
 
@@ -30,155 +25,40 @@ const (
 	ftKillNode = 2
 )
 
-type ftRunResult struct {
-	grids      [][]complex128
-	stats      ft.Stats
-	recoverMS  float64 // kill → application restarted
-	replayed   int     // iterations re-executed after rollback
-	elapsed    time.Duration
-	killFailed bool
-}
-
-// ftRun drives one FFT run; every > 0 checkpoints each multiple of that
-// iteration count, kill selects whether the fail-stop is injected. det
-// carries the detector tuning from the -phi / -suspect-after flags.
-func ftRun(seed int64, every int, kill bool, det ft.Config) ftRunResult {
-	const nodes = 4
-	spec := transport.WithSeed("faulty", seed)
-	tr, err := transport.New(spec, nodes, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rt, err := charm.NewRuntime(converse.Config{
-		Nodes: nodes, WorkersPerNode: 1, Mode: converse.ModeSMP, Transport: tr,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	mgr := ft.New(rt, det)
-	eng, err := fft3d.New(rt, nil, fft3d.Config{
-		NX: 16, NY: 16, NZ: 16, Transport: fft3d.P2P,
-		Input: func(x, y, z int) complex128 {
-			return complex(float64(x*x+3*y)+0.5, float64(2*z-x)-0.25)
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	mgr.Protect(eng.Array())
-
-	var (
-		res      ftRunResult
-		killOnce sync.Once
-		killAt   time.Time
-		mu       sync.Mutex
-	)
-	mgr.SetAppState(
-		func() []byte {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(eng.Iterations()))
-			return b[:]
-		},
-		func(pe *converse.PE, blob []byte) {
-			iter := int64(binary.LittleEndian.Uint64(blob))
-			mu.Lock()
-			res.recoverMS = float64(time.Since(killAt).Microseconds()) / 1e3
-			res.replayed = ftKillIter - int(iter)
-			mu.Unlock()
-			eng.PrepareRestart(iter)
-			if err := eng.Start(pe); err != nil {
-				log.Fatalf("restart: %v", err)
-			}
-		})
-
-	maybeKill := func(iter int) {
-		if kill && iter == ftKillIter-1 {
-			killOnce.Do(func() {
-				mu.Lock()
-				killAt = time.Now()
-				mu.Unlock()
-				mgr.KillPE(ftKillNode)
-			})
-		}
-	}
-	eng.SetOnComplete(func(pe *converse.PE, iter int) {
-		if iter >= ftIters {
-			rt.Shutdown()
-			return
-		}
-		if iter%every == 0 {
-			if err := mgr.Checkpoint(pe, func(pe *converse.PE) {
-				if err := eng.Start(pe); err != nil {
-					log.Fatalf("start: %v", err)
-				}
-				maybeKill(iter)
-			}); err != nil {
-				log.Fatalf("checkpoint: %v", err)
-			}
-			return
-		}
-		if err := eng.Start(pe); err != nil {
-			log.Fatalf("start: %v", err)
-		}
-		maybeKill(iter)
-	})
-
-	begin := time.Now()
-	rt.Run(func(pe *converse.PE) {
-		if err := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			if err := eng.Start(pe); err != nil {
-				log.Fatalf("start: %v", err)
-			}
-		}); err != nil {
-			log.Fatalf("initial checkpoint: %v", err)
-		}
-	})
-	res.elapsed = time.Since(begin)
-	res.stats = mgr.Stats()
-	res.killFailed = kill && res.stats.Recoveries != 1
-	for pe := 0; pe < nodes; pe++ {
-		res.grids = append(res.grids, append([]complex128(nil), eng.ZData(pe)...))
-	}
-	return res
-}
-
 // ftRecovery prints the recovery-correctness check and the recovery-time
-// vs checkpoint-interval table behind EXPERIMENTS.md.
+// vs checkpoint-interval table behind EXPERIMENTS.md. det carries the
+// detector tuning from the -phi / -suspect-after flags.
 func ftRecovery(seed int64, det ft.Config) {
-	ref := ftRun(seed, 1, false, det)
+	cfg := scenario.FFTConfig{Iters: ftIters, Transport: transport.WithSeed("faulty", seed), Detector: det}
+	ref, err := scenario.Reference(scenario.FFT(cfg))
+	if err != nil {
+		log.Fatalf("ft: %v", err)
+	}
 	fmt.Printf("reference run: %d iterations, %d checkpoints, no failures (%.1f ms)\n",
-		ftIters, ref.stats.Checkpoints, float64(ref.elapsed.Microseconds())/1e3)
+		ftIters, ref.Stats.Checkpoints, ms(ref.Elapsed))
 	fmt.Printf("%-22s %12s %10s %12s %12s %10s\n",
 		"checkpoint cadence", "recover ms", "replayed", "detections", "restored", "bitwise")
+	cfg.Faults = scenario.Faults{AtIter: ftKillIter, Kill: []int{ftKillNode}}
 	allOK := true
 	for _, every := range []int{1, 2, 4} {
-		got := ftRun(seed, every, true, det)
-		match := "ok"
-		if got.killFailed {
+		cfg.Every = every
+		got, err := scenario.FFT(cfg)
+		if err != nil {
+			log.Fatalf("ft: every %d iterations: %v", every, err)
+		}
+		match := bitwise(ref, got)
+		if got.Stats.Recoveries != 1 {
 			match = "NO-RECOVERY"
-			allOK = false
 		}
-		for pe := range ref.grids {
-			for i := range ref.grids[pe] {
-				if got.grids[pe][i] != ref.grids[pe][i] {
-					match = fmt.Sprintf("MISMATCH pe%d[%d]", pe, i)
-					allOK = false
-					break
-				}
-			}
-			if match != "ok" && match != "NO-RECOVERY" {
-				break
-			}
-		}
+		allOK = allOK && match == "ok"
 		fmt.Printf("%-22s %12.1f %10d %12d %12d %10s\n",
 			fmt.Sprintf("every %d iterations", every),
-			got.recoverMS, got.replayed, got.stats.Confirmations,
-			got.stats.RestoredElements, match)
+			ms(got.Recover), got.Replayed, got.Stats.Confirmations,
+			got.Stats.RestoredElements, match)
 	}
-	if allOK {
-		fmt.Printf("killed node %d after iteration %d started; every run finished bitwise identical to the failure-free grid\n",
-			ftKillNode, ftKillIter)
-	} else {
+	if !allOK {
 		log.Fatal("ft: recovery produced wrong results")
 	}
+	fmt.Printf("killed node %d after iteration %d started; every run finished bitwise identical to the failure-free grid\n",
+		ftKillNode, ftKillIter)
 }

@@ -1,17 +1,13 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"blueq/internal/charm"
 	"blueq/internal/converse"
-	"blueq/internal/fft3d"
-	"blueq/internal/ft"
+	"blueq/internal/scenario"
 	"blueq/internal/transport"
 )
 
@@ -27,170 +23,45 @@ import (
 
 const (
 	integrityIters = 6
-	integrityKill1 = 1 // fail-stopped at the iteration-2 checkpoint
+	integrityKill1 = 1 // fail-stopped as iteration 3 launches
 	integrityKill2 = 3 // fail-stopped from OnRecoveryStart (non-adjacent buddy)
 )
 
-type integrityRunResult struct {
-	grids     [][]complex128
-	stats     ft.Stats
-	wireFails int64
-	recoverMS float64 // first kill → application restarted
-	elapsed   time.Duration
-}
-
-// integrityRun drives one 16³ FFT run with kills cascading node deaths
-// (0, 1 or 2) over the corrupting transport.
-func integrityRun(seed int64, kills int) integrityRunResult {
-	const nodes = 4
-	spec := transport.WithSeed("faulty:corrupt=0.02,truncate=0.01,drop=0.02", seed)
-	tr, err := transport.New(spec, nodes, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rt, err := charm.NewRuntime(converse.Config{
-		Nodes: nodes, WorkersPerNode: 1, Mode: converse.ModeSMP, Transport: tr,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Heartbeats ride the lossy wire too: the suspect floor must absorb a
-	// run of dropped heartbeats without a false confirmation.
-	cfg := ft.Config{HeartbeatInterval: 2 * time.Millisecond, SuspectAfter: 60 * time.Millisecond}
-	var mgrP atomic.Pointer[ft.Manager]
-	if kills >= 2 {
-		var cascade sync.Once
-		cfg.OnRecoveryStart = func(dead []int) {
-			cascade.Do(func() {
-				if m := mgrP.Load(); m != nil {
-					m.KillPE(integrityKill2)
-				}
-			})
-		}
-	}
-	cfg.OnUnrecoverable = func(err error) {
-		log.Fatalf("integrity run (kills=%d) declared unrecoverable: %v", kills, err)
-	}
-	mgr := ft.New(rt, cfg)
-	mgrP.Store(mgr)
-
-	eng, err := fft3d.New(rt, nil, fft3d.Config{
-		NX: 16, NY: 16, NZ: 16, Transport: fft3d.P2P,
-		Input: func(x, y, z int) complex128 {
-			return complex(float64(x*x+3*y)+0.5, float64(2*z-x)-0.25)
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	mgr.Protect(eng.Array())
-
-	var (
-		res    integrityRunResult
-		killAt time.Time
-		mu     sync.Mutex
-	)
-	mgr.SetAppState(
-		func() []byte {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(eng.Iterations()))
-			return b[:]
-		},
-		func(pe *converse.PE, blob []byte) {
-			mu.Lock()
-			if res.recoverMS == 0 && !killAt.IsZero() {
-				res.recoverMS = float64(time.Since(killAt).Microseconds()) / 1e3
-			}
-			mu.Unlock()
-			eng.PrepareRestart(int64(binary.LittleEndian.Uint64(blob)))
-			if err := eng.Start(pe); err != nil {
-				log.Fatalf("restart: %v", err)
-			}
-		})
-
-	var killOnce sync.Once
-	eng.SetOnComplete(func(pe *converse.PE, iter int) {
-		if iter >= integrityIters {
-			rt.Shutdown()
-			return
-		}
-		err := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			if err := eng.Start(pe); err != nil {
-				log.Fatalf("start iter %d: %v", iter+1, err)
-			}
-			if kills >= 1 && iter == 2 {
-				killOnce.Do(func() {
-					mu.Lock()
-					killAt = time.Now()
-					mu.Unlock()
-					mgr.KillPE(integrityKill1)
-				})
-			}
-		})
-		// Refused because recovery owns the epoch: benign, the restart hook
-		// re-drives the run.
-		if err != nil && !mgr.Recovering() {
-			log.Fatalf("checkpoint after iter %d: %v", iter, err)
-		}
-	})
-
-	begin := time.Now()
-	rt.Run(func(pe *converse.PE) {
-		if err := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			if err := eng.Start(pe); err != nil {
-				log.Fatalf("start: %v", err)
-			}
-		}); err != nil {
-			log.Fatalf("initial checkpoint: %v", err)
-		}
-	})
-	res.elapsed = time.Since(begin)
-	res.stats = mgr.Stats()
-	res.wireFails = rt.Machine().PAMIClient().CRCFails()
-	for pe := 0; pe < nodes; pe++ {
-		res.grids = append(res.grids, append([]complex128(nil), eng.ZData(pe)...))
-	}
-	return res
-}
-
-// integrityChaosTable prints recovery behaviour for 0/1/2 cascading kills,
-// asserting bitwise identity against the kill-free run.
+// integrityChaosTable prints recovery behaviour for 0/1/2 cascading kills
+// on the 16³ FFT over the corrupting transport (heartbeats ride the lossy
+// wire too), asserting bitwise identity against the kill-free run.
 func integrityChaosTable(seed int64) {
 	fmt.Printf("16³ FFT, 4 nodes, transport faulty:corrupt=0.02,truncate=0.01,drop=0.02, checkpoint every iteration\n")
 	fmt.Printf("%-18s %10s %12s %12s %12s %10s %10s\n",
 		"kill schedule", "elapsed ms", "recoveries", "detections", "wire-crc", "recover ms", "bitwise")
-	ref := integrityRun(seed, 0)
+	cfg := scenario.FFTConfig{
+		Iters:     integrityIters,
+		Transport: transport.WithSeed("faulty:corrupt=0.02,truncate=0.01,drop=0.02", seed),
+	}
+	ref, err := scenario.Reference(scenario.FFT(cfg))
+	if err != nil {
+		log.Fatalf("integrity: %v", err)
+	}
 	rows := []struct {
-		kills int
-		label string
+		label  string
+		faults scenario.Faults
 	}{
-		{0, "none"},
-		{1, "node 1"},
-		{2, "node 1, then 3"},
+		{"none", scenario.Faults{}},
+		{"node 1", scenario.Faults{AtIter: 3, Kill: []int{integrityKill1}}},
+		{"node 1, then 3", scenario.Faults{AtIter: 3, Kill: []int{integrityKill1}, Cascade: []int{integrityKill2}}},
 	}
 	allOK := true
 	for _, row := range rows {
-		got := ref
-		if row.kills > 0 {
-			got = integrityRun(seed, row.kills)
+		cfg.Faults = row.faults
+		got, err := scenario.FFT(cfg)
+		if err != nil {
+			log.Fatalf("integrity run (kills: %s): %v", row.label, err)
 		}
-		match := "ok"
-		for pe := range ref.grids {
-			for i := range ref.grids[pe] {
-				if got.grids[pe][i] != ref.grids[pe][i] {
-					match = fmt.Sprintf("MISMATCH pe%d[%d]", pe, i)
-					allOK = false
-					break
-				}
-			}
-			if match != "ok" {
-				break
-			}
-		}
+		match := bitwise(ref, got)
+		allOK = allOK && match == "ok"
 		fmt.Printf("%-18s %10.1f %12d %12d %12d %10.1f %10s\n",
-			row.label, float64(got.elapsed.Microseconds())/1e3,
-			got.stats.Recoveries, got.stats.Confirmations, got.wireFails,
-			got.recoverMS, match)
+			row.label, ms(got.Elapsed), got.Stats.Recoveries, got.Stats.Confirmations,
+			got.WireCRCFails, ms(got.Recover), match)
 	}
 	if !allOK {
 		log.Fatal("integrity: a kill schedule produced wrong results")

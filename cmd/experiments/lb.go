@@ -1,18 +1,12 @@
 package main
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"log"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"blueq/internal/charm"
-	"blueq/internal/converse"
-	"blueq/internal/ft"
 	"blueq/internal/lb"
+	"blueq/internal/scenario"
 	"blueq/internal/transport"
 )
 
@@ -29,7 +23,7 @@ import (
 // Element state is a pure function of (index, iterations executed), so a
 // single lost or duplicated delivery anywhere — across migrations,
 // forwarding pointers, parked messages, recovery replay — breaks the
-// bitwise comparison against the LB-off run.
+// bitwise comparison against the exact per-element state.
 
 const (
 	e19Nodes   = 2
@@ -39,118 +33,34 @@ const (
 	e19Warmup  = 4
 	e19Total   = 16
 	e19Heavy   = 5 * time.Millisecond
-	e19Light   = 100 * time.Microsecond
 )
-
-// e19Elem mirrors the runtime's migratable elements: checkpointable,
-// state deterministic in (idx, iter).
-type e19Elem struct {
-	iter uint64
-	sum  uint64
-}
-
-func (w *e19Elem) PackCheckpoint() []byte {
-	b := make([]byte, 16)
-	binary.LittleEndian.PutUint64(b, w.iter)
-	binary.LittleEndian.PutUint64(b[8:], w.sum)
-	return b
-}
-
-func (w *e19Elem) UnpackCheckpoint(data []byte) {
-	w.iter = binary.LittleEndian.Uint64(data)
-	w.sum = binary.LittleEndian.Uint64(data[8:])
-}
-
-func e19WantSum(idx int, n uint64) uint64 {
-	return uint64(idx+1) * n * (n + 1) / 2
-}
-
-type e19Result struct {
-	phase  time.Duration // post-barrier measured phase
-	moves  int64
-	states [][2]uint64
-}
 
 // e19Run drives the workload under one LB mode: "off", "greedy",
 // "refine" (centralized, at the barrier) or "diffusion" (no central pass;
 // the gossip loop and measurement-path decisions run throughout).
-func e19Run(mode string) e19Result {
-	cfg := lb.Config{}
-	central := false
+func e19Run(mode string) scenario.Result {
+	cfg := scenario.ImbalanceConfig{
+		Nodes: e19Nodes, Workers: e19Workers, Elems: e19NElems,
+		Warmup: e19Warmup, Total: e19Total, HeavyCost: e19Heavy,
+		Heavy: func(idx, _ int) bool { return idx < e19NHeavy },
+	}
 	switch mode {
-	case "off":
 	case "greedy":
-		cfg.Strategy, central = lb.Greedy{}, true
+		cfg.LB.Strategy = lb.Greedy{}
 	case "refine":
-		cfg.Strategy, central = lb.Refine{}, true
+		cfg.LB.Strategy = lb.Refine{}
 	case "diffusion":
-		cfg.Diffusion = true
-		cfg.Period = time.Millisecond
-	default:
-		log.Fatalf("e19: unknown mode %q", mode)
+		cfg.LB.Diffusion = true
+		cfg.LB.Period = time.Millisecond
 	}
-	rt, err := charm.NewRuntime(converse.Config{
-		Nodes: e19Nodes, WorkersPerNode: e19Workers, Mode: converse.ModeSMP,
-	})
+	res, err := scenario.Imbalance(cfg)
 	if err != nil {
-		log.Fatal(err)
-	}
-	mgr := lb.Attach(rt, cfg)
-
-	var a *charm.Array
-	var eWork int
-	var arrived, done atomic.Int64
-	var phaseStart atomic.Int64
-	var phase time.Duration
-	a = rt.NewArray("e19", e19NElems, func(idx int) charm.Element { return &e19Elem{} })
-	eWork = a.Entry(func(pe *converse.PE, elem charm.Element, idx int, _ any) {
-		w := elem.(*e19Elem)
-		if idx < e19NHeavy {
-			time.Sleep(e19Heavy)
-		} else {
-			time.Sleep(e19Light)
-		}
-		w.iter++
-		w.sum += uint64(idx+1) * w.iter
-		switch {
-		case w.iter == e19Warmup:
-			if arrived.Add(1) == e19NElems {
-				if central {
-					mgr.RunCentral(pe)
-				}
-				phaseStart.Store(time.Now().UnixNano())
-				if err := a.Broadcast(pe, eWork, nil, 8); err != nil {
-					log.Fatalf("e19: resume broadcast: %v", err)
-				}
-			}
-		case w.iter >= e19Total:
-			if done.Add(1) == e19NElems {
-				phase = time.Since(time.Unix(0, phaseStart.Load()))
-				pe.Machine().Shutdown()
-			}
-		default:
-			if err := a.Send(pe, idx, eWork, nil, 8); err != nil {
-				log.Fatalf("e19: send: %v", err)
-			}
-		}
-	})
-	mgr.Manage(a, -1)
-
-	watchdog := time.AfterFunc(120*time.Second, func() { log.Fatal("e19: run wedged") })
-	defer watchdog.Stop()
-	rt.Run(func(pe *converse.PE) {
-		if err := a.Broadcast(pe, eWork, nil, 8); err != nil {
-			log.Fatalf("e19: broadcast: %v", err)
-		}
-	})
-
-	res := e19Result{phase: phase, moves: mgr.Moves()}
-	for idx := 0; idx < e19NElems; idx++ {
-		w := a.Element(idx).(*e19Elem)
-		res.states = append(res.states, [2]uint64{w.iter, w.sum})
+		log.Fatalf("e19: %s: %v", mode, err)
 	}
 	return res
 }
+
+const e19KillElems, e19KillTotal = 8, 12
 
 // e19Kill reruns the greedy mode with fault tolerance attached and kills
 // a PE immediately after the barrier's LB pass issues its migration
@@ -158,147 +68,51 @@ func e19Run(mode string) e19Result {
 // must roll back to the last committed checkpoint, replay (including a
 // fresh LB pass planned over the surviving PEs), and finish with exactly
 // one live copy of every element.
-func e19Kill(seed int64) (ft.Stats, [][2]uint64) {
-	const nodes, nelems = 4, 8
-	const warmup, total = 4, 12
-	tr, err := transport.New(transport.WithSeed("faulty", seed), nodes, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer tr.Close()
-	rt, err := charm.NewRuntime(converse.Config{
-		Nodes: nodes, WorkersPerNode: 1, Mode: converse.ModeSMP, Transport: tr,
+func e19Kill(seed int64) scenario.Result {
+	res, err := scenario.Imbalance(scenario.ImbalanceConfig{
+		Nodes: 4, Workers: 1, Elems: e19KillElems, Warmup: 4, Total: e19KillTotal,
+		HeavyCost: 3 * time.Millisecond,
+		Heavy:     func(idx, _ int) bool { return idx < 2 },
+		Transport: transport.WithSeed("faulty", seed),
+		LB:        lb.Config{Strategy: lb.Greedy{}}, FT: true,
+		Faults: scenario.Faults{Kill: []int{3}},
 	})
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("e19: kill leg: %v", err)
 	}
-	ftm := ft.New(rt, ft.Config{
-		HeartbeatInterval: 3 * time.Millisecond,
-		SuspectAfter:      90 * time.Millisecond,
-		ProbeTimeout:      150 * time.Millisecond,
-	})
-	mgr := lb.Attach(rt, lb.Config{Strategy: lb.Greedy{}})
-
-	var a *charm.Array
-	var eWork int
-	var arrived, done, gen atomic.Int64
-	var killOnce sync.Once
-	a = rt.NewArray("e19kill", nelems, func(idx int) charm.Element { return &e19Elem{} })
-
-	resume := func(pe *converse.PE) {
-		if err := a.Broadcast(pe, eWork, nil, 8); err != nil {
-			log.Fatalf("e19: resume broadcast: %v", err)
-		}
-	}
-	afterBalance := func(pe *converse.PE) {
-		g := gen.Load()
-		go func() {
-			if err := mgr.SettleMigrations(20 * time.Second); err != nil && gen.Load() == g {
-				log.Fatalf("e19: settle: %v", err)
-			}
-			if gen.Load() != g {
-				return // recovery restarted the run underneath us
-			}
-			if err := ftm.Checkpoint(pe, func(pe *converse.PE) {
-				if gen.Load() == g {
-					resume(pe)
-				}
-			}); err != nil && !errors.Is(err, ft.ErrRecovering) && gen.Load() == g {
-				log.Fatalf("e19: post-balance checkpoint: %v", err)
-			}
-		}()
-	}
-	eWork = a.Entry(func(pe *converse.PE, elem charm.Element, idx int, _ any) {
-		w := elem.(*e19Elem)
-		if w.iter >= total {
-			return
-		}
-		if idx < 2 {
-			time.Sleep(3 * time.Millisecond)
-		} else {
-			time.Sleep(100 * time.Microsecond)
-		}
-		w.iter++
-		w.sum += uint64(idx+1) * w.iter
-		switch {
-		case w.iter == warmup:
-			if arrived.Add(1) == nelems {
-				mgr.RunCentral(pe)
-				killOnce.Do(func() { ftm.KillPE(3) })
-				afterBalance(pe)
-			}
-		case w.iter >= total:
-			if done.Add(1) == nelems {
-				rt.Shutdown()
-			}
-		default:
-			if err := a.Send(pe, idx, eWork, nil, 8); err != nil {
-				log.Fatalf("e19: send: %v", err)
-			}
-		}
-	})
-	ftm.Protect(a)
-	ftm.SetAppState(
-		func() []byte { return nil },
-		func(pe *converse.PE, _ []byte) {
-			arrived.Store(0)
-			done.Store(0)
-			gen.Add(1)
-			resume(pe)
-		})
-	mgr.Manage(a, -1)
-
-	watchdog := time.AfterFunc(120*time.Second, func() { log.Fatal("e19: kill leg wedged") })
-	defer watchdog.Stop()
-	rt.Run(func(pe *converse.PE) {
-		if err := ftm.Checkpoint(pe, func(pe *converse.PE) { resume(pe) }); err != nil {
-			log.Fatalf("e19: initial checkpoint: %v", err)
-		}
-	})
-
-	var states [][2]uint64
-	for idx := 0; idx < nelems; idx++ {
-		w := a.Element(idx).(*e19Elem)
-		states = append(states, [2]uint64{w.iter, w.sum})
-	}
-	return ftm.Stats(), states
+	return res
 }
 
 // lbSection prints the E19 table and enforces its invariants.
 func lbSection(seed int64) {
 	fmt.Printf("%d elements on %d PEs; %d heavy (%v) all homed on PE 0 by the block map, %d light (%v)\n",
-		e19NElems, e19Nodes*e19Workers, e19NHeavy, e19Heavy, e19NElems-e19NHeavy, e19Light)
+		e19NElems, e19Nodes*e19Workers, e19NHeavy, e19Heavy, e19NElems-e19NHeavy, scenario.LightCost)
 	fmt.Printf("%d warmup iterations feed the load meters, then %d measured iterations per element\n",
 		e19Warmup, e19Total-e19Warmup)
 
 	ref := e19Run("off")
 	iters := float64(e19NElems * (e19Total - e19Warmup))
-	bitwise := func(r e19Result) string {
-		for idx, s := range r.states {
-			if s[0] != e19Total || s[1] != e19WantSum(idx, e19Total) {
-				return fmt.Sprintf("MISMATCH[%d]", idx)
-			}
-		}
-		return "ok"
-	}
+	exact := scenario.Exact(e19NElems, e19Total)
+	refSame := bitwise(exact, ref)
 	fmt.Printf("%-10s %10s %10s %9s %11s %9s\n",
 		"strategy", "phase ms", "iters/s", "speedup", "migrations", "bitwise")
 	fmt.Printf("%-10s %10.1f %10.0f %9s %11d %9s\n",
-		"off", float64(ref.phase.Microseconds())/1e3, iters/ref.phase.Seconds(), "1.00x", ref.moves, bitwise(ref))
+		"off", ms(ref.Phase), iters/ref.Phase.Seconds(), "1.00x", ref.Moves, refSame)
 
 	best := 0.0
 	for _, mode := range []string{"greedy", "refine", "diffusion"} {
 		res := e19Run(mode)
-		speedup := ref.phase.Seconds() / res.phase.Seconds()
+		speedup := ref.Phase.Seconds() / res.Phase.Seconds()
 		if speedup > best {
 			best = speedup
 		}
+		same := bitwise(exact, res)
 		fmt.Printf("%-10s %10.1f %10.0f %8.2fx %11d %9s\n",
-			mode, float64(res.phase.Microseconds())/1e3, iters/res.phase.Seconds(), speedup, res.moves, bitwise(res))
+			mode, ms(res.Phase), iters/res.Phase.Seconds(), speedup, res.Moves, same)
 		switch {
-		case bitwise(res) != "ok":
+		case same != "ok":
 			log.Fatalf("e19: %s diverged from the exact per-element state", mode)
-		case res.moves == 0:
+		case res.Moves == 0:
 			log.Fatalf("e19: %s migrated nothing off the overloaded PE", mode)
 		case speedup <= 1.0:
 			log.Fatalf("e19: %s did not improve throughput (%.2fx)", mode, speedup)
@@ -307,21 +121,16 @@ func lbSection(seed int64) {
 	if best < 1.3 {
 		log.Fatalf("e19: best strategy speedup %.2fx, want >= 1.3x", best)
 	}
-	if bitwise(ref) != "ok" {
+	if refSame != "ok" {
 		log.Fatal("e19: LB-off run diverged from the exact per-element state")
 	}
 
-	stats, states := e19Kill(seed)
-	killOK := "ok"
-	for idx, s := range states {
-		if s[0] != 12 || s[1] != e19WantSum(idx, 12) {
-			killOK = fmt.Sprintf("MISMATCH[%d]", idx)
-		}
-	}
+	kill := e19Kill(seed)
+	killOK := bitwise(scenario.Exact(e19KillElems, e19KillTotal), kill)
 	fmt.Printf("kill mid-migration: PE 3 fail-stopped with blobs in flight — recoveries %d, restored %d, per-element state %s\n",
-		stats.Recoveries, stats.RestoredElements, killOK)
-	if stats.Recoveries != 1 || killOK != "ok" {
-		log.Fatalf("e19: kill mid-migration did not recover to exactly one live copy per element (stats %+v)", stats)
+		kill.Stats.Recoveries, kill.Stats.RestoredElements, killOK)
+	if kill.Stats.Recoveries != 1 || killOK != "ok" {
+		log.Fatalf("e19: kill mid-migration did not recover to exactly one live copy per element (stats %+v)", kill.Stats)
 	}
 	fmt.Println("paper: Charm++'s measurement-based balancers migrate chares from measured load, the mechanic NAMD's BG/Q scaling rests on")
 }

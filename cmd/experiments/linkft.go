@@ -1,16 +1,12 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log"
-	"sync"
-	"time"
 
 	"blueq/internal/charm"
-	"blueq/internal/converse"
-	"blueq/internal/fft3d"
 	"blueq/internal/ft"
+	"blueq/internal/scenario"
 	"blueq/internal/torus"
 	"blueq/internal/transport"
 )
@@ -66,134 +62,28 @@ func pickSurvivableLinks(tor *torus.Torus, nodes, k int) [][2]int {
 	return failed
 }
 
-// linkFFTRun drives one FFT run under the FT manager with a mid-run fault
-// hook; hook fires once, right after iteration 3 launches.
-type linkRunResult struct {
-	grids     [][]complex128
-	stats     ft.Stats
-	reroutes  int64
-	detours   int64
-	elapsed   time.Duration
-	recoverMS float64 // fault injection → application restarted
-}
-
-// pre runs before the machine starts (pre-existing faults); mid fires once,
-// right after iteration 3 launches (mid-run injection).
-func linkFFTRun(seed int64, nodes, nx, iters int, pre, mid func(m *converse.Machine)) linkRunResult {
-	spec := transport.WithSeed("faulty:unreliable=1", seed)
-	tr, err := transport.New(spec, nodes, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rt, err := charm.NewRuntime(converse.Config{
-		Nodes: nodes, WorkersPerNode: 1, Mode: converse.ModeSMP, Transport: tr,
+// linkFFTRun drives one FFT run over the lossy (reliability-armed)
+// transport under the given fault schedule.
+func linkFFTRun(seed int64, nodes, iters int, f scenario.Faults) scenario.Result {
+	res, err := scenario.FFT(scenario.FFTConfig{
+		Nodes: nodes, Iters: iters, Faults: f,
+		Transport: transport.WithSeed("faulty:unreliable=1", seed),
 	})
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("linkft: %v", err)
 	}
-	m := rt.Machine()
-	mgr := ft.New(rt, ft.Config{
-		HeartbeatInterval: 2 * time.Millisecond,
-		SuspectAfter:      60 * time.Millisecond,
-	})
-	eng, err := fft3d.New(rt, nil, fft3d.Config{
-		NX: nx, NY: nx, NZ: nx, Transport: fft3d.P2P,
-		Input: func(x, y, z int) complex128 {
-			return complex(float64(x+2*y)+0.25, float64(z-y)-0.5)
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	mgr.Protect(eng.Array())
-
-	var (
-		res    linkRunResult
-		mu     sync.Mutex
-		faultT time.Time
-	)
-	mgr.SetAppState(
-		func() []byte {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(eng.Iterations()))
-			return b[:]
-		},
-		func(pe *converse.PE, blob []byte) {
-			mu.Lock()
-			if !faultT.IsZero() && res.recoverMS == 0 {
-				res.recoverMS = float64(time.Since(faultT).Microseconds()) / 1e3
-			}
-			mu.Unlock()
-			eng.PrepareRestart(int64(binary.LittleEndian.Uint64(blob)))
-			if err := eng.Start(pe); err != nil {
-				log.Fatalf("restart: %v", err)
-			}
-		})
-
-	var once sync.Once
-	eng.SetOnComplete(func(pe *converse.PE, iter int) {
-		if iter >= iters {
-			rt.Shutdown()
-			return
-		}
-		err := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			if err := eng.Start(pe); err != nil {
-				log.Fatalf("start iter %d: %v", iter+1, err)
-			}
-			if mid != nil && iter == 2 {
-				once.Do(func() {
-					mu.Lock()
-					faultT = time.Now()
-					mu.Unlock()
-					mid(m)
-				})
-			}
-		})
-		if err != nil && !mgr.Recovering() && mgr.UnrecoverableErr() == nil {
-			log.Fatalf("checkpoint after iter %d: %v", iter, err)
-		}
-	})
-
-	watchdog := time.AfterFunc(120*time.Second, func() {
-		log.Fatal("linkft: run wedged")
-	})
-	defer watchdog.Stop()
-	if pre != nil {
-		pre(m)
-	}
-	begin := time.Now()
-	rt.Run(func(pe *converse.PE) {
-		if err := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			if err := eng.Start(pe); err != nil {
-				log.Fatalf("start: %v", err)
-			}
-		}); err != nil {
-			log.Fatalf("initial checkpoint: %v", err)
-		}
-	})
-	res.elapsed = time.Since(begin)
-	res.stats = mgr.Stats()
-	res.reroutes = m.Torus().Reroutes()
-	res.detours = m.Torus().Detours()
-	for pe := 0; pe < nodes; pe++ {
-		res.grids = append(res.grids, append([]complex128(nil), eng.ZData(pe)...))
-	}
-	mgr.Stop()
 	return res
 }
 
-func bitwiseLabel(ref, got linkRunResult) string {
-	for pe := range ref.grids {
-		if len(got.grids[pe]) != len(ref.grids[pe]) {
-			return fmt.Sprintf("LEN pe%d", pe)
-		}
-		for i := range ref.grids[pe] {
-			if got.grids[pe][i] != ref.grids[pe][i] {
-				return fmt.Sprintf("MISMATCH pe%d[%d]", pe, i)
+// failLinks is a mid-run hook taking the given links out of service.
+func failLinks(links ...[2]int) func(*charm.Runtime, *ft.Manager) {
+	return func(rt *charm.Runtime, _ *ft.Manager) {
+		for _, l := range links {
+			if err := rt.Machine().FailLink(l[0], l[1]); err != nil {
+				log.Fatalf("FailLink(%d,%d): %v", l[0], l[1], err)
 			}
 		}
 	}
-	return "ok"
 }
 
 // linkThroughput: 8-node 16³ FFT with k pre-failed (connectivity-preserving)
@@ -212,15 +102,15 @@ func linkThroughput(seed int64) {
 	ok := true
 	for k := 0; k <= 3; k++ {
 		var cut [][2]int
-		var pre func(m *converse.Machine)
+		var f scenario.Faults
 		if k > 0 {
 			want := k
-			pre = func(m *converse.Machine) {
-				cut = pickSurvivableLinks(m.Torus(), nodes, want)
+			f.Pre = func(rt *charm.Runtime, _ *ft.Manager) {
+				cut = pickSurvivableLinks(rt.Machine().Torus(), nodes, want)
 			}
 		}
-		res := linkFFTRun(seed, nodes, nx, iters, pre, nil)
-		if res.stats.Recoveries != 0 || res.stats.Confirmations != 0 {
+		res := linkFFTRun(seed, nodes, iters, f)
+		if res.Stats.Recoveries != 0 || res.Stats.Confirmations != 0 {
 			ok = false
 		}
 		label := fmt.Sprintf("%d", k)
@@ -228,9 +118,8 @@ func linkThroughput(seed int64) {
 			label = fmt.Sprintf("%d %v", len(cut), cut)
 		}
 		fmt.Printf("%-22s %12.1f %12.1f %10d %10d %10d %12d\n",
-			label, float64(res.elapsed.Microseconds())/1e3,
-			float64(iters)/res.elapsed.Seconds(),
-			res.reroutes, res.reroutes-res.detours, res.detours, res.stats.Recoveries)
+			label, ms(res.Elapsed), float64(iters)/res.Elapsed.Seconds(),
+			res.Reroutes, res.Reroutes-res.Detours, res.Detours, res.Stats.Recoveries)
 	}
 	if !ok {
 		log.Fatal("linkft: a connectivity-preserving link cut triggered a recovery")
@@ -248,50 +137,36 @@ func linkRecovery(seed int64) {
 		nx    = 16
 		iters = 6
 	)
-	ref := linkFFTRun(seed, nodes, nx, iters, nil, nil)
-	if ref.stats.Recoveries != 0 || ref.stats.Confirmations != 0 {
-		log.Fatalf("linkft: clean reference saw failures: %+v", ref.stats)
+	ref, err := scenario.Reference(linkFFTRun(seed, nodes, iters, scenario.Faults{}), nil)
+	if err != nil {
+		log.Fatalf("linkft: %v", err)
 	}
 	fmt.Printf("mid-run link faults on the 4-node cell (%d³ FFT, fault injected as iteration 4 starts)\n", nx)
 	fmt.Printf("%-24s %12s %12s %10s %10s %12s %12s %10s\n",
 		"scenario", "elapsed ms", "recover ms", "reroutes", "detours", "recoveries", "partitions", "bitwise")
-	fmt.Printf("%-24s %12.1f %12s %10d %10d %12d %12d %10s\n",
-		"no faults", float64(ref.elapsed.Microseconds())/1e3, "-",
-		ref.reroutes, ref.detours, ref.stats.Recoveries, ref.stats.Partitions, "ok")
+	// row prints one scenario and reports whether it matched ref bitwise.
+	row := func(name string, r scenario.Result, recoverMS string) bool {
+		same := bitwise(ref, r)
+		fmt.Printf("%-24s %12.1f %12s %10d %10d %12d %12d %10s\n",
+			name, ms(r.Elapsed), recoverMS, r.Reroutes, r.Detours,
+			r.Stats.Recoveries, r.Stats.Partitions, same)
+		return same == "ok"
+	}
+	row("no faults", ref, "-")
 
-	reroute := linkFFTRun(seed, nodes, nx, iters, nil, func(m *converse.Machine) {
-		if err := m.FailLink(0, 1); err != nil {
-			log.Fatalf("FailLink(0,1): %v", err)
-		}
-	})
-	rerouteOK := reroute.stats.Recoveries == 0 && reroute.stats.Confirmations == 0 && reroute.reroutes > 0
-	fmt.Printf("%-24s %12.1f %12s %10d %10d %12d %12d %10s\n",
-		"link 0-1 down", float64(reroute.elapsed.Microseconds())/1e3, "-",
-		reroute.reroutes, reroute.detours, reroute.stats.Recoveries,
-		reroute.stats.Partitions, bitwiseLabel(ref, reroute))
-
-	part := linkFFTRun(seed, nodes, nx, iters, nil, func(m *converse.Machine) {
-		if err := m.FailLink(0, 1); err != nil {
-			log.Fatalf("FailLink(0,1): %v", err)
-		}
-		if err := m.FailLink(1, 3); err != nil {
-			log.Fatalf("FailLink(1,3): %v", err)
-		}
-	})
-	partOK := part.stats.Recoveries == 1 && part.stats.Confirmations == 1 && part.stats.Partitions > 0
-	fmt.Printf("%-24s %12.1f %12.1f %10d %10d %12d %12d %10s\n",
-		"node 1 partitioned", float64(part.elapsed.Microseconds())/1e3, part.recoverMS,
-		part.reroutes, part.detours, part.stats.Recoveries,
-		part.stats.Partitions, bitwiseLabel(ref, part))
+	reroute := linkFFTRun(seed, nodes, iters, scenario.Faults{AtIter: 3, Mid: failLinks([2]int{0, 1})})
+	rerouteSame := row("link 0-1 down", reroute, "-")
+	part := linkFFTRun(seed, nodes, iters, scenario.Faults{AtIter: 3, Mid: failLinks([2]int{0, 1}, [2]int{1, 3})})
+	partSame := row("node 1 partitioned", part, fmt.Sprintf("%.1f", ms(part.Recover)))
 
 	switch {
-	case !rerouteOK:
-		log.Fatalf("linkft: dead link was not absorbed by rerouting: %+v", reroute.stats)
-	case bitwiseLabel(ref, reroute) != "ok":
+	case reroute.Stats.Recoveries != 0 || reroute.Stats.Confirmations != 0 || reroute.Reroutes == 0:
+		log.Fatalf("linkft: dead link was not absorbed by rerouting: %+v", reroute.Stats)
+	case !rerouteSame:
 		log.Fatal("linkft: rerouted run diverged from the clean run")
-	case !partOK:
-		log.Fatalf("linkft: partition did not take the node-death recovery path: %+v", part.stats)
-	case bitwiseLabel(ref, part) != "ok":
+	case part.Stats.Recoveries != 1 || part.Stats.Confirmations != 1 || part.Stats.Partitions == 0:
+		log.Fatalf("linkft: partition did not take the node-death recovery path: %+v", part.Stats)
+	case !partSame:
 		log.Fatal("linkft: partition recovery diverged from the clean run")
 	}
 	fmt.Println("dead link: rerouted, zero rollbacks, bitwise identical; partitioned node: confirmed via partition verdict, recovered like a fail-stop")

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"blueq/internal/aggregate"
@@ -22,6 +23,7 @@ import (
 	"blueq/internal/ft"
 	"blueq/internal/mempool"
 	"blueq/internal/obs"
+	"blueq/internal/scenario"
 	"blueq/internal/trace"
 	"blueq/internal/transport"
 )
@@ -31,12 +33,24 @@ func section(title string) {
 	fmt.Println("==== " + title + " ====")
 }
 
+// ms renders a duration in the tables' milliseconds.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+
+// bitwise renders a table's bitwise column: "ok", or "MISMATCH" with the
+// first difference from the reference logged.
+func bitwise(ref, got scenario.Result) string {
+	if err := scenario.SameBits(ref, got); err != nil {
+		log.Printf("not bitwise identical: %v", err)
+		return "MISMATCH"
+	}
+	return "ok"
+}
+
 func main() {
 	metricsPath := flag.String("metrics", "obs_metrics.json", "write the native-run obs snapshot here ('' disables)")
 	spec := flag.String("transport", "inproc",
 		"transport for the native run: inproc, contended[:scale=F], faulty[:seed=N,drop=F,dup=F,...]")
 	seed := flag.Int64("seed", 0, "seed for faulty-transport and kill-event runs (overrides any seed= in -transport)")
-	only := flag.String("only", "", "run a single section by key (ft, agg) instead of the full suite")
 	phi := flag.Float64("phi", 0, "detector PhiFactor: adaptive suspicion threshold scale (0 = default)")
 	suspectAfter := flag.Duration("suspect-after", 12*time.Millisecond, "detector silence floor before suspecting a peer")
 	flow := flag.Bool("flow", false, "arm credit-based flow control on the native obs run")
@@ -46,11 +60,35 @@ func main() {
 	aggBytes := flag.Int("agg-bytes", 0, "aggregation batch size in bytes (0 = default; implies -agg)")
 	aggDelay := flag.Duration("agg-delay", 0, "aggregation max flush delay (0 = default; implies -agg)")
 	aggMsgs := flag.Int("agg-msgs", 200000, "messages per E16 aggregation-sweep cell")
+	// The native sections, in suite order. -only's help text, its dispatch
+	// and the tail of the full suite all read this one table.
+	var det ft.Config
+	var agc aggregate.Config
+	native := []struct {
+		key, title string
+		run        func()
+	}{
+		{"ft", "E14: PE failure mid-3D-FFT — detect, restore, replay (internal/ft)",
+			func() { ftRecovery(*seed, det) }},
+		{"agg", "E16: message aggregation — flood msgs/sec vs payload size (internal/aggregate)",
+			func() { aggSweep(*aggMsgs, agc) }},
+		{"integrity", "E17: wire+checkpoint integrity and cascading-failure recovery (internal/pami, internal/ft)",
+			func() { integritySection(*seed) }},
+		{"linkft", "E18: link failures — fail-aware routing, gray links, partitions (internal/torus, internal/ft)",
+			func() { linkftSection(*seed) }},
+		{"lb", "E19: dynamic load balancing — LB off vs centralized vs diffusion (internal/lb)",
+			func() { lbSection(*seed) }},
+	}
+	keys := make([]string, len(native))
+	for i, sec := range native {
+		keys[i] = sec.key
+	}
+	only := flag.String("only", "", "run a single section by key ("+strings.Join(keys, ", ")+") instead of the full suite")
 	flag.Parse()
 	if *seed != 0 {
 		*spec = transport.WithSeed(*spec, *seed)
 	}
-	det := ft.Config{
+	det = ft.Config{
 		HeartbeatInterval: time.Millisecond,
 		SuspectAfter:      *suspectAfter,
 		PhiFactor:         *phi,
@@ -59,32 +97,20 @@ func main() {
 	if *flow || *fcWindow > 0 || *fcOverflowCap > 0 {
 		fcc = &flowctl.Config{Window: *fcWindow, OverflowCap: *fcOverflowCap}
 	}
-	agc := aggregate.Config{MaxBatchBytes: *aggBytes, MaxDelay: *aggDelay}
+	agc = aggregate.Config{MaxBatchBytes: *aggBytes, MaxDelay: *aggDelay}
 	var obsAgc *aggregate.Config
 	if *agg || *aggBytes > 0 || *aggDelay > 0 {
 		obsAgc = &agc
 	}
 	if *only != "" {
-		switch *only {
-		case "ft":
-			section("E14: PE failure mid-3D-FFT — detect, restore, replay (internal/ft)")
-			ftRecovery(*seed, det)
-		case "agg":
-			section("E16: message aggregation — flood msgs/sec vs payload size (internal/aggregate)")
-			aggSweep(*aggMsgs, agc)
-		case "integrity":
-			section("E17: wire+checkpoint integrity and cascading-failure recovery (internal/pami, internal/ft)")
-			integritySection(*seed)
-		case "lb":
-			section("E19: dynamic load balancing — LB off vs centralized vs diffusion (internal/lb)")
-			lbSection(*seed)
-		case "linkft":
-			section("E18: link failures — fail-aware routing, gray links, partitions (internal/torus, internal/ft)")
-			linkftSection(*seed)
-		default:
-			log.Fatalf("unknown -only section %q (want ft, agg, integrity, linkft, lb)", *only)
+		for _, sec := range native {
+			if sec.key == *only {
+				section(sec.title)
+				sec.run()
+				return
+			}
 		}
-		return
+		log.Fatalf("unknown -only section %q (want %s)", *only, strings.Join(keys, ", "))
 	}
 	m := cluster.BGQ()
 
@@ -162,20 +188,10 @@ func main() {
 		nativeObservability(*metricsPath, *spec, fcc, obsAgc)
 	}
 
-	section("E14: PE failure mid-3D-FFT — detect, restore, replay (internal/ft)")
-	ftRecovery(*seed, det)
-
-	section("E16: message aggregation — flood msgs/sec vs payload size (internal/aggregate)")
-	aggSweep(*aggMsgs, agc)
-
-	section("E17: wire+checkpoint integrity and cascading-failure recovery (internal/pami, internal/ft)")
-	integritySection(*seed)
-
-	section("E18: link failures — fail-aware routing, gray links, partitions (internal/torus, internal/ft)")
-	linkftSection(*seed)
-
-	section("E19: dynamic load balancing — LB off vs centralized vs diffusion (internal/lb)")
-	lbSection(*seed)
+	for _, sec := range native {
+		section(sec.title)
+		sec.run()
+	}
 }
 
 // nativeObservability enables the obs instrumentation, drives the native

@@ -1,235 +1,74 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"blueq/internal/charm"
-	"blueq/internal/converse"
-	"blueq/internal/fft3d"
-	"blueq/internal/ft"
-	"blueq/internal/transport"
+	"blueq/internal/scenario"
 )
 
-// The chaos schedule behind -kills: the FFT cell becomes a fault-tolerant
-// run under the FT manager — checkpoint every iteration, fail-stop nodes
-// on the schedule, and at the end compare the grids bitwise against a
-// kill-free reference over the same transport. The recovery layer repeats
-// the exact arithmetic it rolled back, so "survived" here means identical
-// bits, not just a finished run.
+// The chaos schedules behind -kills and -links: the FFT cell becomes a
+// fault-tolerant run under the FT manager (scenario.FFT) — checkpoint every
+// iteration, inject the schedule right after iteration 3 launches, and at
+// the end compare the grids bitwise against a fault-free reference over the
+// same transport. The recovery layer repeats the exact arithmetic it rolled
+// back, so "survived" here means identical bits, not just a finished run.
 
-// killSchedule is the parsed -kills=N@DUR flag: n fail-stops, the first
-// fired once the run is warm (first epoch committed), the rest spread DUR
-// apart — each later kill lands wherever the system then is (mid-recovery
-// cascades included; that is the point).
-type killSchedule struct {
-	n      int
-	spread time.Duration
+const chaosIters = 6
+
+// chaosPair runs the fault-free reference and the run under f.
+func chaosPair(spec string, f scenario.Faults) (got scenario.Result, err error) {
+	cfg := scenario.FFTConfig{Iters: chaosIters, Transport: spec}
+	ref, err := scenario.Reference(scenario.FFT(cfg))
+	if err != nil {
+		return got, err
+	}
+	cfg.Faults = f
+	if got, err = scenario.FFT(cfg); err != nil {
+		return got, fmt.Errorf("chaos run: %w", err)
+	}
+	return got, scenario.SameBits(ref, got)
 }
 
-// parseKills parses "N@DUR", e.g. "2@100ms".
-func parseKills(s string) (*killSchedule, error) {
-	at := strings.IndexByte(s, '@')
-	if at < 0 {
-		return nil, fmt.Errorf("-kills=%q: want N@DUR, e.g. 2@100ms", s)
-	}
-	n, err := strconv.Atoi(s[:at])
-	if err != nil || n < 1 {
-		return nil, fmt.Errorf("-kills=%q: bad kill count", s)
-	}
-	spread, err := time.ParseDuration(s[at+1:])
-	if err != nil {
-		return nil, fmt.Errorf("-kills=%q: bad spread: %v", s, err)
-	}
-	if n > 2 {
-		// 4 nodes, double in-memory checkpointing: a third non-adjacent
-		// kill cannot leave a surviving replica of everything.
-		return nil, fmt.Errorf("-kills=%q: at most 2 kills are recoverable on the 4-node cell", s)
-	}
-	return &killSchedule{n: n, spread: spread}, nil
-}
-
-// chaosKillPEs are the fail-stop victims in schedule order: 1 then 3 are
-// non-adjacent in the 4-node buddy ring, so a verified replica of every
-// checkpoint batch survives both deaths.
-var chaosKillPEs = [2]int{1, 3}
-
-// chaosFFT runs the 16³ FFT for a fixed iteration count under the FT
-// manager and the given kill schedule, returning the final grids. mid, when
-// non-nil, fires once right after iteration 3 launches — the link-flap cell
-// injects its wire chaos through it.
-func chaosFFT(spec string, iters int, ks *killSchedule, mid func(m *converse.Machine)) (grids [][]complex128, stats ft.Stats, err error) {
-	const nodes = 4
-	conv := converse.Config{Nodes: nodes, WorkersPerNode: 1, Mode: converse.ModeSMP}
-	tr, err := transport.New(spec, nodes, 1)
-	if err != nil {
-		return nil, ft.Stats{}, err
-	}
-	conv.Transport = tr
-	rt, err := charm.NewRuntime(conv)
-	if err != nil {
-		return nil, ft.Stats{}, err
-	}
-
-	// Heartbeats ride the same lossy transport as the data: keep the
-	// suspect floor well above a plausible run of dropped heartbeats.
-	cfg := ft.Config{
-		HeartbeatInterval: 2 * time.Millisecond,
-		SuspectAfter:      60 * time.Millisecond,
-	}
-	var mgrP atomic.Pointer[ft.Manager]
-	var done atomic.Bool
-	var killed atomic.Int32
-	if ks != nil && ks.n > 1 {
-		var chain sync.Once
-		cfg.OnRecoveryStart = func(dead []int) {
-			chain.Do(func() {
-				// Spread the remaining kills from the moment the first
-				// recovery begins: each lands wherever the system is then —
-				// mid-recovery, mid-re-checkpoint, or after commit.
-				for k := 1; k < ks.n; k++ {
-					pe := chaosKillPEs[k]
-					time.AfterFunc(time.Duration(k)*ks.spread, func() {
-						if done.Load() {
-							return
-						}
-						if m := mgrP.Load(); m != nil {
-							killed.Add(1)
-							m.KillPE(pe)
-						}
-					})
-				}
-			})
-		}
-	}
-	cfg.OnUnrecoverable = func(error) { rt.Shutdown() }
-	mgr := ft.New(rt, cfg)
-	mgrP.Store(mgr)
-
-	eng, err := fft3d.New(rt, nil, fft3d.Config{
-		NX: 16, NY: 16, NZ: 16, Transport: fft3d.P2P,
-		Input: func(x, y, z int) complex128 {
-			return complex(float64(x+2*y)+0.25, float64(z-y)-0.5)
-		},
-	})
-	if err != nil {
-		rt.Shutdown()
-		return nil, ft.Stats{}, err
-	}
-	mgr.Protect(eng.Array())
-	mgr.SetAppState(
-		func() []byte {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(eng.Iterations()))
-			return b[:]
-		},
-		func(pe *converse.PE, blob []byte) {
-			eng.PrepareRestart(int64(binary.LittleEndian.Uint64(blob)))
-			if e := eng.Start(pe); e != nil {
-				rt.Shutdown()
-			}
-		})
-
-	var runErr atomic.Value
-	fail := func(e error) {
-		runErr.Store(e)
-		rt.Shutdown()
-	}
-	var killOnce, midOnce sync.Once
-	eng.SetOnComplete(func(pe *converse.PE, iter int) {
-		if iter >= iters {
-			rt.Shutdown()
-			return
-		}
-		e := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			if e := eng.Start(pe); e != nil {
-				fail(fmt.Errorf("start iter %d: %v", iter+1, e))
-				return
-			}
-			if iter == 2 {
-				if ks != nil {
-					killOnce.Do(func() {
-						killed.Add(1)
-						mgr.KillPE(chaosKillPEs[0])
-					})
-				}
-				if mid != nil {
-					midOnce.Do(func() { mid(rt.Machine()) })
-				}
-			}
-		})
-		// A refusal because recovery owns the epoch is benign: the restart
-		// hook re-drives the computation.
-		if e != nil && !mgr.Recovering() && mgr.UnrecoverableErr() == nil {
-			fail(fmt.Errorf("checkpoint after iter %d: %v", iter, e))
-		}
-	})
-
-	watchdog := time.AfterFunc(120*time.Second, func() {
-		fail(fmt.Errorf("chaos FFT wedged"))
-	})
-	defer watchdog.Stop()
-	rt.Run(func(pe *converse.PE) {
-		if e := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			if e := eng.Start(pe); e != nil {
-				fail(fmt.Errorf("start: %v", e))
-			}
-		}); e != nil {
-			fail(fmt.Errorf("initial checkpoint: %v", e))
-		}
-	})
-	done.Store(true)
-
-	if e, ok := runErr.Load().(error); ok {
-		return nil, mgr.Stats(), e
-	}
-	if e := mgr.UnrecoverableErr(); e != nil {
-		return nil, mgr.Stats(), fmt.Errorf("declared unrecoverable: %v", e)
-	}
-	for pe := 0; pe < nodes; pe++ {
-		grids = append(grids, append([]complex128(nil), eng.ZData(pe)...))
-	}
-	return grids, mgr.Stats(), nil
-}
-
-// runFFTChaosCell is the -kills FFT cell: a kill-free reference run and a
-// chaos run over the same transport spec must produce bitwise-identical
-// grids, and the chaos run must actually have recovered.
-func runFFTChaosCell(spec string, ks *killSchedule) error {
-	const iters = 6
+// runFFTChaosCell is the -kills FFT cell: the first victim is fail-stopped
+// once the run is warm, the rest spread apart from the moment the first
+// recovery begins — each lands wherever the system then is (mid-recovery,
+// mid-re-checkpoint, or after commit; that is the point). The chaos run
+// must actually have recovered and end bitwise identical to the reference.
+func runFFTChaosCell(spec string, victims []int, spread time.Duration) error {
 	start := time.Now()
-	ref, refStats, err := chaosFFT(spec, iters, nil, nil)
+	got, err := chaosPair(spec, scenario.Faults{AtIter: 3, Kill: victims[:1], Cascade: victims[1:], Spread: spread})
 	if err != nil {
-		return fmt.Errorf("reference run: %w", err)
+		return err
 	}
-	if refStats.Recoveries != 0 || refStats.Confirmations != 0 {
-		return fmt.Errorf("reference run saw failures: %+v", refStats)
-	}
-	got, stats, err := chaosFFT(spec, iters, ks, nil)
-	if err != nil {
-		return fmt.Errorf("chaos run: %w", err)
-	}
-	if stats.Recoveries < 1 {
-		return fmt.Errorf("kill schedule ran but no recovery happened: %+v", stats)
-	}
-	for pe := range ref {
-		if len(got[pe]) != len(ref[pe]) {
-			return fmt.Errorf("PE %d grid length %d vs reference %d", pe, len(got[pe]), len(ref[pe]))
-		}
-		for i := range ref[pe] {
-			if got[pe][i] != ref[pe][i] {
-				return fmt.Errorf("PE %d grid[%d] = %v, reference %v: not bitwise identical",
-					pe, i, got[pe][i], ref[pe][i])
-			}
-		}
+	if got.Stats.Recoveries < 1 {
+		return fmt.Errorf("kill schedule ran but no recovery happened: %+v", got.Stats)
 	}
 	fmt.Fprintf(out, "chaos over %-45s %d kills (spread %v): %d recoveries, %d confirmations, %d ckpt-crc rejects, bitwise identical in %5.1fs\n",
-		spec+":", ks.n, ks.spread, stats.Recoveries, stats.Confirmations, stats.CkptCRCFails,
+		spec+":", len(victims), spread, got.Stats.Recoveries, got.Stats.Confirmations, got.Stats.CkptCRCFails,
+		time.Since(start).Seconds())
+	return nil
+}
+
+// runFFTLinkCell is the -links FFT cell: physical links are fail-stopped one
+// at a time, held down, then healed before the next flap. The router must
+// absorb every flap by rerouting (the 4-node cell's links form a cycle, so
+// one dead wire never partitions it): zero rollbacks, reroutes > 0, and
+// grids bitwise identical to the flap-free reference.
+func runFFTLinkCell(spec string, flaps int, hold time.Duration) error {
+	start := time.Now()
+	got, err := chaosPair(spec, scenario.Faults{AtIter: 3, Flaps: flaps, Hold: hold})
+	switch {
+	case err != nil:
+		return err
+	case got.Stats.Recoveries != 0 || got.Stats.Confirmations != 0:
+		return fmt.Errorf("link flaps caused a rollback, want pure rerouting: %+v", got.Stats)
+	case got.Reroutes == 0:
+		return fmt.Errorf("link flaps ran but the router never rerouted")
+	}
+	fmt.Fprintf(out, "links over %-45s %d flaps (hold %v): %d reroutes (%d detours), %d link suspects, 0 rollbacks, bitwise identical in %5.1fs\n",
+		spec+":", flaps, hold, got.Reroutes, got.Detours, got.Stats.LinkSuspects,
 		time.Since(start).Seconds())
 	return nil
 }

@@ -1,11 +1,7 @@
 package main
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"blueq/internal/aggregate"
@@ -15,7 +11,7 @@ import (
 	"blueq/internal/ft"
 	"blueq/internal/lb"
 	"blueq/internal/lockless"
-	"blueq/internal/transport"
+	"blueq/internal/scenario"
 )
 
 // The -lb cell: continuous migrations under a hostile transport. A
@@ -23,9 +19,9 @@ import (
 // around the initial placement blocks, so every phase re-creates an
 // imbalance and the barrier's GreedyLB pass keeps real packed-blob
 // migrations flowing for the whole budget — with a checkpoint of the
-// migrated layout between every pair of phases. A -kills schedule
-// fail-stops nodes immediately after an LB pass issues its commands,
-// landing the deaths while blobs are on the wire.
+// migrated layout between every pair of phases (scenario.Imbalance). A
+// -kills schedule fail-stops nodes immediately after an LB pass issues its
+// commands, landing the deaths while blobs are on the wire.
 //
 // Element state is a pure function of (index, iterations), so the final
 // exactly-once check catches any delivery lost or duplicated across
@@ -33,33 +29,13 @@ import (
 // sampler holds the usual bounded-memory property while blobs and data
 // share the flow-controlled path.
 
-// lbElem is the migratable soak element.
-type lbElem struct {
-	iter uint64
-	sum  uint64
-}
-
-func (w *lbElem) PackCheckpoint() []byte {
-	b := make([]byte, 16)
-	binary.LittleEndian.PutUint64(b, w.iter)
-	binary.LittleEndian.PutUint64(b[8:], w.sum)
-	return b
-}
-
-func (w *lbElem) UnpackCheckpoint(data []byte) {
-	w.iter = binary.LittleEndian.Uint64(data)
-	w.sum = binary.LittleEndian.Uint64(data[8:])
-}
-
 // runLBSoak drives the rotating-imbalance workload for a phase count
 // sized from the cell budget.
-func runLBSoak(spec string, d time.Duration, fcc flowctl.Config, agc *aggregate.Config, ks *killSchedule) error {
+func runLBSoak(spec string, d time.Duration, fcc flowctl.Config, agc *aggregate.Config, victims []int, spread time.Duration) error {
 	const (
 		nodes         = 4
 		nelems        = 12
 		itersPerPhase = 6
-		heavyCost     = 2 * time.Millisecond
-		lightCost     = 100 * time.Microsecond
 	)
 	// Worst-case phase cost: one PE holding every heavy element. The
 	// count is fixed up front so the exactly-once ledger has a single
@@ -72,172 +48,47 @@ func runLBSoak(spec string, d time.Duration, fcc flowctl.Config, agc *aggregate.
 		phases = 60
 	}
 
-	tr, err := transport.New(spec, nodes, 1)
-	if err != nil {
-		return err
-	}
-	defer tr.Close()
-	rt, err := charm.NewRuntime(converse.Config{
-		Nodes: nodes, WorkersPerNode: 1, Mode: converse.ModeSMP,
-		Transport: tr, FlowControl: &fcc, Aggregation: agc,
-	})
-	if err != nil {
-		return err
-	}
-	m := rt.Machine()
-	ftm := ft.New(rt, ft.Config{
-		HeartbeatInterval: 3 * time.Millisecond,
-		SuspectAfter:      90 * time.Millisecond,
-		ProbeTimeout:      150 * time.Millisecond,
-	})
-	mgr := lb.Attach(rt, lb.Config{Strategy: lb.Greedy{}})
-
-	var a *charm.Array
-	var eWork int
-	var arrived, gen atomic.Int64
-	var killed atomic.Int32
-	var killOnce sync.Once
-	var done atomic.Bool
-	var runErr atomic.Value
-	fail := func(e error) {
-		runErr.Store(e)
-		rt.Shutdown()
-	}
-	a = rt.NewArray("lbsoak", nelems, func(idx int) charm.Element { return &lbElem{} })
-
-	resume := func(pe *converse.PE) {
-		if err := a.Broadcast(pe, eWork, nil, 8); err != nil {
-			fail(fmt.Errorf("resume broadcast: %v", err))
-		}
-	}
-	// Settle the in-flight blobs and checkpoint the migrated layout, off
-	// the scheduler; the generation stamp voids the continuation when a
-	// recovery restarts the run underneath it.
-	afterBalance := func(pe *converse.PE) {
-		g := gen.Load()
-		go func() {
-			if err := mgr.SettleMigrations(30 * time.Second); err != nil && gen.Load() == g {
-				fail(fmt.Errorf("settle: %v", err))
-				return
-			}
-			if gen.Load() != g {
-				return
-			}
-			if err := ftm.Checkpoint(pe, func(pe *converse.PE) {
-				if gen.Load() == g {
-					resume(pe)
-				}
-			}); err != nil && !errors.Is(err, ft.ErrRecovering) &&
-				gen.Load() == g && ftm.UnrecoverableErr() == nil {
-				fail(fmt.Errorf("phase checkpoint: %v", err))
-			}
-		}()
-	}
-
-	eWork = a.Entry(func(pe *converse.PE, elem charm.Element, idx int, _ any) {
-		w := elem.(*lbElem)
-		if w.iter >= uint64(phases*itersPerPhase) {
-			return // a replayed resume reached a finished element
-		}
+	var m *converse.Machine
+	var sampler *residencySampler
+	res, err := scenario.Imbalance(scenario.ImbalanceConfig{
+		Nodes: nodes, Workers: 1, Elems: nelems,
+		Warmup: itersPerPhase, Every: itersPerPhase, Total: phases * itersPerPhase,
 		// The heavy block rotates each phase, re-imbalancing whatever
 		// placement the previous pass settled on.
-		phase := int(w.iter) / itersPerPhase
-		if idx/3 == phase%nodes {
-			time.Sleep(heavyCost)
-		} else {
-			time.Sleep(lightCost)
-		}
-		w.iter++
-		w.sum += uint64(idx+1) * w.iter
-		if w.iter%itersPerPhase != 0 {
-			if err := a.Send(pe, idx, eWork, nil, 8); err != nil {
-				fail(fmt.Errorf("send: %v", err))
-			}
-			return
-		}
-		if arrived.Add(1) != nelems {
-			return
-		}
-		arrived.Store(0)
-		p := int(w.iter) / itersPerPhase // phases completed
-		if p >= phases {
-			rt.Shutdown()
-			return
-		}
-		mgr.RunCentral(pe)
-		if ks != nil {
-			killOnce.Do(func() {
-				for k := 0; k < ks.n; k++ {
-					pe := chaosKillPEs[k]
-					delay := time.Duration(k) * ks.spread
-					if delay == 0 {
-						killed.Add(1)
-						ftm.KillPE(pe)
-						continue
-					}
-					time.AfterFunc(delay, func() {
-						if done.Load() {
-							return
-						}
-						killed.Add(1)
-						ftm.KillPE(pe)
-					})
-				}
-			})
-		}
-		afterBalance(pe)
+		Heavy:     func(idx, phase int) bool { return idx/3 == phase%nodes },
+		HeavyCost: 2 * time.Millisecond,
+		Transport: spec, FlowControl: &fcc, Aggregation: agc,
+		LB: lb.Config{Strategy: lb.Greedy{}}, FT: true,
+		Timeout: d + 120*time.Second,
+		Faults: scenario.Faults{
+			Kill: victims, Spread: spread,
+			Pre: func(rt *charm.Runtime, _ *ft.Manager) {
+				m = rt.Machine()
+				sampler = startSampler(m)
+			},
+		},
 	})
-	ftm.Protect(a)
-	ftm.SetAppState(
-		func() []byte { return nil },
-		func(pe *converse.PE, _ []byte) {
-			arrived.Store(0)
-			gen.Add(1)
-			resume(pe)
-		})
-	mgr.Manage(a, -1)
-
-	sampler := startSampler(m)
-	watchdog := time.AfterFunc(d+120*time.Second, func() { fail(fmt.Errorf("lb cell wedged")) })
-	defer watchdog.Stop()
-	start := time.Now()
-	rt.Run(func(pe *converse.PE) {
-		if err := ftm.Checkpoint(pe, func(pe *converse.PE) { resume(pe) }); err != nil {
-			fail(fmt.Errorf("initial checkpoint: %v", err))
-		}
-	})
-	done.Store(true)
-	elapsed := time.Since(start)
+	if sampler == nil {
+		return err // the machine never got built
+	}
 	peakResident, peakReorder := sampler.finish()
-
-	if e, ok := runErr.Load().(error); ok {
-		return e
+	if err != nil {
+		return err
 	}
-	if e := ftm.UnrecoverableErr(); e != nil {
-		return fmt.Errorf("declared unrecoverable: %v", e)
-	}
-	stats := ftm.Stats()
 	fc := m.FlowController()
 	bound := int64(m.NumPEs()) * floodBound(lockless.DefaultRingSize, fc.Config())
 	fmt.Fprintf(out, "lb    over %-45s %d phases, %d migrations, %d recoveries, peak resident %d/bound %d, reorder %d/cap %d in %5.1fs\n",
-		spec+":", phases, mgr.Moves(), stats.Recoveries, peakResident, bound,
-		peakReorder, fc.Config().ReorderCap, elapsed.Seconds())
+		spec+":", phases, res.Moves, res.Stats.Recoveries, peakResident, bound,
+		peakReorder, fc.Config().ReorderCap, res.Elapsed.Seconds())
 
-	want := uint64(phases * itersPerPhase)
-	for idx := 0; idx < nelems; idx++ {
-		w := a.Element(idx).(*lbElem)
-		if w.iter != want {
-			return fmt.Errorf("exactly-once violated: element %d executed %d iterations, want %d", idx, w.iter, want)
-		}
-		if wantSum := uint64(idx+1) * want * (want + 1) / 2; w.sum != wantSum {
-			return fmt.Errorf("exactly-once violated: element %d sum %d, want %d", idx, w.sum, wantSum)
-		}
+	if err := scenario.SameBits(scenario.Exact(nelems, phases*itersPerPhase), res); err != nil {
+		return fmt.Errorf("exactly-once violated: %w", err)
 	}
-	if mgr.Moves() == 0 {
+	if res.Moves == 0 {
 		return fmt.Errorf("no forward progress: the rotating imbalance never triggered a migration")
 	}
-	if ks != nil && stats.Recoveries < 1 {
-		return fmt.Errorf("kill schedule ran but no recovery happened: %+v", stats)
+	if len(victims) > 0 && res.Stats.Recoveries < 1 {
+		return fmt.Errorf("kill schedule ran but no recovery happened: %+v", res.Stats)
 	}
 	if peakResident > bound {
 		return fmt.Errorf("memory unbounded: resident backlog peaked at %d, bound %d", peakResident, bound)

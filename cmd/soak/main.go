@@ -28,6 +28,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +42,13 @@ import (
 	"blueq/internal/lockless"
 	"blueq/internal/md"
 	"blueq/internal/mdsim"
+	"blueq/internal/scenario"
 	"blueq/internal/transport"
 )
+
+// cellNames are the workloads -workload accepts by name; the flag's help
+// text and its validation both read this list.
+var cellNames = []string{"flood", "fft", "md", "lb"}
 
 // out carries the human-readable cell lines; -json moves them to stderr so
 // stdout stays a single parseable JSON document.
@@ -68,7 +75,7 @@ func main() {
 	duration := flag.Duration("duration", 20*time.Second, "total wall-clock budget, split across workload×transport cells")
 	spec := flag.String("transport", "both",
 		"transport spec, or 'both' for the default faulty and contended specs")
-	workload := flag.String("workload", "all", "flood, fft, md, or all")
+	workload := flag.String("workload", "all", strings.Join(cellNames, ", ")+", or all")
 	slow := flag.Duration("slow", 50*time.Microsecond, "consumer-side per-message execution delay (the overload)")
 	seed := flag.Int64("seed", 1, "seed for faulty transports")
 	fcWindow := flag.Int("fc-window", 16, "flow-control credit window per (src,dst) node pair")
@@ -89,24 +96,27 @@ func main() {
 	if *jsonOut {
 		out = os.Stderr
 	}
-	var ks *killSchedule
+	usage := func(err error) {
+		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
+		os.Exit(2)
+	}
+	var victims []int // -kills: PEs to fail-stop, in order
+	var spread time.Duration
 	if *kills != "" {
 		var err error
-		if ks, err = parseKills(*kills); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-			os.Exit(2)
+		if victims, spread, err = scenario.ParseKills(*kills); err != nil {
+			usage(err)
 		}
 	}
-	var ls *linkSchedule
+	var flaps int // -links: links to flap, each held down for hold
+	var hold time.Duration
 	if *links != "" {
 		var err error
-		if ls, err = parseLinkFlaps(*links); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-			os.Exit(2)
+		if flaps, hold, err = scenario.ParseSchedule("-links", *links); err != nil {
+			usage(err)
 		}
-		if ks != nil {
-			fmt.Fprintln(os.Stderr, "soak: -kills and -links both reshape the fft cell; pick one")
-			os.Exit(2)
+		if victims != nil {
+			usage(fmt.Errorf("-kills and -links both reshape the fft cell; pick one"))
 		}
 	}
 
@@ -140,17 +150,16 @@ func main() {
 	}
 
 	var workloads []string
-	switch *workload {
-	case "all":
+	switch {
+	case *workload == "all":
 		workloads = []string{"flood", "fft", "md"}
 		if *lbCell {
 			workloads = append(workloads, "lb")
 		}
-	case "flood", "fft", "md", "lb":
+	case slices.Contains(cellNames, *workload):
 		workloads = []string{*workload}
 	default:
-		fmt.Fprintf(os.Stderr, "soak: unknown -workload %q\n", *workload)
-		os.Exit(2)
+		usage(fmt.Errorf("unknown -workload %q (want %s, or all)", *workload, strings.Join(cellNames, ", ")))
 	}
 	if *lbCell && *workload != "all" && *workload != "lb" {
 		workloads = append(workloads, "lb")
@@ -171,22 +180,22 @@ func main() {
 				err = runFlood(sp, cell, *slow, fcc, agc)
 			case "fft":
 				switch {
-				case ks != nil:
+				case victims != nil:
 					name = "fft-kills"
-					err = runFFTChaosCell(sp, ks)
-				case ls != nil:
+					err = runFFTChaosCell(sp, victims, spread)
+				case flaps > 0:
 					name = "fft-links"
-					err = runFFTLinkCell(sp, ls)
+					err = runFFTLinkCell(sp, flaps, hold)
 				default:
 					err = runFFTSoak(sp, cell, *slow, fcc, agc)
 				}
 			case "md":
 				err = runMDSoak(sp, cell, *slow, fcc, agc)
 			case "lb":
-				if ks != nil {
+				if victims != nil {
 					name = "lb-kills"
 				}
-				err = runLBSoak(sp, cell, fcc, agc, ks)
+				err = runLBSoak(sp, cell, fcc, agc, victims, spread)
 			}
 			rep := cellReport{
 				Workload: name, Transport: sp,

@@ -4,19 +4,22 @@
 // tile exchanges halo rows/columns with its four neighbours by
 // asynchronous entry methods, applies the 5-point Jacobi update, and
 // contributes its residual to a max-reduction; the mainchare stops when
-// converged. Halfway through, the measurement-based GreedyLB rebalances
-// the tiles across PEs.
+// converged. Halfway through, internal/lb's GreedyLB plans a new placement
+// from the tiles' measured execution times and migrates them, as packed
+// checkpoint blobs, across PEs.
 //
 // Run: go run ./examples/jacobi2d
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
 
 	"blueq/internal/charm"
 	"blueq/internal/converse"
+	"blueq/internal/lb"
 )
 
 const (
@@ -27,12 +30,41 @@ const (
 )
 
 type tile struct {
-	x, y   int
-	cur    [][]float64 // (tileN+2)² with halo
-	next   [][]float64
-	halos  int
-	iter   int
-	workNS int64
+	x, y  int
+	cur   [][]float64 // (tileN+2)² with halo
+	next  [][]float64
+	halos int
+	iter  int
+}
+
+// PackCheckpoint serializes a tile between entry methods: the iteration
+// count, the halos already in for the next relaxation (the migrate command
+// races the resume broadcast, so a tile may leave mid-exchange) and the
+// current grid with its halo cells. next is scratch outside relax.
+func (t *tile) PackCheckpoint() []byte {
+	b := make([]byte, 0, 16+8*(tileN+2)*(tileN+2))
+	b = binary.LittleEndian.AppendUint64(b, uint64(t.iter))
+	b = binary.LittleEndian.AppendUint64(b, uint64(t.halos))
+	for _, row := range t.cur {
+		for _, v := range row {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b
+}
+
+// UnpackCheckpoint loads the packed state into a factory-fresh tile (whose
+// position and boundary values the factory already set).
+func (t *tile) UnpackCheckpoint(data []byte) {
+	t.iter = int(binary.LittleEndian.Uint64(data))
+	t.halos = int(binary.LittleEndian.Uint64(data[8:]))
+	data = data[16:]
+	for _, row := range t.cur {
+		for j := range row {
+			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+		}
+	}
 }
 
 type haloMsg struct {
@@ -55,6 +87,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	balancer := lb.Attach(rt, lb.Config{Strategy: lb.Greedy{}})
 
 	tiles := rt.NewArray("tiles", tilesX*tilesY, func(idx int) charm.Element {
 		t := &tile{x: idx % tilesX, y: idx / tilesX, cur: alloc(), next: alloc()}
@@ -102,9 +135,7 @@ func main() {
 		}
 	}
 
-	var relax func(pe *converse.PE, t *tile, idx int)
-	relax = func(pe *converse.PE, t *tile, idx int) {
-		start := time.Now()
+	relax := func(pe *converse.PE, t *tile) {
 		var local float64
 		for i := 1; i <= tileN; i++ {
 			for j := 1; j <= tileN; j++ {
@@ -116,9 +147,7 @@ func main() {
 			}
 		}
 		t.cur, t.next = t.next, t.cur
-		t.workNS += time.Since(start).Nanoseconds()
 		t.iter++
-		tiles.AddLoad(idx, float64(time.Since(start).Nanoseconds()))
 		err := tiles.Contribute(pe, uint64(t.iter), []float64{local}, charm.ReduceMax,
 			func(pe *converse.PE, res []float64) {
 				iter := t.iter
@@ -128,12 +157,9 @@ func main() {
 					return
 				}
 				if iter == maxIters/2 {
-					r, err := tiles.Rebalance(charm.GreedyLB)
-					if err != nil {
-						panic(err)
-					}
+					r := balancer.RunCentral(pe)
 					fmt.Printf("iter %d: GreedyLB migrated %d tiles (max/avg load %.2f)\n",
-						iter, r.Migrations, r.MaxLoad/r.AvgLoad)
+						iter, r.Moves, r.MaxLoad/r.AvgLoad)
 				}
 				if err := tiles.Broadcast(pe, eStart, nil, 8); err != nil {
 					panic(err)
@@ -149,7 +175,7 @@ func main() {
 		t := el.(*tile)
 		if t.halos == 4 { // all-boundary tile or halos arrived early
 			t.halos = 0
-			relax(pe, t, idx)
+			relax(pe, t)
 		}
 	})
 
@@ -171,9 +197,11 @@ func main() {
 		t.halos++
 		if t.halos == 4 {
 			t.halos = 0
-			relax(pe, t, idx)
+			relax(pe, t)
 		}
 	})
+
+	balancer.Manage(tiles, -1)
 
 	start := time.Now()
 	rt.Run(func(pe *converse.PE) {

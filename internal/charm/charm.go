@@ -231,10 +231,6 @@ type Array struct {
 	// from deliver (internal/lb's live load measurement). Set before Run.
 	meter LoadMeter
 
-	// per-element execution time in arbitrary units, for the load balancer.
-	loadMu sync.Mutex
-	load   []float64
-
 	red reductionState
 }
 
@@ -266,7 +262,6 @@ func (rt *Runtime) NewArrayPlaced(name string, n int, factory func(idx int) Elem
 		inc:     make([]uint32, n),
 		transit: make([]bool, n),
 		pending: make(map[int][]pendingMsg),
-		load:    make([]float64, n),
 	}
 	npes := rt.machine.NumPEs()
 	for i := 0; i < n; i++ {
@@ -367,14 +362,6 @@ func (a *Array) Send(pe *converse.PE, idx, entry int, payload any, bytes int) er
 	return a.rt.send(pe, a.HomePE(idx), charmMsg{kind: kindArray, array: a.id, idx: idx, entry: entry, data: payload}, bytes, 0)
 }
 
-// SendPrio is Send with an explicit scheduler priority (lower first).
-func (a *Array) SendPrio(pe *converse.PE, idx, entry int, payload any, bytes, prio int) error {
-	if idx < 0 || idx >= a.n {
-		return fmt.Errorf("charm: array %q index %d out of range [0,%d)", a.name, idx, a.n)
-	}
-	return a.rt.send(pe, a.HomePE(idx), charmMsg{kind: kindArray, array: a.id, idx: idx, entry: entry, data: payload}, bytes, prio)
-}
-
 // Broadcast invokes entry on every element of the array.
 func (a *Array) Broadcast(pe *converse.PE, entry int, payload any, bytes int) error {
 	for i := 0; i < a.n; i++ {
@@ -441,14 +428,6 @@ func (a *Array) SetLoadMeter(m LoadMeter) {
 		panic("charm: SetLoadMeter after Run")
 	}
 	a.meter = m
-}
-
-// AddLoad records measured work (arbitrary units, e.g. seconds) for element
-// idx, feeding the measurement-based load balancer.
-func (a *Array) AddLoad(idx int, amount float64) {
-	a.loadMu.Lock()
-	a.load[idx] += amount
-	a.loadMu.Unlock()
 }
 
 // ---------------------------------------------------------------------------

@@ -311,61 +311,22 @@ func TestQuiescenceAfterRing(t *testing.T) {
 	}
 }
 
-func TestGreedyLBBalancesSkewedLoad(t *testing.T) {
-	rt, err := NewRuntime(smallCfg(2, 2, converse.ModeSMP))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := rt.NewArray("lb", 16, func(idx int) Element { return nil })
-	// Skewed load: element i costs i+1 units; default block map puts the
-	// heavy tail on the last PE.
-	for i := 0; i < 16; i++ {
-		a.AddLoad(i, float64(i+1))
-	}
-	res, err := a.Rebalance(GreedyLB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 16.0 * 17 / 2
-	avg := total / 4
-	if res.MaxLoad > avg*1.25 {
-		t.Fatalf("greedy max load %v exceeds 1.25x avg %v", res.MaxLoad, avg)
-	}
-	if res.Migrations == 0 {
-		t.Fatal("greedy made no migrations on skewed load")
-	}
-}
-
-func TestRefineLBMovesLittle(t *testing.T) {
-	rt, err := NewRuntime(smallCfg(2, 2, converse.ModeSMP))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := rt.NewArray("lb", 16, func(idx int) Element { return nil })
-	// Nearly balanced already: one hot element on PE 0.
-	for i := 0; i < 16; i++ {
-		a.AddLoad(i, 1)
-	}
-	a.AddLoad(0, 3) // element 0 now 4x
-	res, err := a.Rebalance(RefineLB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Migrations > 4 {
-		t.Fatalf("refine migrated %d elements for one hot spot", res.Migrations)
-	}
-}
-
-// After rebalancing, messages still reach elements exactly once (forwarding
-// covers stragglers sent to the old home).
+// After elements migrate, messages still reach each exactly once, on its
+// new home (forwarding covers stragglers sent to the old home, parking
+// covers ones that beat the blob there).
 func TestSendsAfterMigration(t *testing.T) {
 	const n = 8
 	var count atomic.Int64
 	var a *Array
-	var ePing int
+	var eMove, ePing int
 	runRT(t, smallCfg(2, 2, converse.ModeSMP),
 		func(rt *Runtime) {
-			a = rt.NewArray("mig", n, func(idx int) Element { return nil })
+			a = rt.NewArray("mig", n, func(idx int) Element { return &counterElem{} })
+			eMove = a.Entry(func(pe *converse.PE, elem Element, idx int, payload any) {
+				if err := a.MigrateElement(pe, idx, (pe.Id()+1)%pe.NumPEs()); err != nil {
+					t.Errorf("migrate %d: %v", idx, err)
+				}
+			})
 			ePing = a.Entry(func(pe *converse.PE, elem Element, idx int, payload any) {
 				if pe.Id() != a.HomePE(idx) {
 					t.Errorf("entry for %d ran on PE %d, home %d", idx, pe.Id(), a.HomePE(idx))
@@ -377,19 +338,20 @@ func TestSendsAfterMigration(t *testing.T) {
 		},
 		func(pe *converse.PE) {
 			for i := 0; i < n; i++ {
-				a.AddLoad(i, float64(n-i))
-			}
-			if _, err := a.Rebalance(GreedyLB); err != nil {
-				t.Errorf("rebalance: %v", err)
-			}
-			for i := 0; i < n; i++ {
-				if err := a.Send(pe, i, ePing, nil, 8); err != nil {
-					t.Errorf("send: %v", err)
+				for _, e := range []int{eMove, ePing} {
+					if err := a.Send(pe, i, e, nil, 8); err != nil {
+						t.Errorf("send: %v", err)
+					}
 				}
 			}
 		})
 	if count.Load() != n {
 		t.Fatalf("delivered %d, want %d", count.Load(), n)
+	}
+	for i := 0; i < n; i++ {
+		if want := (blockMap(i, n, 4) + 1) % 4; a.HomePE(i) != want {
+			t.Errorf("element %d homed on PE %d after migrating to %d", i, a.HomePE(i), want)
+		}
 	}
 }
 

@@ -2,44 +2,13 @@ package charm
 
 import (
 	"container/heap"
-	"fmt"
 	"sort"
 )
 
-// The measurement-based load balancers re-map array elements to PEs from
-// the per-element load recorded with AddLoad. In Charm++ the LB runs at a
-// barrier; callers here invoke Rebalance while the array is quiescent (no
-// in-flight messages to its elements), e.g. between application phases.
-
-// LBStrategy selects the placement algorithm.
-type LBStrategy int
-
-const (
-	// GreedyLB sorts elements by descending load and assigns each to the
-	// least-loaded PE (Charm++'s GreedyLB).
-	GreedyLB LBStrategy = iota
-	// RefineLB moves elements off overloaded PEs onto underloaded ones
-	// until within tolerance, minimizing migrations (Charm++'s RefineLB).
-	RefineLB
-)
-
-// String names the strategy for logs and error messages.
-func (s LBStrategy) String() string {
-	switch s {
-	case GreedyLB:
-		return "GreedyLB"
-	case RefineLB:
-		return "RefineLB"
-	}
-	return fmt.Sprintf("LBStrategy(%d)", int(s))
-}
-
-// LBResult reports what a rebalance did.
-type LBResult struct {
-	Migrations int
-	// MaxLoad and AvgLoad are the post-balance per-PE loads.
-	MaxLoad, AvgLoad float64
-}
+// The placement algorithms behind the measurement-based load balancers:
+// pure functions from per-element loads to an element-to-PE map. internal/lb
+// measures the loads, runs these as its centralized Greedy and Refine
+// strategies, and migrates elements to the map they return.
 
 // peLoad is a heap entry for greedy assignment.
 type peLoad struct {
@@ -60,75 +29,9 @@ func (h *peLoadHeap) Pop() any {
 	return v
 }
 
-// Rebalance recomputes the element-to-PE map from recorded loads and
-// migrates elements (their state moves by pointer in this single-process
-// model; the home table redirects subsequent sends). Recorded loads are
-// cleared afterwards, starting a fresh measurement window. An unknown
-// strategy is rejected before any state is touched: the measurement
-// window survives intact and the zero-value LBResult is returned with
-// the error.
-func (a *Array) Rebalance(strategy LBStrategy) (LBResult, error) {
-	switch strategy {
-	case GreedyLB, RefineLB:
-	default:
-		return LBResult{}, fmt.Errorf("charm: array %q rebalance with unknown strategy %v", a.name, strategy)
-	}
-
-	a.loadMu.Lock()
-	loads := append([]float64(nil), a.load...)
-	for i := range a.load {
-		a.load[i] = 0
-	}
-	a.loadMu.Unlock()
-
-	a.homeMu.Lock()
-	defer a.homeMu.Unlock()
-	npes := a.rt.machine.NumPEs()
-	oldHome := append([]int32(nil), a.home...)
-	var newHome []int32
-	switch strategy {
-	case RefineLB:
-		newHome = refinePlacement(loads, oldHome, npes)
-	default:
-		newHome = greedyPlacement(loads, npes)
-	}
-
-	res := LBResult{}
-	perPE := make([]float64, npes)
-	for i, h := range newHome {
-		perPE[h] += loads[i]
-		if h != oldHome[i] {
-			res.Migrations++
-		}
-		a.home[i] = h
-	}
-	for _, l := range perPE {
-		res.AvgLoad += l
-		if l > res.MaxLoad {
-			res.MaxLoad = l
-		}
-	}
-	res.AvgLoad /= float64(npes)
-	return res, nil
-}
-
-// GreedyPlacement computes a GreedyLB element-to-PE map from per-element
-// loads without touching any array: heaviest element to least-loaded PE.
-// internal/lb reuses it as the centralized Greedy strategy.
+// GreedyPlacement implements GreedyLB: elements sorted by descending load,
+// each assigned to the least-loaded PE so far.
 func GreedyPlacement(loads []float64, npes int) []int32 {
-	return greedyPlacement(loads, npes)
-}
-
-// RefinePlacement computes a RefineLB map from per-element loads and the
-// current placement, moving as few elements as possible to bring every PE
-// within tolerance. internal/lb reuses it as the centralized Refine
-// strategy.
-func RefinePlacement(loads []float64, oldHome []int32, npes int) []int32 {
-	return refinePlacement(loads, oldHome, npes)
-}
-
-// greedyPlacement implements GreedyLB: heaviest element to least-loaded PE.
-func greedyPlacement(loads []float64, npes int) []int32 {
 	order := make([]int, len(loads))
 	for i := range order {
 		order[i] = i
@@ -149,10 +52,10 @@ func greedyPlacement(loads []float64, npes int) []int32 {
 	return home
 }
 
-// refinePlacement implements RefineLB: keep the existing map, then move the
+// RefinePlacement implements RefineLB: keep the existing map, then move the
 // lightest suitable elements off the most loaded PEs until every PE is
-// within 5% of average (or no move helps).
-func refinePlacement(loads []float64, oldHome []int32, npes int) []int32 {
+// within 5% of average (or no move helps), minimizing migrations.
+func RefinePlacement(loads []float64, oldHome []int32, npes int) []int32 {
 	home := append([]int32(nil), oldHome...)
 	perPE := make([]float64, npes)
 	byPE := make([][]int, npes)

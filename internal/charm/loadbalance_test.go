@@ -3,107 +3,132 @@ package charm
 import (
 	"reflect"
 	"testing"
-
-	"blueq/internal/converse"
 )
 
-// Edge cases of the placement algorithms and the Rebalance entry point.
+// Edge cases of the two placement algorithms (internal/lb's Greedy and
+// Refine strategies run them unchanged).
 
-// An unknown strategy must be rejected before the measurement window is
-// cleared: recorded loads survive and no element moves.
-func TestRebalanceUnknownStrategyPreservesLoads(t *testing.T) {
-	rt, err := NewRuntime(smallCfg(2, 2, converse.ModeSMP))
-	if err != nil {
-		t.Fatal(err)
+// blockHomes is the default block map's placement of n elements on npes.
+func blockHomes(n, npes int) []int32 {
+	home := make([]int32, n)
+	for i := range home {
+		home[i] = int32(blockMap(i, n, npes))
 	}
-	a := rt.NewArray("lb", 8, func(idx int) Element { return nil })
-	for i := 0; i < 8; i++ {
-		a.AddLoad(i, float64(i+1))
+	return home
+}
+
+// perPE folds per-element loads over a placement into the heaviest PE's
+// load and the average.
+func perPE(loads []float64, home []int32, npes int) (max, avg float64) {
+	sums := make([]float64, npes)
+	for i, h := range home {
+		sums[h] += loads[i]
 	}
-	before := a.Homes()
-	res, err := a.Rebalance(LBStrategy(42))
-	if err == nil {
-		t.Fatal("unknown strategy accepted")
+	for _, s := range sums {
+		avg += s
+		if s > max {
+			max = s
+		}
 	}
-	if res != (LBResult{}) {
-		t.Fatalf("unknown strategy returned non-zero result %+v", res)
+	return max, avg / float64(npes)
+}
+
+// moves counts elements whose home changed.
+func moves(old, new []int32) int {
+	n := 0
+	for i := range old {
+		if old[i] != new[i] {
+			n++
+		}
 	}
-	if got := a.Homes(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("unknown strategy moved elements: %v -> %v", before, got)
+	return n
+}
+
+func ramp(n int) []float64 {
+	loads := make([]float64, n)
+	for i := range loads {
+		loads[i] = float64(i + 1)
 	}
-	// The measurement window must be intact: a follow-up GreedyLB still
-	// sees the skew and migrates.
-	res, err = a.Rebalance(GreedyLB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Migrations == 0 {
-		t.Fatal("loads were destroyed by the rejected rebalance: greedy saw nothing to move")
-	}
+	return loads
 }
 
 // All-zero loads: nothing measured, so any placement is as good as any
-// other; the algorithms must terminate and report zero max/avg without
-// dividing by zero or looping.
-func TestRebalanceAllZeroLoads(t *testing.T) {
-	rt, err := NewRuntime(smallCfg(2, 2, converse.ModeSMP))
-	if err != nil {
-		t.Fatal(err)
+// other; the algorithms must terminate with every element on a valid PE,
+// without dividing by zero or looping.
+func TestPlacementAllZeroLoads(t *testing.T) {
+	loads := make([]float64, 8)
+	for name, home := range map[string][]int32{
+		"greedy": GreedyPlacement(loads, 4),
+		"refine": RefinePlacement(loads, blockHomes(8, 4), 4),
+	} {
+		if len(home) != 8 {
+			t.Fatalf("%s: placed %d of 8 elements", name, len(home))
+		}
+		for i, h := range home {
+			if h < 0 || h >= 4 {
+				t.Fatalf("%s: element %d placed on PE %d", name, i, h)
+			}
+		}
 	}
-	for _, s := range []LBStrategy{GreedyLB, RefineLB} {
-		a := rt.NewArray("zero-"+s.String(), 8, func(idx int) Element { return nil })
-		res, err := a.Rebalance(s)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if res.MaxLoad != 0 || res.AvgLoad != 0 {
-			t.Fatalf("%v: zero loads produced max %v avg %v", s, res.MaxLoad, res.AvgLoad)
-		}
+	if got := RefinePlacement(loads, blockHomes(8, 4), 4); moves(blockHomes(8, 4), got) != 0 {
+		t.Fatalf("refine moved elements with nothing measured: %v", got)
 	}
 }
 
 // A single-PE machine has nowhere to move anything: zero migrations, all
 // load on the one PE.
-func TestRebalanceSinglePE(t *testing.T) {
-	rt, err := NewRuntime(smallCfg(1, 1, converse.ModeSMP))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []LBStrategy{GreedyLB, RefineLB} {
-		a := rt.NewArray("one-"+s.String(), 6, func(idx int) Element { return nil })
-		for i := 0; i < 6; i++ {
-			a.AddLoad(i, float64(i+1))
+func TestPlacementSinglePE(t *testing.T) {
+	loads, old := ramp(6), blockHomes(6, 1)
+	for name, home := range map[string][]int32{
+		"greedy": GreedyPlacement(loads, 1),
+		"refine": RefinePlacement(loads, old, 1),
+	} {
+		if moves(old, home) != 0 {
+			t.Fatalf("%s migrated elements on a single PE: %v", name, home)
 		}
-		res, err := a.Rebalance(s)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if res.Migrations != 0 {
-			t.Fatalf("%v migrated %d elements on a single PE", s, res.Migrations)
-		}
-		if want := 21.0; res.MaxLoad != want || res.AvgLoad != want {
-			t.Fatalf("%v: single-PE loads max %v avg %v, want %v", s, res.MaxLoad, res.AvgLoad, want)
+		if max, avg := perPE(loads, home, 1); max != 21 || avg != 21 {
+			t.Fatalf("%s: single-PE loads max %v avg %v, want 21", name, max, avg)
 		}
 	}
 }
 
 // RefineLB on an already-balanced array is a no-op: every PE is within
 // the 5% tolerance, so zero migrations.
-func TestRefineLBWithinToleranceNoMigrations(t *testing.T) {
-	rt, err := NewRuntime(smallCfg(2, 2, converse.ModeSMP))
-	if err != nil {
-		t.Fatal(err)
+func TestRefineWithinToleranceNoMigrations(t *testing.T) {
+	loads := make([]float64, 16)
+	for i := range loads {
+		loads[i] = 1 // block map: 4 elements x 1.0 per PE, perfectly flat
 	}
-	a := rt.NewArray("flat", 16, func(idx int) Element { return nil })
-	for i := 0; i < 16; i++ {
-		a.AddLoad(i, 1) // block map: 4 elements x 1.0 per PE, perfectly flat
+	old := blockHomes(16, 4)
+	if n := moves(old, RefinePlacement(loads, old, 4)); n != 0 {
+		t.Fatalf("refine migrated %d elements of a balanced array", n)
 	}
-	res, err := a.Rebalance(RefineLB)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// Skewed load: element i costs i+1 units and the block map puts the heavy
+// tail on the last PE; greedy must bring the max within 1.25x of average.
+func TestGreedyBalancesSkewedLoad(t *testing.T) {
+	loads, old := ramp(16), blockHomes(16, 4)
+	home := GreedyPlacement(loads, 4)
+	if max, avg := perPE(loads, home, 4); max > avg*1.25 {
+		t.Fatalf("greedy max load %v exceeds 1.25x avg %v", max, avg)
 	}
-	if res.Migrations != 0 {
-		t.Fatalf("refine migrated %d elements of a balanced array", res.Migrations)
+	if moves(old, home) == 0 {
+		t.Fatal("greedy made no migrations on skewed load")
+	}
+}
+
+// Nearly balanced already — one hot element on PE 0: refine fixes it with
+// a handful of moves, not an upheaval.
+func TestRefineMovesLittle(t *testing.T) {
+	loads := make([]float64, 16)
+	for i := range loads {
+		loads[i] = 1
+	}
+	loads[0] = 4
+	old := blockHomes(16, 4)
+	if n := moves(old, RefinePlacement(loads, old, 4)); n > 4 {
+		t.Fatalf("refine migrated %d elements for one hot spot", n)
 	}
 }
 

@@ -31,14 +31,6 @@ type Checkpointable interface {
 // Epoch returns the current recovery generation (zero until a failure).
 func (rt *Runtime) Epoch() uint32 { return rt.epoch.Load() }
 
-// BeginRecovery starts a rollback: it bumps the message epoch so every
-// message stamped before this call is dropped at dispatch, zeroes the
-// quiescence counters (in-flight pre-failure messages will never execute,
-// so the old counts can no longer balance), and clears partially
-// accumulated reduction state. The caller must have established that no
-// surviving PE is executing or holding undelivered current-epoch messages
-// — internal/ft does so by halting the dead node and waiting for survivor
-// quiescence. Returns the new epoch.
 // OnRecovery registers a hook invoked at the start of every recovery
 // rollback, after the epoch bump has fenced off in-flight messages.
 // Layers that track those messages (the load balancer's outstanding
@@ -49,6 +41,14 @@ func (rt *Runtime) OnRecovery(fn func()) {
 	rt.mu.Unlock()
 }
 
+// BeginRecovery starts a rollback: it bumps the message epoch so every
+// message stamped before this call is dropped at dispatch, zeroes the
+// quiescence counters (in-flight pre-failure messages will never execute,
+// so the old counts can no longer balance), and clears partially
+// accumulated reduction state. The caller must have established that no
+// surviving PE is executing or holding undelivered current-epoch messages
+// — internal/ft does so by halting the dead node and waiting for survivor
+// quiescence. Returns the new epoch.
 func (rt *Runtime) BeginRecovery() uint32 {
 	e := rt.epoch.Add(1)
 	rt.sent.Store(0)
@@ -87,7 +87,7 @@ func (a *Array) resetReductions() {
 // loads the saved state, and the home table re-registers the index. The
 // element value is published before the home entry under the same lock
 // HomePE readers take, so no message can route to an element that is not
-// yet in place. Like Rebalance, it must run while the array is quiescent.
+// yet in place. It must run while the array is quiescent.
 func (a *Array) RestoreElement(idx, newHome int, blob []byte) error {
 	if idx < 0 || idx >= a.n {
 		return fmt.Errorf("charm: array %q restore index %d out of range [0,%d)", a.name, idx, a.n)

@@ -1,118 +1,18 @@
 package ft
 
 import (
-	"encoding/binary"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
-	"blueq/internal/aggregate"
 	"blueq/internal/charm"
 	"blueq/internal/converse"
 	"blueq/internal/fft3d"
-	"blueq/internal/transport"
 )
 
-// fftResult captures everything a correctness assertion needs from one
-// run: the final Z-phase grid of every PE and the ft counters.
-type fftResult struct {
-	grids [][]complex128
-	stats Stats
-}
-
-// runFFT drives an iterated 3D FFT on 4 single-worker nodes with fault
-// tolerance attached: an initial checkpoint, one checkpoint per iteration,
-// and (when killPE >= 0) a fail-stop of killPE's node injected right after
-// iteration 3 launches.
-func runFFT(t *testing.T, spec string, ftCfg Config, killPE, iters int, agc ...*aggregate.Config) fftResult {
-	t.Helper()
-	const nodes = 4
-	conv := converse.Config{Nodes: nodes, WorkersPerNode: 1, Mode: converse.ModeSMP}
-	if len(agc) > 0 {
-		conv.Aggregation = agc[0]
-	}
-	if spec != "" {
-		tr, err := transport.New(spec, nodes, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conv.Transport = tr
-	}
-	rt, err := charm.NewRuntime(conv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := New(rt, ftCfg)
-	eng, err := fft3d.New(rt, nil, fft3d.Config{
-		NX: 8, NY: 8, NZ: 8, Transport: fft3d.P2P,
-		Input: func(x, y, z int) complex128 {
-			return complex(float64(x+2*y)+0.25, float64(z-y)-0.5)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.Protect(eng.Array())
-	mgr.SetAppState(
-		func() []byte {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(eng.Iterations()))
-			return b[:]
-		},
-		func(pe *converse.PE, blob []byte) {
-			eng.PrepareRestart(int64(binary.LittleEndian.Uint64(blob)))
-			if err := eng.Start(pe); err != nil {
-				t.Errorf("restart: %v", err)
-				rt.Shutdown()
-			}
-		})
-
-	var killOnce sync.Once
-	eng.SetOnComplete(func(pe *converse.PE, iter int) {
-		if iter >= iters {
-			rt.Shutdown()
-			return
-		}
-		err := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			if err := eng.Start(pe); err != nil {
-				t.Errorf("start iter %d: %v", iter+1, err)
-				rt.Shutdown()
-				return
-			}
-			if killPE >= 0 && iter == 2 {
-				killOnce.Do(func() { mgr.KillPE(killPE) })
-			}
-		})
-		if err != nil {
-			t.Errorf("checkpoint after iter %d: %v", iter, err)
-			rt.Shutdown()
-		}
-	})
-
-	watchdog := time.AfterFunc(30*time.Second, func() {
-		t.Error("run wedged; shutting down")
-		rt.Shutdown()
-	})
-	defer watchdog.Stop()
-	rt.Run(func(pe *converse.PE) {
-		if err := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			if err := eng.Start(pe); err != nil {
-				t.Errorf("start: %v", err)
-				rt.Shutdown()
-			}
-		}); err != nil {
-			t.Errorf("initial checkpoint: %v", err)
-			rt.Shutdown()
-		}
-	})
-
-	res := fftResult{stats: mgr.Stats()}
-	for pe := 0; pe < nodes; pe++ {
-		res.grids = append(res.grids, append([]complex128(nil), eng.ZData(pe)...))
-	}
-	return res
-}
+// The FFT-under-faults recovery tests (kill each node, cascades, link
+// faults, aggregation armed) live in internal/scenario, which owns the
+// driver they share with cmd/experiments and cmd/soak; this package keeps
+// the tests that need the manager's internals.
 
 // tight detector settings for fast, deterministic kill tests, stretched by
 // raceScale so the race detector's slowdown cannot starve heartbeats or
@@ -123,110 +23,6 @@ func tightCfg() Config {
 		HeartbeatInterval: s * time.Millisecond,
 		SuspectAfter:      s * 12 * time.Millisecond,
 		ProbeTimeout:      s * 20 * time.Millisecond,
-	}
-}
-
-// TestKillEachPERecoversFFT kills every PE index in turn mid-run and
-// demands the surviving PEs detect the failure, roll back to the buddy
-// checkpoint, replay, and finish with output bitwise identical to the
-// failure-free run — the paper-line guarantee of double in-memory
-// checkpointing.
-func TestKillEachPERecoversFFT(t *testing.T) {
-	const iters = 6
-	ref := runFFT(t, "faulty:seed=1", tightCfg(), -1, iters)
-	if ref.stats.Recoveries != 0 || ref.stats.Confirmations != 0 {
-		t.Fatalf("reference run saw failures: %+v", ref.stats)
-	}
-	if ref.stats.Checkpoints == 0 {
-		t.Fatalf("reference run committed no checkpoints")
-	}
-	for killPE := 0; killPE < 4; killPE++ {
-		killPE := killPE
-		t.Run(fmt.Sprintf("kill-pe%d", killPE), func(t *testing.T) {
-			got := runFFT(t, "faulty:seed=1", tightCfg(), killPE, iters)
-			if got.stats.Recoveries != 1 {
-				t.Fatalf("ft/recoveries = %d, want 1 (stats %+v)", got.stats.Recoveries, got.stats)
-			}
-			if got.stats.Confirmations != 1 {
-				t.Errorf("ft/confirmations = %d, want 1", got.stats.Confirmations)
-			}
-			if got.stats.RestoredElements == 0 {
-				t.Errorf("recovery restored no elements")
-			}
-			for pe := range ref.grids {
-				if len(got.grids[pe]) != len(ref.grids[pe]) {
-					t.Fatalf("PE %d grid length %d vs %d", pe, len(got.grids[pe]), len(ref.grids[pe]))
-				}
-				for i := range ref.grids[pe] {
-					if got.grids[pe][i] != ref.grids[pe][i] {
-						t.Fatalf("PE %d grid[%d] = %v after recovery, want %v (bitwise)",
-							pe, i, got.grids[pe][i], ref.grids[pe][i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestKillMidFFTWithAggregationBitwise is the kill test with the
-// aggregation layer armed: transposes small enough to batch sit in the
-// dead node's buffers when the kill lands (fail-stop drops them, like
-// packets in a powered-off node's injection FIFOs) and in the survivors'
-// buffers at checkpoint time (the pre-commit flush drains those). Recovery
-// must still produce output bitwise identical to a failure-free run — and
-// to the aggregation-off reference, since batching only re-groups
-// messages, never reorders a (src,dst) stream.
-func TestKillMidFFTWithAggregationBitwise(t *testing.T) {
-	const iters = 6
-	agc := &aggregate.Config{}
-	refOff := runFFT(t, "faulty:seed=1", tightCfg(), -1, iters)
-	ref := runFFT(t, "faulty:seed=1", tightCfg(), -1, iters, agc)
-	if ref.stats.Recoveries != 0 {
-		t.Fatalf("reference run saw failures: %+v", ref.stats)
-	}
-	for pe := range refOff.grids {
-		for i := range refOff.grids[pe] {
-			if ref.grids[pe][i] != refOff.grids[pe][i] {
-				t.Fatalf("PE %d grid[%d]: agg-on %v != agg-off %v without any failure",
-					pe, i, ref.grids[pe][i], refOff.grids[pe][i])
-			}
-		}
-	}
-	for _, killPE := range []int{0, 2} {
-		killPE := killPE
-		t.Run(fmt.Sprintf("kill-pe%d", killPE), func(t *testing.T) {
-			got := runFFT(t, "faulty:seed=1", tightCfg(), killPE, iters, agc)
-			if got.stats.Recoveries != 1 {
-				t.Fatalf("ft/recoveries = %d, want 1 (stats %+v)", got.stats.Recoveries, got.stats)
-			}
-			for pe := range ref.grids {
-				for i := range ref.grids[pe] {
-					if got.grids[pe][i] != ref.grids[pe][i] {
-						t.Fatalf("PE %d grid[%d] = %v after recovery with batches in flight, want %v",
-							pe, i, got.grids[pe][i], ref.grids[pe][i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestDetectorNoFalsePositivesContended runs the FFT under the contended
-// transport's modelled link delays with heartbeats at full tilt and
-// asserts the detector never so much as suspects a live node: the timeout
-// floor plus the adaptive phi term must absorb worst-case queueing.
-func TestDetectorNoFalsePositivesContended(t *testing.T) {
-	cfg := Config{HeartbeatInterval: 2 * time.Millisecond, SuspectAfter: 100 * time.Millisecond}
-	res := runFFT(t, "contended:scale=25", cfg, -1, 8)
-	if res.stats.Suspicions != 0 {
-		t.Errorf("ft/suspicions = %d under contended delays, want 0", res.stats.Suspicions)
-	}
-	if res.stats.Confirmations != 0 || res.stats.Recoveries != 0 {
-		t.Errorf("false positive: confirmations=%d recoveries=%d",
-			res.stats.Confirmations, res.stats.Recoveries)
-	}
-	if res.stats.HeartbeatsSent == 0 {
-		t.Errorf("no heartbeats sent; detector never ran")
 	}
 }
 
@@ -259,20 +55,5 @@ func TestShutdownMidCheckpoint(t *testing.T) {
 		if mgr.Stats().Checkpoints != 1 {
 			t.Fatalf("trial %d: checkpoint did not commit before shutdown", trial)
 		}
-	}
-}
-
-// TestCheckpointAccounting verifies the epoch/commit bookkeeping of a
-// failure-free run: one initial checkpoint plus one per completed
-// iteration except the last, monotonically committed.
-func TestCheckpointAccounting(t *testing.T) {
-	const iters = 4
-	res := runFFT(t, "", Config{HeartbeatInterval: 2 * time.Millisecond}, -1, iters)
-	want := int64(iters) // initial + (iters-1) boundary checkpoints
-	if res.stats.Checkpoints != want {
-		t.Errorf("checkpoints = %d, want %d", res.stats.Checkpoints, want)
-	}
-	if res.stats.CommittedEpoch != uint64(want) {
-		t.Errorf("committed epoch = %d, want %d", res.stats.CommittedEpoch, want)
 	}
 }

@@ -1,326 +1,12 @@
 package ft
 
 import (
-	"encoding/binary"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"blueq/internal/charm"
 	"blueq/internal/converse"
-	"blueq/internal/fft3d"
-	"blueq/internal/transport"
 )
-
-// chaosOpts parameterizes a chaos FFT run: which PEs die at the iter-2
-// kill point, which one dies mid-recovery (from OnRecoveryStart), whether
-// checkpoints run at all, and an optional tamper hook fired just before
-// the kills (store-rot injection).
-type chaosOpts struct {
-	spec      string
-	cfg       Config
-	iters     int
-	killPEs   []int              // fail-stopped together at the iter-2 kill point
-	cascadePE int                // killed from OnRecoveryStart (-1: none)
-	tamper    func(mgr *Manager) // runs at the kill point, before the kills
-	noCkpt    bool               // never checkpoint: epoch stays 0
-}
-
-// runFFTChaos is runFFT generalized for multi-failure schedules. It
-// installs an OnUnrecoverable hook that records the error and shuts the
-// machine down, so an unrecoverable verdict ends the run cleanly instead
-// of wedging into the watchdog.
-func runFFTChaos(t *testing.T, o chaosOpts) (fftResult, error) {
-	t.Helper()
-	const nodes = 4
-	conv := converse.Config{Nodes: nodes, WorkersPerNode: 1, Mode: converse.ModeSMP}
-	if o.spec != "" {
-		tr, err := transport.New(o.spec, nodes, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conv.Transport = tr
-	}
-	rt, err := charm.NewRuntime(conv)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The cascade hook fires on the recovery goroutine after New returns,
-	// so it reaches the manager through an atomic pointer.
-	var mgrP atomic.Pointer[Manager]
-	cfg := o.cfg
-	if o.cascadePE >= 0 {
-		var cascade sync.Once
-		cfg.OnRecoveryStart = func(dead []int) {
-			cascade.Do(func() {
-				if m := mgrP.Load(); m != nil {
-					m.KillPE(o.cascadePE)
-				}
-			})
-		}
-	}
-	if cfg.OnUnrecoverable == nil {
-		cfg.OnUnrecoverable = func(err error) { rt.Shutdown() }
-	}
-	mgr := New(rt, cfg)
-	mgrP.Store(mgr)
-
-	eng, err := fft3d.New(rt, nil, fft3d.Config{
-		NX: 8, NY: 8, NZ: 8, Transport: fft3d.P2P,
-		Input: func(x, y, z int) complex128 {
-			return complex(float64(x+2*y)+0.25, float64(z-y)-0.5)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.Protect(eng.Array())
-	mgr.SetAppState(
-		func() []byte {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(eng.Iterations()))
-			return b[:]
-		},
-		func(pe *converse.PE, blob []byte) {
-			eng.PrepareRestart(int64(binary.LittleEndian.Uint64(blob)))
-			if err := eng.Start(pe); err != nil {
-				t.Errorf("restart: %v", err)
-				rt.Shutdown()
-			}
-		})
-
-	var killOnce sync.Once
-	killNow := func() {
-		if o.tamper != nil {
-			o.tamper(mgr)
-		}
-		for _, pe := range o.killPEs {
-			mgr.KillPE(pe)
-		}
-	}
-
-	eng.SetOnComplete(func(pe *converse.PE, iter int) {
-		if iter >= o.iters {
-			rt.Shutdown()
-			return
-		}
-		if o.noCkpt {
-			if err := eng.Start(pe); err != nil {
-				t.Errorf("start iter %d: %v", iter+1, err)
-				rt.Shutdown()
-			}
-			return
-		}
-		// A checkpoint refused because recovery owns the epoch (a cascade
-		// confirmed while this iteration was finishing) is not an error:
-		// the restart hook will re-drive the computation.
-		err := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			if err := eng.Start(pe); err != nil {
-				t.Errorf("start iter %d: %v", iter+1, err)
-				rt.Shutdown()
-				return
-			}
-			if len(o.killPEs) > 0 && iter == 2 {
-				killOnce.Do(killNow)
-			}
-		})
-		if err != nil && !mgr.recovering.Load() && mgr.UnrecoverableErr() == nil {
-			t.Errorf("checkpoint after iter %d: %v", iter, err)
-			rt.Shutdown()
-		}
-	})
-
-	watchdog := time.AfterFunc(30*time.Second, func() {
-		t.Error("run wedged; shutting down")
-		rt.Shutdown()
-	})
-	defer watchdog.Stop()
-	rt.Run(func(pe *converse.PE) {
-		if o.noCkpt {
-			if err := eng.Start(pe); err != nil {
-				t.Errorf("start: %v", err)
-				rt.Shutdown()
-				return
-			}
-			if len(o.killPEs) > 0 {
-				killOnce.Do(killNow)
-			}
-			return
-		}
-		if err := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			if err := eng.Start(pe); err != nil {
-				t.Errorf("start: %v", err)
-				rt.Shutdown()
-			}
-		}); err != nil {
-			t.Errorf("initial checkpoint: %v", err)
-			rt.Shutdown()
-		}
-	})
-
-	res := fftResult{stats: mgr.Stats()}
-	for pe := 0; pe < nodes; pe++ {
-		res.grids = append(res.grids, append([]complex128(nil), eng.ZData(pe)...))
-	}
-	return res, mgr.UnrecoverableErr()
-}
-
-// assertBitwise fails unless got's grids are bitwise identical to ref's.
-func assertBitwise(t *testing.T, ref, got fftResult, what string) {
-	t.Helper()
-	for pe := range ref.grids {
-		if len(got.grids[pe]) != len(ref.grids[pe]) {
-			t.Fatalf("%s: PE %d grid length %d vs %d", what, pe, len(got.grids[pe]), len(ref.grids[pe]))
-		}
-		for i := range ref.grids[pe] {
-			if got.grids[pe][i] != ref.grids[pe][i] {
-				t.Fatalf("%s: PE %d grid[%d] = %v, want %v (bitwise)",
-					what, pe, i, got.grids[pe][i], ref.grids[pe][i])
-			}
-		}
-	}
-}
-
-// TestCascadingKillsBitwiseFFTUnderCorruption is the tentpole chaos
-// assertion: two cascading node deaths — the second injected from
-// OnRecoveryStart, mid-recovery of the first — on a transport that also
-// corrupts, truncates and drops packets, and the FFT still finishes
-// bitwise identical to the failure-free run. The kills are non-adjacent
-// in the buddy ring (1 then 3), so a verified copy of every element
-// survives both.
-func TestCascadingKillsBitwiseFFTUnderCorruption(t *testing.T) {
-	const spec = "faulty:seed=5,corrupt=0.02,truncate=0.01,drop=0.02"
-	const iters = 6
-	// A higher suspect floor than tightCfg: heartbeats themselves ride the
-	// lossy transport here, and a race-detector-slowed scheduler plus a
-	// run of dropped heartbeats must not read as a dead peer.
-	cfg := func() Config {
-		return Config{HeartbeatInterval: 2 * time.Millisecond, SuspectAfter: 60 * time.Millisecond}
-	}
-	ref, refErr := runFFTChaos(t, chaosOpts{spec: spec, cfg: cfg(), iters: iters, cascadePE: -1})
-	if refErr != nil {
-		t.Fatalf("reference run unrecoverable: %v", refErr)
-	}
-	if ref.stats.Recoveries != 0 || ref.stats.Confirmations != 0 {
-		t.Fatalf("reference run saw failures: %+v", ref.stats)
-	}
-
-	got, gotErr := runFFTChaos(t, chaosOpts{
-		spec: spec, cfg: cfg(), iters: iters,
-		killPEs: []int{1}, cascadePE: 3,
-	})
-	if gotErr != nil {
-		t.Fatalf("cascade declared unrecoverable: %v", gotErr)
-	}
-	// The first kill is detector-confirmed; the cascade is folded into the
-	// running recovery as an unhandled kill, so its own confirmation may
-	// or may not land before the run finishes.
-	if got.stats.Confirmations < 1 || got.stats.Confirmations > 2 {
-		t.Errorf("ft/confirmations = %d, want 1 or 2 (stats %+v)", got.stats.Confirmations, got.stats)
-	}
-	if got.stats.Recoveries < 1 || got.stats.Recoveries > 2 {
-		t.Errorf("ft/recoveries = %d, want 1 or 2 (stats %+v)", got.stats.Recoveries, got.stats)
-	}
-	if got.stats.Unrecoverable != 0 {
-		t.Errorf("unrecoverable = %d on a recoverable schedule", got.stats.Unrecoverable)
-	}
-	assertBitwise(t, ref, got, "cascading kills under corruption")
-}
-
-// TestBuddyPairKillUnrecoverable kills a node and its ring buddy in the
-// same instant: both copies of the first node's checkpoint batches are
-// gone, so recovery must deterministically report through OnUnrecoverable
-// — a clean verdict, never a hang or a garbage restore.
-func TestBuddyPairKillUnrecoverable(t *testing.T) {
-	got, err := runFFTChaos(t, chaosOpts{
-		spec: "faulty:seed=1", cfg: tightCfg(), iters: 6,
-		killPEs: []int{1, 2}, cascadePE: -1, // node 1's buddy is node 2
-	})
-	if err == nil {
-		t.Fatalf("buddy-pair kill not reported unrecoverable (stats %+v)", got.stats)
-	}
-	if got.stats.Unrecoverable != 1 {
-		t.Errorf("unrecoverable = %d, want 1", got.stats.Unrecoverable)
-	}
-	if got.stats.Recoveries != 0 {
-		t.Errorf("recoveries = %d after an unrecoverable verdict, want 0", got.stats.Recoveries)
-	}
-}
-
-// TestKillBeforeFirstCheckpointUnrecoverable kills a node before any
-// epoch has committed while protected arrays are registered: there is
-// nothing to roll back to, and the manager must say so rather than
-// pretending to recover.
-func TestKillBeforeFirstCheckpointUnrecoverable(t *testing.T) {
-	got, err := runFFTChaos(t, chaosOpts{
-		spec: "faulty:seed=1", cfg: tightCfg(), iters: 6,
-		killPEs: []int{1}, cascadePE: -1, noCkpt: true,
-	})
-	if err == nil {
-		t.Fatalf("pre-checkpoint kill not reported unrecoverable (stats %+v)", got.stats)
-	}
-	if !strings.Contains(err.Error(), "before any checkpoint") {
-		t.Errorf("error %q does not name the pre-commit failure", err)
-	}
-	if got.stats.Unrecoverable != 1 {
-		t.Errorf("unrecoverable = %d, want 1", got.stats.Unrecoverable)
-	}
-}
-
-// TestCorruptedCheckpointFallsBackToBuddy rots one replica of a committed
-// checkpoint blob in place, then kills an unrelated node. Restore must
-// reject the rotten copy by checksum, count it, fall back to the buddy
-// replica, and still produce bitwise-identical output.
-func TestCorruptedCheckpointFallsBackToBuddy(t *testing.T) {
-	const iters = 6
-	ref, refErr := runFFTChaos(t, chaosOpts{spec: "faulty:seed=1", cfg: tightCfg(), iters: iters, cascadePE: -1})
-	if refErr != nil {
-		t.Fatalf("reference run unrecoverable: %v", refErr)
-	}
-
-	got, err := runFFTChaos(t, chaosOpts{
-		spec: "faulty:seed=1", cfg: tightCfg(), iters: iters,
-		killPEs: []int{2}, cascadePE: -1,
-		tamper: func(mgr *Manager) {
-			// Rot node 0's replica of one committed blob. The entry is
-			// replaced with a damaged copy (not flipped in place): the
-			// owner and buddy stores must stay independent replicas for
-			// the fallback to mean anything.
-			epoch := mgr.committed.Load()
-			s := mgr.stores[0]
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			st := s.epochs[epoch]
-			if st == nil {
-				t.Errorf("no store on node 0 for committed epoch %d", epoch)
-				return
-			}
-			for k, b := range st.elems {
-				if len(b.data) == 0 {
-					continue
-				}
-				bad := append([]byte(nil), b.data...)
-				bad[0] ^= 0xff
-				st.elems[k] = storedBlob{data: bad, sum: b.sum}
-				return
-			}
-			t.Errorf("no non-empty blob to corrupt at epoch %d", epoch)
-		},
-	})
-	if err != nil {
-		t.Fatalf("recovery declared unrecoverable despite a surviving replica: %v", err)
-	}
-	if got.stats.CkptCRCFails == 0 {
-		t.Errorf("rotten replica was never rejected (CkptCRCFails = 0)")
-	}
-	if got.stats.Recoveries != 1 {
-		t.Errorf("recoveries = %d, want 1 (stats %+v)", got.stats.Recoveries, got.stats)
-	}
-	assertBitwise(t, ref, got, "restore with one rotten replica")
-}
 
 // TestDetectorDoubleSuspicion pins the two-failure soundness rules of the
 // majority vote, poking the last-heard matrix directly:

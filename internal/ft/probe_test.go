@@ -6,7 +6,6 @@ import (
 
 	"blueq/internal/charm"
 	"blueq/internal/converse"
-	"blueq/internal/pami"
 )
 
 // A majority vote against a node that is actually alive (its heartbeats
@@ -75,41 +74,4 @@ func TestProbeExoneratesAliveNode(t *testing.T) {
 	if mgr.confirmed[3].Load() {
 		t.Fatal("alive node ended up confirmed dead")
 	}
-}
-
-// The gray-link escape hatch end to end: every packet crossing link 0-1
-// silently dies (flaky=1.0 — the link is up as far as the router knows),
-// so the 0↔1 reliability channels starve. Retry streaks must bump the
-// pair's path salts until the router detours off the rotten link entirely,
-// at which point the retransmitted window drains and the run completes
-// with zero restarts and bitwise-identical output.
-func TestRetryStreakEscapesGrayLink(t *testing.T) {
-	base, max := pami.RetryBase, pami.RetryMax
-	s := time.Duration(raceScale)
-	pami.RetryBase, pami.RetryMax = s*200*time.Microsecond, s*2*time.Millisecond
-	t.Cleanup(func() { pami.RetryBase, pami.RetryMax = base, max })
-
-	const (
-		iters = 6
-		spec  = "faulty:seed=1,unreliable=1"
-	)
-	ref := runFFTLink(t, spec, tightCfg(), iters, nil)
-	if ref.stats.Recoveries != 0 || ref.stats.Confirmations != 0 {
-		t.Fatalf("reference run saw failures: %+v", ref.stats)
-	}
-	got := runFFTLink(t, spec, tightCfg(), iters, func(mgr *Manager) {
-		if err := mgr.m.Torus().DegradeLink(0, 1, 1.0, 0); err != nil {
-			t.Errorf("DegradeLink: %v", err)
-		}
-	})
-	if got.stats.Recoveries != 0 {
-		t.Fatalf("gray link triggered %d restarts, want 0 (stats %+v)", got.stats.Recoveries, got.stats)
-	}
-	if got.stats.Confirmations != 0 {
-		t.Fatalf("gray link confirmed a node dead: %+v", got.stats)
-	}
-	if got.stats.LinkSuspects == 0 {
-		t.Fatalf("run escaped the gray link without a single link suspicion: %+v", got.stats)
-	}
-	assertBitwise(t, ref, got, "gray-link escape")
 }

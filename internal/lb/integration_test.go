@@ -1,14 +1,15 @@
-package lb
+package lb_test
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"blueq/internal/charm"
 	"blueq/internal/converse"
+	"blueq/internal/lb"
 	"blueq/internal/pami"
+	"blueq/internal/scenario"
 	"blueq/internal/transport"
 )
 
@@ -19,32 +20,6 @@ func tightFaultyRetries(t *testing.T) {
 	base, max := pami.RetryBase, pami.RetryMax
 	pami.RetryBase, pami.RetryMax = 200*time.Microsecond, 2*time.Millisecond
 	t.Cleanup(func() { pami.RetryBase, pami.RetryMax = base, max })
-}
-
-// workElem is the migratable test element: its state is a pure function
-// of (idx, iterations executed), so any lost or duplicated delivery —
-// across migrations, drops, recoveries — shows up as a wrong sum.
-type workElem struct {
-	iter uint64
-	sum  uint64
-}
-
-func (w *workElem) PackCheckpoint() []byte {
-	b := make([]byte, 16)
-	binary.LittleEndian.PutUint64(b, w.iter)
-	binary.LittleEndian.PutUint64(b[8:], w.sum)
-	return b
-}
-
-func (w *workElem) UnpackCheckpoint(data []byte) {
-	w.iter = binary.LittleEndian.Uint64(data)
-	w.sum = binary.LittleEndian.Uint64(data[8:])
-}
-
-// wantWorkSum is the exact state of element idx after n iterations:
-// sum_{k=1..n} (idx+1)*k.
-func wantWorkSum(idx int, n uint64) uint64 {
-	return uint64(idx+1) * n * (n + 1) / 2
 }
 
 const (
@@ -58,7 +33,7 @@ const (
 // AtSync barrier after lbWarmup iterations. The barrier runs the strategy,
 // migrates, broadcasts ResumeFromSync, and the elements finish their
 // remaining iterations wherever they now live.
-func runCentralLB(t *testing.T, spec string, strat Strategy) (*Manager, *charm.Array) {
+func runCentralLB(t *testing.T, spec string, strat lb.Strategy) (*lb.Manager, *charm.Array) {
 	t.Helper()
 	const nodes, workers = 2, 2
 	cfg := converse.Config{Nodes: nodes, WorkersPerNode: workers, Mode: converse.ModeSMP}
@@ -74,13 +49,13 @@ func runCentralLB(t *testing.T, spec string, strat Strategy) (*Manager, *charm.A
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := Attach(rt, Config{Strategy: strat})
+	mgr := lb.Attach(rt, lb.Config{Strategy: strat})
 	var a *charm.Array
 	var eWork, eResume int
 	var done atomic.Int64
-	a = rt.NewArray("work", lbNElems, func(idx int) charm.Element { return &workElem{} })
+	a = rt.NewArray("work", lbNElems, func(idx int) charm.Element { return &scenario.Elem{} })
 	eWork = a.Entry(func(pe *converse.PE, elem charm.Element, idx int, _ any) {
-		w := elem.(*workElem)
+		w := elem.(*scenario.Elem)
 		if idx < 2 {
 			// Sleep-based cost: sleeps overlap across PE goroutines, so
 			// balancing them shows up as wall-clock parallelism even on a
@@ -90,12 +65,11 @@ func runCentralLB(t *testing.T, spec string, strat Strategy) (*Manager, *charm.A
 		} else {
 			time.Sleep(150 * time.Microsecond)
 		}
-		w.iter++
-		w.sum += uint64(idx+1) * w.iter
+		w.Step(idx)
 		switch {
-		case w.iter == lbWarmup:
+		case w.Iter == lbWarmup:
 			mgr.AtSync(pe, a, idx)
-		case w.iter >= lbTotal:
+		case w.Iter >= lbTotal:
 			if done.Add(1) == lbNElems {
 				pe.Machine().Shutdown()
 			}
@@ -132,12 +106,12 @@ func runCentralLB(t *testing.T, spec string, strat Strategy) (*Manager, *charm.A
 func assertExactWork(t *testing.T, a *charm.Array) {
 	t.Helper()
 	for idx := 0; idx < lbNElems; idx++ {
-		w := a.Element(idx).(*workElem)
-		if w.iter != lbTotal {
-			t.Errorf("element %d executed %d iterations, want %d", idx, w.iter, lbTotal)
+		w := a.Element(idx).(*scenario.Elem)
+		if w.Iter != lbTotal {
+			t.Errorf("element %d executed %d iterations, want %d", idx, w.Iter, lbTotal)
 		}
-		if want := wantWorkSum(idx, lbTotal); w.sum != want {
-			t.Errorf("element %d sum = %d, want %d (lost or duplicated work)", idx, w.sum, want)
+		if want := scenario.WantSum(idx, lbTotal); w.Sum != want {
+			t.Errorf("element %d sum = %d, want %d (lost or duplicated work)", idx, w.Sum, want)
 		}
 	}
 }
@@ -146,7 +120,7 @@ func assertExactWork(t *testing.T, a *charm.Array) {
 // start on the same PE, every element resumes from ResumeFromSync, and no
 // message is lost or doubled across the migrations.
 func TestCentralLBBalancesSkew(t *testing.T) {
-	mgr, a := runCentralLB(t, "", Greedy{})
+	mgr, a := runCentralLB(t, "", lb.Greedy{})
 	if got := mgr.Rounds(); got != 1 {
 		t.Errorf("LB rounds = %d, want 1", got)
 	}
@@ -162,7 +136,7 @@ func TestCentralLBBalancesSkew(t *testing.T) {
 // RefineLB over the same skew also moves load off the hot PE while the
 // workload's accounting stays exact.
 func TestCentralLBRefineBalancesSkew(t *testing.T) {
-	mgr, a := runCentralLB(t, "", Refine{})
+	mgr, a := runCentralLB(t, "", lb.Refine{})
 	if mgr.Moves() == 0 {
 		t.Error("refine pass migrated nothing off an overloaded PE")
 	}
@@ -178,7 +152,7 @@ func TestCentralLBRefineBalancesSkew(t *testing.T) {
 // once per iteration.
 func TestCentralLBFaultyTransportExactlyOnce(t *testing.T) {
 	tightFaultyRetries(t)
-	mgr, a := runCentralLB(t, "faulty:seed=11,drop=0.08,dup=0.04,delayrate=0.2,delaymax=200us", Greedy{})
+	mgr, a := runCentralLB(t, "faulty:seed=11,drop=0.08,dup=0.04,delayrate=0.2,delaymax=200us", lb.Greedy{})
 	if mgr.Moves() == 0 {
 		t.Error("barrier ran but migrated nothing")
 	}
@@ -194,21 +168,20 @@ func TestDiffusionShedsLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := Attach(rt, Config{Diffusion: true, Period: 300 * time.Microsecond})
+	mgr := lb.Attach(rt, lb.Config{Diffusion: true, Period: 300 * time.Microsecond})
 	var a *charm.Array
 	var eWork int
 	var done atomic.Int64
-	a = rt.NewArray("diff", lbNElems, func(idx int) charm.Element { return &workElem{} })
+	a = rt.NewArray("diff", lbNElems, func(idx int) charm.Element { return &scenario.Elem{} })
 	eWork = a.Entry(func(pe *converse.PE, elem charm.Element, idx int, _ any) {
-		w := elem.(*workElem)
+		w := elem.(*scenario.Elem)
 		if idx == 0 {
 			time.Sleep(2 * time.Millisecond)
 		} else {
 			time.Sleep(500 * time.Microsecond)
 		}
-		w.iter++
-		w.sum += uint64(idx+1) * w.iter
-		if w.iter >= iters {
+		w.Step(idx)
+		if w.Iter >= iters {
 			if done.Add(1) == 2 {
 				pe.Machine().Shutdown()
 			}
@@ -244,17 +217,17 @@ func TestDiffusionShedsLoad(t *testing.T) {
 		t.Errorf("diffusion left both busy elements on PE 0 (homes %d, %d)", a.HomePE(0), a.HomePE(1))
 	}
 	for idx := 0; idx < 2; idx++ {
-		w := a.Element(idx).(*workElem)
-		if w.iter != iters {
-			t.Errorf("element %d executed %d iterations, want %d", idx, w.iter, iters)
+		w := a.Element(idx).(*scenario.Elem)
+		if w.Iter != iters {
+			t.Errorf("element %d executed %d iterations, want %d", idx, w.Iter, iters)
 		}
-		if want := wantWorkSum(idx, iters); w.sum != want {
-			t.Errorf("element %d sum = %d, want %d", idx, w.sum, want)
+		if want := scenario.WantSum(idx, iters); w.Sum != want {
+			t.Errorf("element %d sum = %d, want %d", idx, w.Sum, want)
 		}
 	}
 	for idx := 2; idx < lbNElems; idx++ {
-		if w := a.Element(idx).(*workElem); w.iter != 0 {
-			t.Errorf("idle element %d executed %d iterations", idx, w.iter)
+		if w := a.Element(idx).(*scenario.Elem); w.Iter != 0 {
+			t.Errorf("idle element %d executed %d iterations", idx, w.Iter)
 		}
 	}
 }

@@ -133,13 +133,6 @@ func NewClientFlow(tr transport.Transport, ctxPerNode int, fc *flowctl.Controlle
 // flow control is disabled).
 func (c *Client) FlowController() *flowctl.Controller { return c.fc }
 
-// NewClientOverNetwork creates a client over a bare functional network,
-// wrapping it in the inproc transport. Convenience for tests and callers
-// predating the transport layer.
-func NewClientOverNetwork(net *torus.Network, ctxPerNode int) *Client {
-	return NewClient(transport.OverNetwork(net), ctxPerNode)
-}
-
 // Transport returns the messaging substrate this client runs over.
 func (c *Client) Transport() transport.Transport { return c.tr }
 
@@ -192,9 +185,6 @@ type Context struct {
 
 // ID returns the context index within its node.
 func (ctx *Context) ID() int { return ctx.id }
-
-// NodeRank returns the owning node's rank.
-func (ctx *Context) NodeRank() int { return ctx.node.rank }
 
 // RegisterDispatch installs fn as the handler for dispatch id. Dispatch
 // registration is symmetric in PAMI programs: callers register the same ids

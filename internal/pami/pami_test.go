@@ -7,12 +7,15 @@ import (
 	"time"
 
 	"blueq/internal/torus"
+	"blueq/internal/transport"
 )
 
+// newTestClient builds a client over a bare functional network wrapped in
+// the inproc transport.
 func newTestClient(nodes, ctxs int) *Client {
 	tor := torus.MustNew(torus.ShapeForNodes(nodes))
 	net := torus.NewNetwork(tor, ctxs)
-	return NewClientOverNetwork(net, ctxs)
+	return NewClient(transport.OverNetwork(net), ctxs)
 }
 
 func TestSendImmediateDispatch(t *testing.T) {
