@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -31,17 +33,46 @@ func maxErr(a, b []complex128) float64 {
 // PME grid dimensions (216, 864, 1080), plus primes and odd sizes.
 var testSizes = []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 27, 32, 60, 64, 97, 101, 128, 216, 243, 360, 864, 1080}
 
+// naiveSizes is every n in 1…256 — which covers every radix schedule the
+// planner can emit (each prime radix up to naiveLimit alone, first, last and
+// repeated; odd and even pass counts; stack and pooled scratch) — plus the
+// large PME grids and Bluestein primes.
+func naiveSizes() []int {
+	sizes := []int{864, 1080, 67, 127, 1009}
+	for n := 1; n <= 256; n++ {
+		sizes = append(sizes, n)
+	}
+	return sizes
+}
+
 func TestForwardMatchesNaiveDFT(t *testing.T) {
-	for _, n := range testSizes {
-		if n > 400 {
-			continue // O(n²) reference too slow to be worth it beyond this
-		}
+	for _, n := range naiveSizes() {
 		x := randVec(n, int64(n))
 		want := DFTNaive(x)
-		got := append([]complex128(nil), x...)
-		Forward(got)
-		if e := maxErr(got, want); e > 1e-9*float64(n) {
-			t.Errorf("n=%d: max error %g", n, e)
+		Forward(x)
+		if e := maxErr(x, want); e > 1e-10*float64(n) {
+			t.Errorf("n=%d %v: max error %g", n, schedule(n), e)
+		}
+	}
+}
+
+// The inverse is checked against the reference on its own, not through a
+// round trip, so a matching pair of errors cannot cancel.
+func TestInverseMatchesNaiveDFT(t *testing.T) {
+	for _, n := range naiveSizes() {
+		x := randVec(n, int64(n))
+		// IDFT(x) = conj(DFT(conj(x)))/n.
+		want := make([]complex128, n)
+		for i, v := range x {
+			want[i] = cmplx.Conj(v)
+		}
+		want = DFTNaive(want)
+		for i, v := range want {
+			want[i] = cmplx.Conj(v) / complex(float64(n), 0)
+		}
+		Inverse(x)
+		if e := maxErr(x, want); e > 1e-10 {
+			t.Errorf("n=%d %v: max error %g", n, schedule(n), e)
 		}
 	}
 }
@@ -187,12 +218,69 @@ func TestPlanCacheReturnsSame(t *testing.T) {
 	}
 }
 
-func TestLargestPrimeFactor(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 12: 3, 216: 3, 1080: 5, 97: 97, 4096: 2, 77: 11}
+func TestRadixSchedule(t *testing.T) {
+	cases := map[int][]int{
+		1: nil, 2: {2}, 8: {4, 2}, 12: {4, 3}, 16: {4, 4}, 216: {4, 2, 3, 3, 3}, 1080: {4, 2, 3, 3, 3, 5},
+		97: {97}, 4096: {4, 4, 4, 4, 4, 4}, 77: {7, 11}, 2 * 61 * 61: {2, 61, 61}, 134: {2, 67},
+	}
 	for n, want := range cases {
-		if got := largestPrimeFactor(n); got != want {
-			t.Errorf("largestPrimeFactor(%d) = %d, want %d", n, got, want)
+		if got := schedule(n); !slices.Equal(got, want) {
+			t.Errorf("schedule(%d) = %v, want %v", n, got, want)
 		}
+	}
+}
+
+// Steady-state transforms allocate nothing: scratch is on the stack up to
+// stackLen and pooled per plan beyond it, Bluestein included.
+func TestZeroAllocs(t *testing.T) {
+	for _, n := range []int{16, 60, 61, 216, 1080, 127} {
+		if raceEnabled && n > stackLen {
+			continue // sync.Pool drops a share of Puts under the race detector
+		}
+		p := MustPlan(n)
+		x := randVec(n, 3)
+		roundTrip := func() { p.Forward(x); p.Inverse(x) }
+		roundTrip() // warm the pools
+		if a := testing.AllocsPerRun(200, roundTrip); a != 0 {
+			t.Errorf("n=%d: %v allocs per forward+inverse", n, a)
+		}
+	}
+}
+
+// One cached plan driven from 8 goroutines at once gives results
+// bit-identical to a single-goroutine run: the determinism the ft
+// bitwise-recovery compares rely on, and the race job's view of the shared
+// scratch pools.
+func TestConcurrentUseIsBitIdentical(t *testing.T) {
+	for _, n := range []int{16, 216, 1080, 127} {
+		p := MustPlan(n)
+		in := randVec(n, 5)
+		want := append([]complex128(nil), in...)
+		p.Forward(want)
+		wantInv := append([]complex128(nil), want...)
+		p.Inverse(wantInv)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				x := make([]complex128, n)
+				for rep := 0; rep < 50; rep++ {
+					copy(x, in)
+					p.Forward(x)
+					if !slices.Equal(x, want) {
+						t.Errorf("n=%d: concurrent forward differs from the serial run", n)
+						return
+					}
+					p.Inverse(x)
+					if !slices.Equal(x, wantInv) {
+						t.Errorf("n=%d: concurrent inverse differs from the serial run", n)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
@@ -214,12 +302,15 @@ func TestQuickRoundTrip(t *testing.T) {
 func benchSize(b *testing.B, n int) {
 	p := MustPlan(n)
 	x := randVec(n, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Forward(x)
 	}
 }
 
+func BenchmarkFFT16(b *testing.B)   { benchSize(b, 16) }
+func BenchmarkFFT127(b *testing.B)  { benchSize(b, 127) }
 func BenchmarkFFT128(b *testing.B)  { benchSize(b, 128) }
 func BenchmarkFFT216(b *testing.B)  { benchSize(b, 216) }
 func BenchmarkFFT1080(b *testing.B) { benchSize(b, 1080) }

@@ -62,6 +62,8 @@ type Engine struct {
 
 	pr, pc int
 
+	planX, planY, planZ *fft.Plan // 1D kernels, resolved once
+
 	// p2p entries
 	eStart, eZY, eYX, eXY, eYZ, eDone int
 
@@ -120,7 +122,8 @@ func New(rt *charm.Runtime, mgr *m2m.Manager, cfg Config) (*Engine, error) {
 	if cfg.Transport == M2M && mgr == nil {
 		return nil, fmt.Errorf("fft3d: M2M transport requires an m2m.Manager")
 	}
-	e := &Engine{rt: rt, cfg: cfg}
+	e := &Engine{rt: rt, cfg: cfg,
+		planX: fft.MustPlan(cfg.NX), planY: fft.MustPlan(cfg.NY), planZ: fft.MustPlan(cfg.NZ)}
 	e.pr, e.pc = procGrid(rt.NumPEs())
 	if cfg.CaptureForward {
 		e.forward = NewGrid(cfg.NX, cfg.NY, cfg.NZ)
@@ -423,11 +426,9 @@ func (p *pencils) extractYZ(ybDst Span) []complex128 {
 // State machine
 
 func (p *pencils) start(pe *converse.PE) {
-	e := p.eng
-	nz := e.cfg.NZ
-	plan := fft.MustPlan(nz)
+	nz := p.eng.cfg.NZ
 	for xy := 0; xy < p.xb.Len()*p.yb.Len(); xy++ {
-		plan.Forward(p.phaseZ[xy*nz : (xy+1)*nz])
+		p.eng.planZ.Forward(p.phaseZ[xy*nz : (xy+1)*nz])
 	}
 	p.sendStage(pe, stZY)
 }
@@ -500,17 +501,15 @@ func (p *pencils) maybeAdvance(pe *converse.PE, st int) {
 	e := p.eng
 	switch st {
 	case stZY: // phaseY populated: FFT along Y, then transpose Y->X
-		plan := fft.MustPlan(e.cfg.NY)
 		ny := e.cfg.NY
 		for xz := 0; xz < p.xb.Len()*p.zb.Len(); xz++ {
-			plan.Forward(p.phaseY[xz*ny : (xz+1)*ny])
+			e.planY.Forward(p.phaseY[xz*ny : (xz+1)*ny])
 		}
 		p.sendStage(pe, stYX)
 	case stYX: // phaseX populated: FFT along X; forward done; start backward
-		plan := fft.MustPlan(e.cfg.NX)
 		nx := e.cfg.NX
 		for yz := 0; yz < p.yb2.Len()*p.zb.Len(); yz++ {
-			plan.Forward(p.phaseX[yz*nx : (yz+1)*nx])
+			e.planX.Forward(p.phaseX[yz*nx : (yz+1)*nx])
 		}
 		if f := e.cfg.Filter; f != nil {
 			for yi := 0; yi < p.yb2.Len(); yi++ {
@@ -528,21 +527,19 @@ func (p *pencils) maybeAdvance(pe *converse.PE, st int) {
 			p.captureForward()
 		}
 		for yz := 0; yz < p.yb2.Len()*p.zb.Len(); yz++ {
-			plan.Inverse(p.phaseX[yz*nx : (yz+1)*nx])
+			e.planX.Inverse(p.phaseX[yz*nx : (yz+1)*nx])
 		}
 		p.sendStage(pe, stXY)
 	case stXY: // phaseY repopulated: inverse FFT along Y, transpose Y->Z
-		plan := fft.MustPlan(e.cfg.NY)
 		ny := e.cfg.NY
 		for xz := 0; xz < p.xb.Len()*p.zb.Len(); xz++ {
-			plan.Inverse(p.phaseY[xz*ny : (xz+1)*ny])
+			e.planY.Inverse(p.phaseY[xz*ny : (xz+1)*ny])
 		}
 		p.sendStage(pe, stYZ)
 	case stYZ: // phaseZ repopulated: inverse FFT along Z; iteration done
-		plan := fft.MustPlan(e.cfg.NZ)
 		nz := e.cfg.NZ
 		for xy := 0; xy < p.xb.Len()*p.yb.Len(); xy++ {
-			plan.Inverse(p.phaseZ[xy*nz : (xy+1)*nz])
+			e.planZ.Inverse(p.phaseZ[xy*nz : (xy+1)*nz])
 		}
 		if f := e.onLocalComplete.Load(); f != nil {
 			f.(func(pe *converse.PE))(pe)

@@ -57,45 +57,36 @@ func SerialForward(g *Grid) { serial3D(g, false) }
 func SerialInverse(g *Grid) { serial3D(g, true) }
 
 func serial3D(g *Grid, inverse bool) {
-	planZ := fft.MustPlan(g.NZ)
-	planY := fft.MustPlan(g.NY)
-	planX := fft.MustPlan(g.NX)
-	apply := func(p *fft.Plan, v []complex128) {
-		if inverse {
-			p.Inverse(v)
-		} else {
-			p.Forward(v)
-		}
+	apply := (*fft.Plan).Forward
+	if inverse {
+		apply = (*fft.Plan).Inverse
 	}
+	nx, ny, nz := g.NX, g.NY, g.NZ
+	planX, planY, planZ := fft.MustPlan(nx), fft.MustPlan(ny), fft.MustPlan(nz)
 	// Z: contiguous pencils.
-	for xy := 0; xy < g.NX*g.NY; xy++ {
-		apply(planZ, g.Data[xy*g.NZ:(xy+1)*g.NZ])
+	for xy := 0; xy < nx*ny; xy++ {
+		apply(planZ, g.Data[xy*nz:(xy+1)*nz])
 	}
-	// Y: gather strided pencils.
-	buf := make([]complex128, g.NY)
-	for x := 0; x < g.NX; x++ {
-		for z := 0; z < g.NZ; z++ {
-			for y := 0; y < g.NY; y++ {
-				buf[y] = g.At(x, y, z)
-			}
-			apply(planY, buf)
-			for y := 0; y < g.NY; y++ {
-				g.Set(x, y, z, buf[y])
-			}
+	// Y (stride NZ within each x slab), then X (stride NY·NZ): gather each
+	// strided pencil into one line buffer, transform, scatter back.
+	buf := make([]complex128, max(nx, ny))
+	strided := func(plan *fft.Plan, base, stride int) {
+		line := buf[:plan.Len()]
+		for i := range line {
+			line[i] = g.Data[base+i*stride]
+		}
+		apply(plan, line)
+		for i, v := range line {
+			g.Data[base+i*stride] = v
 		}
 	}
-	// X.
-	bufx := make([]complex128, g.NX)
-	for y := 0; y < g.NY; y++ {
-		for z := 0; z < g.NZ; z++ {
-			for x := 0; x < g.NX; x++ {
-				bufx[x] = g.At(x, y, z)
-			}
-			apply(planX, bufx)
-			for x := 0; x < g.NX; x++ {
-				g.Set(x, y, z, bufx[x])
-			}
+	for x := 0; x < nx; x++ {
+		for z := 0; z < nz; z++ {
+			strided(planY, x*ny*nz+z, nz)
 		}
+	}
+	for yz := 0; yz < ny*nz; yz++ {
+		strided(planX, yz, ny*nz)
 	}
 }
 
