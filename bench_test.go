@@ -7,12 +7,9 @@
 package blueq
 
 import (
-	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,49 +23,10 @@ import (
 	"blueq/internal/md"
 	"blueq/internal/mdsim"
 	"blueq/internal/mempool"
-	"blueq/internal/obs"
+	"blueq/internal/scenario"
 	"blueq/internal/trace"
 	"blueq/internal/transport"
 )
-
-// TestMain emits a machine-readable metrics sidecar next to benchmark
-// output: when benchmarks run (or OBS_SIDECAR is set), the internal/obs
-// instrumentation is enabled and a JSON snapshot of everything the run
-// touched — queue counters, allocator hit rates, the deliver-latency
-// histogram — is written at exit (default BENCH_metrics.json, or the
-// OBS_SIDECAR path). Plain `go test` runs stay uninstrumented, and
-// OBS_SIDECAR=off forces instrumentation off even under -bench, which is
-// how the disabled-path overhead itself is measured.
-func TestMain(m *testing.M) {
-	flag.Parse()
-	sidecar := os.Getenv("OBS_SIDECAR")
-	benching := false
-	if f := flag.Lookup("test.bench"); f != nil && f.Value.String() != "" {
-		benching = true
-	}
-	if sidecar == "off" {
-		benching, sidecar = false, ""
-	}
-	if benching || sidecar != "" {
-		obs.SetEnabled(true)
-	}
-	code := m.Run()
-	if obs.On() {
-		if sidecar == "" {
-			sidecar = "BENCH_metrics.json"
-		}
-		if f, err := os.Create(sidecar); err == nil {
-			if err := obs.Default.WriteJSON(f, obs.SnapshotOptions{SkipZero: true}); err != nil {
-				fmt.Fprintf(os.Stderr, "obs sidecar: %v\n", err)
-			}
-			f.Close()
-			fmt.Fprintf(os.Stderr, "obs sidecar written to %s\n", sidecar)
-		} else {
-			fmt.Fprintf(os.Stderr, "obs sidecar: %v\n", err)
-		}
-	}
-	os.Exit(code)
-}
 
 // ---------------------------------------------------------------------------
 // E1 / Fig 4: inter-node ping-pong latency, three runtime modes.
@@ -91,127 +49,123 @@ func BenchmarkFig4PingPongInterNode(b *testing.B) {
 // ---------------------------------------------------------------------------
 // E2 / Fig 5: intra-node ping-pong — native pointer-exchange measurement.
 
-// runFig5PingPong bounces one message between the node's two worker PEs
-// for b.N hops. The steady state is the gated 0-allocs/op envelope path:
-// every hop draws its envelope from the sending PE's §III-B pool (the
-// executed envelope recycles via the scheduler's release-after-execute),
-// and the round count rides an atomic instead of a boxed int payload —
-// boxing a non-tiny int allocates, which would mask pool regressions.
-func runFig5PingPong(b *testing.B, cfg converse.Config) *converse.Machine {
-	machine, err := converse.NewMachine(cfg)
+// The Fig 5 machine: one node, two worker PEs, so every hop of
+// scenario.PingPong is a pointer exchange through the destination's
+// lockless queue. fig5Bare, fig5CRC and fig5LB are the six cells (× SMP /
+// SMP+comm) whose steady state must not allocate — every hop draws its
+// envelope from the sending PE's §III-B pool and the executed envelope
+// recycles via the scheduler's release-after-execute. TestFig5ZeroAllocs
+// asserts that contract on every host; the benchmarks below time the same
+// cells, with internal/obs off like every root benchmark.
+
+var fig5Modes = []converse.Mode{converse.ModeSMP, converse.ModeSMPComm}
+
+// fig5PingPong is the measured loop: b.N hops on a built machine, through
+// the run function of whatever layer the cell attached.
+func fig5PingPong(b *testing.B, m *converse.Machine, run func(main func(pe *converse.PE))) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := scenario.PingPong(m, run, b.N); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func fig5Machine(b *testing.B, cfg converse.Config) *converse.Machine {
+	m, err := converse.NewMachine(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	runFig5PingPongOn(b, machine, machine.Run)
-	return machine
+	return m
 }
 
-// runFig5PingPongOn drives the measured loop on an already-built machine
-// through the given run function — machine.Run for the bare variants, or
-// charm's Runtime.Run when a higher layer (the load balancer) is attached
-// and its element instantiation must happen before the first hop.
-func runFig5PingPongOn(b *testing.B, machine *converse.Machine, run func(main func(pe *converse.PE))) {
-	b.ReportAllocs()
-	var rounds atomic.Int64
-	total := int64(b.N)
-	done := make(chan struct{})
-	var h int
-	h = machine.RegisterHandler(func(pe *converse.PE, msg *converse.Message) {
-		if rounds.Add(1) >= total {
-			machine.Shutdown()
-			close(done)
-			return
-		}
-		r := pe.NewMessage()
-		r.Handler = h
-		r.Bytes = 32
-		_ = pe.Send(1-pe.Id(), r)
-	})
-	b.ResetTimer()
-	run(func(pe *converse.PE) {
-		if pe.Id() == 0 {
-			m0 := pe.NewMessage()
-			m0.Handler = h
-			m0.Bytes = 32
-			_ = pe.Send(1, m0)
-		}
-	})
-	<-done
+func fig5Bare(b *testing.B, mode converse.Mode) {
+	m := fig5Machine(b, converse.Config{Nodes: 1, WorkersPerNode: 2, Mode: mode})
+	fig5PingPong(b, m, m.Run)
 }
 
-func BenchmarkFig5PingPongIntraNode(b *testing.B) {
-	for _, mode := range []converse.Mode{converse.ModeSMP, converse.ModeSMPComm} {
-		b.Run(mode.String(), func(b *testing.B) {
-			runFig5PingPong(b, converse.Config{Nodes: 1, WorkersPerNode: 2, Mode: mode})
-		})
+// fig5Flow arms credit-based flow control. On an uncontended machine the
+// credits must be invisible — intra-node sends never touch a window, and
+// the only added fast-path cost is the predicated fc != nil branch.
+func fig5Flow(b *testing.B, mode converse.Mode) {
+	m := fig5Machine(b, converse.Config{Nodes: 1, WorkersPerNode: 2, Mode: mode, FlowControl: &flowctl.Config{}})
+	fig5PingPong(b, m, m.Run)
+	if fc := m.FlowController(); fc.BlockedTotal() != 0 || fc.ShedCount() != 0 {
+		b.Fatalf("uncontended ping-pong parked %d / shed %d — flow control interfered",
+			fc.BlockedTotal(), fc.ShedCount())
 	}
 }
 
-// The same intra-node ping-pong with credit-based flow control armed. On
-// an uncontended machine the credits must be invisible — intra-node sends
-// never touch a window, and the only added fast-path cost is the
-// predicated fc != nil branch (the obs.On() pattern). The acceptance bar:
-// within 10% of BenchmarkFig5PingPongIntraNode.
-func BenchmarkFig5PingPongIntraNodeFlow(b *testing.B) {
-	for _, mode := range []converse.Mode{converse.ModeSMP, converse.ModeSMPComm} {
-		b.Run(mode.String(), func(b *testing.B) {
-			machine := runFig5PingPong(b, converse.Config{
-				Nodes: 1, WorkersPerNode: 2, Mode: mode, FlowControl: &flowctl.Config{},
+// fig5CRC builds the machine over an unreliable transport, which arms the
+// PAMI reliability sublayer and the wire CRC32C (the software stand-in for
+// the MU's hardware ECC). unreliable=1 forces the arming with every fault
+// rate at zero, so the cell isolates the integrity machinery's standing
+// cost: intra-node hops must remain pointer exchanges with the checksum
+// armed at the wire layer.
+func fig5CRC(b *testing.B, mode converse.Mode) {
+	tr, err := transport.New("faulty:seed=1,unreliable=1", 1, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Close()
+	m := fig5Machine(b, converse.Config{Nodes: 1, WorkersPerNode: 2, Mode: mode, Transport: tr})
+	fig5PingPong(b, m, m.Run)
+	if !m.PAMIClient().CRCArmed() {
+		b.Fatal("CRC not armed over the unreliable transport")
+	}
+}
+
+// fig5LB arms the dynamic load balancer in its barrier-free diffusion mode
+// over an idle managed array. The gossip loop ticks throughout and the
+// per-element load meter is wired into the scheduler, but a balanced
+// machine must pay nothing on the message path — and trigger zero
+// migrations for an imbalance that isn't there.
+func fig5LB(b *testing.B, mode converse.Mode) {
+	rt, err := charm.NewRuntime(converse.Config{Nodes: 1, WorkersPerNode: 2, Mode: mode})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr := lb.Attach(rt, lb.Config{Diffusion: true, Period: 500 * time.Microsecond})
+	a := rt.NewArray("lbidle", 2, func(idx int) charm.Element { return &struct{}{} })
+	mgr.Manage(a, -1)
+	fig5PingPong(b, rt.Machine(), rt.Run)
+	if mgr.Moves() != 0 {
+		b.Fatalf("idle balancer migrated %d elements during a balanced ping-pong", mgr.Moves())
+	}
+}
+
+func benchFig5(b *testing.B, cell func(*testing.B, converse.Mode)) {
+	for _, mode := range fig5Modes {
+		b.Run(mode.String(), func(b *testing.B) { cell(b, mode) })
+	}
+}
+
+func BenchmarkFig5PingPongIntraNode(b *testing.B)     { benchFig5(b, fig5Bare) }
+func BenchmarkFig5PingPongIntraNodeFlow(b *testing.B) { benchFig5(b, fig5Flow) }
+func BenchmarkFig5PingPongIntraNodeCRC(b *testing.B)  { benchFig5(b, fig5CRC) }
+func BenchmarkFig5PingPongIntraNodeLB(b *testing.B)   { benchFig5(b, fig5LB) }
+
+// TestFig5ZeroAllocs is the §III-B pooled-envelope contract as a tier-1
+// test: in each of the six cells a full testing.Benchmark run of the hop
+// must report 0 allocs/op. One heap allocation per hop anywhere on the
+// send→execute path — a boxed payload, an envelope that bypasses
+// pe.NewMessage — reads as ≥ 1 here.
+func TestFig5ZeroAllocs(t *testing.T) {
+	cells := []struct {
+		name string
+		cell func(*testing.B, converse.Mode)
+	}{{"bare", fig5Bare}, {"CRC", fig5CRC}, {"LB", fig5LB}}
+	for _, c := range cells {
+		for _, mode := range fig5Modes {
+			t.Run(c.name+"/"+mode.String(), func(t *testing.T) {
+				res := testing.Benchmark(func(b *testing.B) { c.cell(b, mode) })
+				if res.N == 0 {
+					t.Fatal("the benchmark itself failed") // its b.Fatal output is above
+				}
+				if a := res.AllocsPerOp(); a != 0 {
+					t.Fatalf("%d allocs/op over %d hops (%d B/op), want 0", a, res.N, res.AllocedBytesPerOp())
+				}
 			})
-			if fc := machine.FlowController(); fc.BlockedTotal() != 0 || fc.ShedCount() != 0 {
-				b.Fatalf("uncontended ping-pong parked %d / shed %d — flow control interfered",
-					fc.BlockedTotal(), fc.ShedCount())
-			}
-		})
-	}
-}
-
-// The same intra-node ping-pong with the machine built over an unreliable
-// transport, which arms the PAMI reliability sublayer and the wire CRC32C
-// (the software stand-in for the MU's hardware ECC). unreliable=1 forces
-// the arming with every fault rate at zero, so the measurement isolates
-// the integrity machinery's standing cost: intra-node hops must remain
-// pointer exchanges — 0 allocs/op, within the gate tolerance of the
-// unarmed run — with the checksum armed at the wire layer.
-func BenchmarkFig5PingPongIntraNodeCRC(b *testing.B) {
-	for _, mode := range []converse.Mode{converse.ModeSMP, converse.ModeSMPComm} {
-		b.Run(mode.String(), func(b *testing.B) {
-			tr, err := transport.New("faulty:seed=1,unreliable=1", 1, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tr.Close()
-			machine := runFig5PingPong(b, converse.Config{
-				Nodes: 1, WorkersPerNode: 2, Mode: mode, Transport: tr,
-			})
-			if !machine.PAMIClient().CRCArmed() {
-				b.Fatal("CRC not armed over the unreliable transport")
-			}
-		})
-	}
-}
-
-// The same intra-node ping-pong with the dynamic load balancer armed in
-// its barrier-free diffusion mode over an idle managed array. The gossip
-// loop ticks throughout the measurement and the per-element load meter is
-// wired into the scheduler, but a balanced machine must pay nothing on
-// the message path: 0 allocs/op within the gate tolerance of the unarmed
-// run, and zero migrations triggered by an imbalance that isn't there.
-func BenchmarkFig5PingPongIntraNodeLB(b *testing.B) {
-	for _, mode := range []converse.Mode{converse.ModeSMP, converse.ModeSMPComm} {
-		b.Run(mode.String(), func(b *testing.B) {
-			rt, err := charm.NewRuntime(converse.Config{Nodes: 1, WorkersPerNode: 2, Mode: mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			mgr := lb.Attach(rt, lb.Config{Diffusion: true, Period: 500 * time.Microsecond})
-			a := rt.NewArray("lbidle", 2, func(idx int) charm.Element { return &struct{}{} })
-			mgr.Manage(a, -1)
-			runFig5PingPongOn(b, rt.Machine(), rt.Run)
-			if mgr.Moves() != 0 {
-				b.Fatalf("idle balancer migrated %d elements during a balanced ping-pong", mgr.Moves())
-			}
-		})
+		}
 	}
 }
 

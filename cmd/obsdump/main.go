@@ -29,6 +29,7 @@ import (
 	"blueq/internal/converse"
 	"blueq/internal/mempool"
 	"blueq/internal/obs"
+	"blueq/internal/scenario"
 )
 
 func main() {
@@ -97,38 +98,20 @@ func main() {
 	}
 }
 
-// pingpong bounces a message around a 4-PE ring spanning two SMP nodes, so
-// both the intra-node pointer-exchange path and the inter-node PAMI path
-// (immediate sends, the deliver-latency histogram, wakeup events) record.
+// pingpong runs scenario.PingPong twice — within one SMP node, then between
+// two — so both the intra-node pointer-exchange path and the inter-node
+// PAMI path (immediate sends, the deliver-latency histogram, wakeup
+// events) record.
 func pingpong(rounds int) {
-	m, err := converse.NewMachine(converse.Config{Nodes: 2, WorkersPerNode: 2, Mode: converse.ModeSMP})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var h int
-	h = m.RegisterHandler(func(pe *converse.PE, msg *converse.Message) {
-		n := msg.Payload.(int)
-		if n >= rounds {
-			m.Shutdown()
-			return
-		}
-		reply := pe.NewMessage()
-		reply.Handler = h
-		reply.Bytes = 32
-		reply.Payload = n + 1
-		if err := pe.Send((pe.Id()+1)%m.NumPEs(), reply); err != nil {
+	for _, nodes := range []int{1, 2} {
+		m, err := converse.NewMachine(converse.Config{Nodes: nodes, WorkersPerNode: 2, Mode: converse.ModeSMP})
+		if err != nil {
 			log.Fatal(err)
 		}
-	})
-	m.Run(func(pe *converse.PE) {
-		if pe.Id() == 0 {
-			first := pe.NewMessage()
-			first.Handler = h
-			first.Bytes = 32
-			first.Payload = 0
-			_ = pe.Send(1, first)
+		if _, err := scenario.PingPong(m, m.Run, rounds); err != nil {
+			log.Fatal(err)
 		}
-	})
+	}
 }
 
 // allocChurn replays the paper's Fig. 6 pattern — every thread allocates a

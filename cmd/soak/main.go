@@ -72,19 +72,16 @@ type soakSummary struct {
 }
 
 func main() {
+	// The runtime flags shared with cmd/experiments, at soak's defaults:
+	// both hostile transports, seeded, with tight flow-control caps.
+	rt := scenario.Flags{Transport: "both", Seed: 1, FCWindow: 16, FCOverflowCap: 64}
+	rt.Register(flag.CommandLine)
+	flag.Lookup("transport").Usage += "; or 'both' for the default faulty and contended specs"
 	duration := flag.Duration("duration", 20*time.Second, "total wall-clock budget, split across workload×transport cells")
-	spec := flag.String("transport", "both",
-		"transport spec, or 'both' for the default faulty and contended specs")
 	workload := flag.String("workload", "all", strings.Join(cellNames, ", ")+", or all")
 	slow := flag.Duration("slow", 50*time.Microsecond, "consumer-side per-message execution delay (the overload)")
-	seed := flag.Int64("seed", 1, "seed for faulty transports")
-	fcWindow := flag.Int("fc-window", 16, "flow-control credit window per (src,dst) node pair")
-	fcOverflowCap := flag.Int("fc-overflow-cap", 64, "cap on the lockless overflow queue")
 	fcBurst := flag.Int("fc-burst", 0, "m2m burst admission limit (0 = default)")
 	fcMaxBlock := flag.Duration("fc-maxblock", 10*time.Second, "longest a sender parks before overdraft")
-	agg := flag.Bool("agg", false, "arm the per-destination message aggregation layer")
-	aggBytes := flag.Int("agg-bytes", 0, "aggregation batch size in bytes (0 = default; implies -agg)")
-	aggDelay := flag.Duration("agg-delay", 0, "aggregation max flush delay (0 = default; implies -agg)")
 	sweep := flag.Bool("sweep", false, "run the offered-load saturation sweep instead of the soak")
 	corrupt := flag.Float64("corrupt", 0, "packet corruption rate armed on faulty transports (truncation at half the rate)")
 	kills := flag.String("kills", "", "N@DUR chaos schedule for the fft cell: N fail-stops spread DUR apart, asserting bitwise-identical output (e.g. 2@100ms)")
@@ -121,24 +118,19 @@ func main() {
 	}
 
 	fcc := flowctl.Config{
-		Window:      *fcWindow,
-		OverflowCap: *fcOverflowCap,
+		Window:      rt.FCWindow,
+		OverflowCap: rt.FCOverflowCap,
 		BurstLimit:  *fcBurst,
 		MaxBlock:    *fcMaxBlock,
 	}
-	var agc *aggregate.Config
-	if *agg || *aggBytes > 0 || *aggDelay > 0 {
-		agc = &aggregate.Config{MaxBatchBytes: *aggBytes, MaxDelay: *aggDelay}
-	}
+	agc := rt.Aggregation()
 
-	var specs []string
-	if *spec == "both" {
+	specs := []string{rt.Spec()}
+	if rt.Transport == "both" {
 		specs = []string{
-			transport.WithSeed("faulty:drop=0.05,dup=0.02", *seed),
+			transport.WithSeed("faulty:drop=0.05,dup=0.02", rt.Seed),
 			"contended:scale=3",
 		}
-	} else {
-		specs = []string{transport.WithSeed(*spec, *seed)}
 	}
 	for i, sp := range specs {
 		specs[i] = withCorrupt(sp, *corrupt)

@@ -156,7 +156,7 @@ func (m Machine) Fig5(sizes []int) *stats.Table {
 // Fig6Model returns the modelled alloc+free cost (µs per pair) for the
 // 64-thread memory benchmark, for the pool and arena allocators; the
 // native wall-clock version of this experiment lives in
-// internal/mempool's benchmarks and cmd/memalloc.
+// internal/mempool's benchmarks and cmd/experiments -only=fig6.
 func (m Machine) Fig6Model(threads int) (pool, arena float64) {
 	pool = m.AllocPool * 1e6
 	// All threads freeing to one sender's arena serialize on its mutex.

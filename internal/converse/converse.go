@@ -128,13 +128,6 @@ type Config struct {
 	// pressure. Zero-valued fields inside take their defaults. Nil (the
 	// default) leaves every structure unbounded, as before.
 	FlowControl *flowctl.Config
-	// EnvPoolThreshold sizes the per-PE message-envelope pools (§III-B):
-	// the depth beyond which frees spill to the garbage collector. Zero
-	// selects mempool.DefaultEnvPoolThreshold; a negative value disables
-	// envelope pooling entirely, so PE.NewMessage degrades to a heap
-	// allocation (the pre-pool behavior, kept as the before/after lever
-	// for cmd/memalloc -runtime).
-	EnvPoolThreshold int
 }
 
 func (c *Config) normalize() error {
@@ -241,8 +234,7 @@ type Machine struct {
 	// was set.
 	fc *flowctl.Controller
 
-	// envPool is the per-PE message-envelope pool (message.go), nil when
-	// Config.EnvPoolThreshold < 0.
+	// envPool is the per-PE message-envelope pool (message.go).
 	envPool *mempool.EnvPool[Message]
 
 	rzvSeq   atomic.Uint64
@@ -252,7 +244,7 @@ type Machine struct {
 	// cfg.RendezvousTimeout > 0
 	rzvMu   sync.Mutex
 	rzvPend map[uint64]*rzvPending
-	rzvSeen map[uint64]bool
+	rzvSeen map[[2]int]rzvWindow // by (source PE, destination PE)
 	// rzvAbandonLogNS rate-limits the default abandonment log line.
 	rzvAbandonLogNS atomic.Int64
 
@@ -315,9 +307,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	if cfg.RendezvousTimeout > 0 {
 		m.rzvPend = make(map[uint64]*rzvPending)
-		m.rzvSeen = make(map[uint64]bool)
+		m.rzvSeen = make(map[[2]int]rzvWindow)
 	}
-	m.envPool = newEnvPool(&cfg, cfg.Nodes*cfg.WorkersPerNode)
+	m.envPool = mempool.NewEnvPool[Message](cfg.Nodes*cfg.WorkersPerNode, mempool.DefaultEnvPoolThreshold)
 	for r := 0; r < cfg.Nodes; r++ {
 		node := &SMPNode{machine: m, rank: r, halted: make(chan struct{})}
 		alloc := mempool.NewPoolAllocator(cfg.WorkersPerNode+cfg.CommThreads, 0)
@@ -504,13 +496,9 @@ func (m *Machine) HaltNode(rank int) {
 	// the GC instead of accumulating in pools nobody will allocate from
 	// again. Envelopes still sitting in the dead node's scheduler queues
 	// are dropped with the queues themselves — fail-stop, no leak.
-	if m.envPool != nil {
-		for _, pe := range node.pes {
-			m.envPool.DropOwner(pe.id)
-		}
-	}
 	for _, pe := range node.pes {
-		pe.wake.Signal()
+		m.envPool.DropOwner(pe.id)
+		pe.wake.Signal() // a parked scheduler wakes to see the halt
 	}
 }
 
@@ -759,9 +747,6 @@ func (pe *PE) enqueueBatch(msgs []any) {
 	pe.queue.EnqueueBatch(msgs)
 	pe.wake.Signal()
 }
-
-// destLocal on Message routes to the right worker within a node.
-// (kept unexported; set by Send)
 
 // Send delivers msg to the PE with global id dst (CmiSyncSend). Within the
 // node it is a pointer exchange through the destination's lockless queue;

@@ -124,24 +124,22 @@ func TestRetainAcrossExecute(t *testing.T) {
 	}
 }
 
-// TestEnvPoolDisabled pins the opt-out: EnvPoolThreshold < 0 removes the
-// pool entirely, PE.NewMessage degrades to a heap literal, and the
-// Retain/Release lifecycle becomes a no-op (so legacy call sites cannot
-// double-release their way into a panic).
-func TestEnvPoolDisabled(t *testing.T) {
-	m, err := NewMachine(Config{Nodes: 1, WorkersPerNode: 1, Mode: ModeSMP, EnvPoolThreshold: -1})
+// TestUnpooledReleaseIsNoOp pins the other half of the lifecycle contract:
+// an envelope built off the pool — Machine.NewMessage, or a plain literal —
+// is not Pooled, and Retain/Release on it are no-ops (so legacy call sites
+// cannot double-release their way into a panic).
+func TestUnpooledReleaseIsNoOp(t *testing.T) {
+	m, err := NewMachine(Config{Nodes: 1, WorkersPerNode: 1, Mode: ModeSMP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.EnvelopePool() != nil {
-		t.Fatal("EnvPoolThreshold=-1 still built a pool")
+	for _, msg := range []*Message{m.NewMessage(), {}} {
+		if msg.Pooled() {
+			t.Fatal("an envelope built off the pool reports Pooled")
+		}
+		msg.Release()
+		msg.Release() // must not panic
 	}
-	msg := m.PE(0).NewMessage()
-	if msg.Pooled() {
-		t.Fatal("NewMessage returned a pooled envelope with pooling disabled")
-	}
-	msg.Release()
-	msg.Release() // no-op on unpooled envelopes, must not panic
 }
 
 // TestCopyFromSkipsBookkeeping is the regression test for the broadcast

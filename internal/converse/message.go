@@ -33,18 +33,14 @@ import (
 //
 // Plain &Message{} literals remain valid: they are unpooled, their
 // Retain/Release are no-ops, and the GC reclaims them — the pre-pool
-// behavior. Config.EnvPoolThreshold < 0 turns every envelope into that
-// kind, which is the before/after lever cmd/memalloc -runtime measures.
+// behavior.
 
 // NewMessage returns a message envelope drawn from this PE's §III-B pool
-// (falling back to the heap on a pool miss or when pooling is disabled),
-// holding one reference. Must be called from this PE's scheduler
-// goroutine: the pool dequeue is single-consumer.
+// (falling back to the heap on a pool miss), holding one reference. Must
+// be called from this PE's scheduler goroutine: the pool dequeue is
+// single-consumer.
 func (pe *PE) NewMessage() *Message {
 	ep := pe.node.machine.envPool
-	if ep == nil {
-		return &Message{}
-	}
 	msg := ep.Get(pe.id)
 	msg.mp = ep
 	msg.owner = int32(pe.id)
@@ -123,16 +119,6 @@ func (msg *Message) CopyFrom(src *Message) {
 	msg.destLocal = src.destLocal
 }
 
-// newEnvPool builds the machine's envelope pool per the config:
-// EnvPoolThreshold < 0 disables pooling, 0 selects the default spill
-// threshold.
-func newEnvPool(cfg *Config, numPEs int) *mempool.EnvPool[Message] {
-	if cfg.EnvPoolThreshold < 0 {
-		return nil
-	}
-	return mempool.NewEnvPool[Message](numPEs, cfg.EnvPoolThreshold)
-}
-
-// EnvelopePool exposes the machine's envelope pool (nil when disabled) so
-// tests and diagnostics can read its hit/miss/remote-free statistics.
+// EnvelopePool exposes the machine's envelope pool so tests and
+// diagnostics can read its hit/miss/remote-free statistics.
 func (m *Machine) EnvelopePool() *mempool.EnvPool[Message] { return m.envPool }

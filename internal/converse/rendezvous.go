@@ -3,6 +3,7 @@ package converse
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -20,11 +21,11 @@ import (
 // On an unreliable transport the header or the ack can be lost, so the
 // protocol optionally grows a timeout path (Config.RendezvousTimeout):
 // the sender retransmits the header with exponential backoff until the
-// ack arrives; the receiver dedups headers by sequence number, re-acking
-// duplicates without pulling or enqueueing the message twice. This is
-// belt-and-suspenders over the PAMI reliability sublayer — the header and
-// ack already travel through it — but it bounds recovery when an entire
-// channel stalls and gives tests a converse-level knob.
+// ack arrives; the receiver dedups headers by sequence number (rzvWindow),
+// re-acking duplicates without pulling or enqueueing the message twice.
+// This is belt-and-suspenders over the PAMI reliability sublayer — the
+// header and ack already travel through it — but it bounds recovery when
+// an entire channel stalls and gives tests a converse-level knob.
 
 // RendezvousThreshold is the payload size (modelled bytes) above which
 // inter-node sends switch from the eager path to rendezvous, matching the
@@ -65,6 +66,40 @@ type rzvPending struct {
 	tries   int
 	backoff time.Duration
 	timer   *time.Timer
+}
+
+// rzvDedupWindow is how many header sequence numbers a receiver remembers
+// per (source PE, destination PE) pair. Headers ride the in-order PAMI
+// channel and one PE numbers its transfers in send order, so a pair's
+// first arrivals come in increasing sequence; the window is slack for
+// that, not a bound on the transfers in flight.
+const rzvDedupWindow = 64
+
+// rzvWindow is the receiver-side duplicate filter for one (source PE,
+// destination PE) pair: the newest rzvDedupWindow sequence numbers seen,
+// and a floor at or below which every number counts as seen — a
+// retransmission that late is of a transfer long since delivered. Memory
+// per pair is O(window) however many transfers cross it.
+type rzvWindow struct {
+	floor uint64
+	seen  []uint64 // ascending, all above floor
+}
+
+// dup records seq and reports whether it had been seen before.
+func (w *rzvWindow) dup(seq uint64) bool {
+	if seq <= w.floor {
+		return true
+	}
+	i, found := slices.BinarySearch(w.seen, seq)
+	if found {
+		return true
+	}
+	w.seen = slices.Insert(w.seen, i, seq)
+	if len(w.seen) > rzvDedupWindow {
+		w.floor = w.seen[0]
+		w.seen = w.seen[:copy(w.seen, w.seen[1:])]
+	}
+	return false
 }
 
 // RendezvousStats counts protocol events; retrieved with
@@ -231,9 +266,11 @@ func (n *SMPNode) onRendezvousHeader(src int, data any, bytes int) {
 	hdr := data.(*rendezvousHeader)
 	msg := hdr.msg
 	if m.cfg.RendezvousTimeout > 0 {
+		pair := [2]int{msg.SrcPE, n.pes[msg.destLocal].id}
 		m.rzvMu.Lock()
-		dup := m.rzvSeen[hdr.seq]
-		m.rzvSeen[hdr.seq] = true
+		w := m.rzvSeen[pair]
+		dup := w.dup(hdr.seq)
+		m.rzvSeen[pair] = w
 		m.rzvMu.Unlock()
 		if dup {
 			m.rzvStats.DupHeaders.Add(1)

@@ -22,9 +22,9 @@ import (
 
 // CRCEnabled controls whether clients over unreliable transports arm the
 // wire checksum. Copied at client construction (like RetryBase), so set
-// it before NewClient; the CLI flag -crc=false maps here. Disabling it
-// under corrupt= injection surrenders exactly-once delivery: a flipped
-// destination or sequence field then goes undetected.
+// it before NewClient. Disabling it under corrupt= injection surrenders
+// exactly-once delivery: a flipped destination or sequence field then
+// goes undetected.
 var CRCEnabled = true
 
 // castagnoli is the CRC32C table (shared, read-only after init).

@@ -172,9 +172,7 @@ func TestFFTUnderFaults(t *testing.T) {
 						mach.PAMIClient().Node(r).DropPeer(1)
 					}
 				}
-				if mach.EnvelopePool() != nil {
-					mach.EnvelopePool().DropOwner(1)
-				}
+				mach.EnvelopePool().DropOwner(1)
 				if fc := mach.FlowController(); fc != nil {
 					fc.DropPeer(1)
 				}

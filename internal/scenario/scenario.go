@@ -9,6 +9,11 @@
 // exits the process or fails a test: every failure — including a wedged
 // run, which the always-armed watchdog turns into ErrWedged — is a returned
 // error, beside a Result filled in as far as the run got.
+//
+// PingPong is the one ping-pong driver outside bench/: the root Fig 5
+// benchmarks and their 0-allocs test, cmd/obsdump and cmd/experiments all
+// bounce through it. Flags declares the runtime flags cmd/experiments and
+// cmd/soak share.
 package scenario
 
 import (
@@ -274,14 +279,20 @@ func (h *harness) restarted() {
 	}
 }
 
+// armWatchdog hands fail an ErrWedged once timeout (default 120 s) passes;
+// the caller stops the returned timer when its run finishes.
+func armWatchdog(timeout time.Duration, fail func(error)) *time.Timer {
+	if timeout <= 0 {
+		timeout = 120 * time.Second
+	}
+	return time.AfterFunc(timeout, func() { fail(fmt.Errorf("%w: no finish within %v", ErrWedged, timeout)) })
+}
+
 // run arms the watchdog, runs Pre, drives the machine from start until it
 // shuts down, and returns the run's common results with its verdict: an
 // unrecoverable failure first, else the first error reported.
 func (h *harness) run(timeout time.Duration, start func(pe *converse.PE)) (Result, error) {
-	if timeout <= 0 {
-		timeout = 120 * time.Second
-	}
-	watchdog := time.AfterFunc(timeout, func() { h.fail(fmt.Errorf("%w: no finish within %v", ErrWedged, timeout)) })
+	watchdog := armWatchdog(timeout, h.fail)
 	defer watchdog.Stop()
 	if h.f.Pre != nil {
 		h.f.Pre(h.rt, h.mgr)
