@@ -407,15 +407,17 @@ func BenchmarkTable2STMV100M(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E12 / §IV-B.1: native QPX-shaped kernel vs scalar on the host, plus the
-// full native parallel MD step.
+// E12 / §IV-B.1: the NAMD interpolation table vs direct erfc on the host,
+// plus the full native parallel MD step.
 
-func BenchmarkQPXKernels(b *testing.B) {
+func BenchmarkErfcTable(b *testing.B) {
 	s := md.WaterBox(md.WaterBoxConfig{Molecules: 400, Seed: 1})
-	for _, useQPX := range []bool{false, true} {
-		name := map[bool]string{false: "scalar", true: "qpx"}[useQPX]
-		b.Run(name, func(b *testing.B) {
-			p := md.NonbondedParams{Cutoff: 6, SwitchDist: 5, EwaldBeta: 0.35, UseQPX: useQPX, TableBins: 768}
+	for _, c := range []struct {
+		name string
+		bins int
+	}{{"direct", 0}, {"table", 768}} {
+		b.Run(c.name, func(b *testing.B) {
+			p := md.NonbondedParams{Cutoff: 6, SwitchDist: 5, EwaldBeta: 0.35, TableBins: c.bins}
 			f := md.NewForces(s.N())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -3,10 +3,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"blueq/internal/aggregate"
-	"blueq/internal/converse"
+	"blueq/internal/scenario"
 )
 
 // E16: message aggregation rate sweep. One PE floods a PE on the other
@@ -26,61 +25,24 @@ func aggSweep(msgs int, agc aggregate.Config) {
 	fmt.Println("target: >= 2x at <= 64B payloads (acceptance); parity or better at 512B")
 }
 
-// floodBest reports the best of several flood repetitions — the standard
-// benchmarking discipline (a rate measurement's noise is one-sided: OS
-// scheduling and GC pauses only ever slow a run down).
+// floodBest reports the best of several repetitions of a one-way flood of
+// msgs messages of the given modelled payload size, in messages per second
+// from the first send to the last execution — the standard benchmarking
+// discipline (a rate measurement's noise is one-sided: OS scheduling and GC
+// pauses only ever slow a run down). agc nil runs the direct per-message
+// path.
 func floodBest(msgs, payload int, agc *aggregate.Config) float64 {
 	const reps = 5
 	best := 0.0
 	for i := 0; i < reps; i++ {
-		if r := floodRate(msgs, payload, agc); r > best {
-			best = r
+		res, err := scenario.Flood(scenario.FloodConfig{Count: msgs, Bytes: payload, Aggregation: agc})
+		if err == nil {
+			err = res.ExactlyOnce()
 		}
+		if err != nil {
+			log.Fatalf("E16: %v", err)
+		}
+		best = max(best, float64(res.Sent)/(res.Send+res.Drain).Seconds())
 	}
 	return best
-}
-
-// floodRate times a one-way flood of msgs messages of the given modelled
-// payload size from PE 0 (node 0) to PE 1 (node 1) and returns messages
-// per second. agc nil runs the direct per-message path.
-func floodRate(msgs, payload int, agc *aggregate.Config) float64 {
-	cfg := converse.Config{
-		Nodes: 2, WorkersPerNode: 1, Mode: converse.ModeSMP,
-		Aggregation: agc,
-	}
-	machine, err := converse.NewMachine(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var start time.Time
-	var elapsed time.Duration
-	count := 0
-	var h, hGo int
-	h = machine.RegisterHandler(func(pe *converse.PE, msg *converse.Message) {
-		count++
-		if count == msgs {
-			elapsed = time.Since(start)
-			machine.Shutdown()
-		}
-	})
-	hGo = machine.RegisterHandler(func(pe *converse.PE, msg *converse.Message) {
-		start = time.Now()
-		for i := 0; i < msgs; i++ {
-			msg := pe.NewMessage()
-			msg.Handler = h
-			msg.Bytes = payload
-			msg.Payload = i
-			if err := pe.Send(1, msg); err != nil {
-				log.Fatalf("E16 send: %v", err)
-			}
-		}
-	})
-	machine.Run(func(pe *converse.PE) {
-		if pe.Id() == 0 {
-			kick := pe.NewMessage()
-			kick.Handler = hGo
-			_ = pe.Send(0, kick) // self-send: local kickoff
-		}
-	})
-	return float64(msgs) / elapsed.Seconds()
 }

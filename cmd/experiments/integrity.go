@@ -3,10 +3,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync/atomic"
-	"time"
 
-	"blueq/internal/converse"
 	"blueq/internal/scenario"
 	"blueq/internal/transport"
 )
@@ -79,59 +76,16 @@ func integrityGoodput(seed int64) {
 	fmt.Printf("%10s %12s %12s %12s %12s\n", "corrupt", "msgs/s", "crc-rejects", "retries", "delivered")
 	for _, rate := range []float64{0, 0.005, 0.01, 0.02, 0.05} {
 		spec := transport.WithSeed(fmt.Sprintf("faulty:drop=0.01,corrupt=%g,truncate=%g", rate, rate/2), seed)
-		tr, err := transport.New(spec, 2, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m, err := converse.NewMachine(converse.Config{
-			Nodes: 2, WorkersPerNode: 1, Mode: converse.ModeSMP, Transport: tr,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		var delivered atomic.Int64
-		h := m.RegisterHandler(func(pe *converse.PE, msg *converse.Message) {
-			delivered.Add(1)
-		})
-		sendDone := make(chan struct{})
-		go func() {
-			<-sendDone
-			grace := time.Now().Add(60 * time.Second)
-			for delivered.Load() < msgs && time.Now().Before(grace) {
-				time.Sleep(time.Millisecond)
-			}
-			m.Shutdown()
-		}()
-		begin := time.Now()
-		m.Run(func(pe *converse.PE) {
-			if pe.Id() != 0 {
-				return
-			}
-			payload := make([]byte, 64)
-			for i := 0; i < msgs; i++ {
-				msg := pe.NewMessage()
-				msg.Handler = h
-				msg.Bytes = len(payload)
-				msg.Payload = payload
-				if err := pe.Send(1, msg); err != nil {
-					log.Fatalf("flood send %d: %v", i, err)
-				}
-			}
-			close(sendDone)
-		})
-		elapsed := time.Since(begin)
-		var retries int64
-		client := m.PAMIClient()
-		for r := 0; r < client.Nodes(); r++ {
-			retries += client.Node(r).ReliabilityStats().Retries
+		res, err := scenario.Flood(scenario.FloodConfig{Transport: spec, Count: msgs, Bytes: 64})
+		if err == nil {
+			err = res.ExactlyOnce()
 		}
 		fmt.Printf("%10g %12.0f %12d %12d %12d\n",
-			rate, float64(delivered.Load())/elapsed.Seconds(),
-			client.CRCFails(), retries, delivered.Load())
-		if delivered.Load() != msgs {
-			log.Fatalf("integrity: corruption rate %g delivered %d/%d", rate, delivered.Load(), msgs)
+			rate, float64(res.Distinct)/(res.Send+res.Drain).Seconds(),
+			res.CRCRejects, res.Retries, res.Distinct)
+		if err != nil {
+			log.Fatalf("integrity: corruption rate %g: %v", rate, err)
 		}
-		tr.Close()
 	}
 	fmt.Println("paper seam: MU hardware ECC → software CRC32C over the packet wire image (DESIGN.md)")
 }

@@ -97,7 +97,6 @@ func main() {
 	o.rt.Register(flag.CommandLine)
 	flag.StringVar(&o.metrics, "metrics", "obs_metrics.json", "write the obs section's snapshot here ('' skips the section)")
 	flag.BoolVar(&o.flow, "flow", false, "arm credit-based flow control on the obs and pingpong sections")
-	flag.Float64Var(&o.det.PhiFactor, "phi", 0, "detector PhiFactor: adaptive suspicion threshold scale (0 = default)")
 	flag.DurationVar(&o.det.SuspectAfter, "suspect-after", 12*time.Millisecond, "detector silence floor before suspecting a peer")
 	flag.IntVar(&o.aggMsgs, "agg-msgs", 200000, "messages per cell of the agg section's sweep")
 	secs := sections(&o)

@@ -130,5 +130,5 @@ func serialSection(m cluster.Machine) {
 	fmt.Printf("  QPX+unroll serial gain: %.1f%% (paper: 15.8%%)\n",
 		(noqpx.Compute/base.Compute-1)*100)
 	fmt.Printf("  4 threads/core vs 1: %.2fx (paper: 2.3x)\n", m.SMTYield(4))
-	fmt.Println("  (wall-clock kernel comparison: go test -bench 'Lookup|Nonbonded' ./internal/...)")
+	fmt.Println("  (native half, interpolation table vs direct erfc: go test -bench ErfcTable -run '^$' .)")
 }

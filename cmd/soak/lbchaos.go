@@ -6,11 +6,9 @@ import (
 
 	"blueq/internal/aggregate"
 	"blueq/internal/charm"
-	"blueq/internal/converse"
 	"blueq/internal/flowctl"
 	"blueq/internal/ft"
 	"blueq/internal/lb"
-	"blueq/internal/lockless"
 	"blueq/internal/scenario"
 )
 
@@ -48,8 +46,7 @@ func runLBSoak(spec string, d time.Duration, fcc flowctl.Config, agc *aggregate.
 		phases = 60
 	}
 
-	var m *converse.Machine
-	var sampler *residencySampler
+	var watch func() scenario.Residency
 	res, err := scenario.Imbalance(scenario.ImbalanceConfig{
 		Nodes: nodes, Workers: 1, Elems: nelems,
 		Warmup: itersPerPhase, Every: itersPerPhase, Total: phases * itersPerPhase,
@@ -63,23 +60,21 @@ func runLBSoak(spec string, d time.Duration, fcc flowctl.Config, agc *aggregate.
 		Faults: scenario.Faults{
 			Kill: victims, Spread: spread,
 			Pre: func(rt *charm.Runtime, _ *ft.Manager) {
-				m = rt.Machine()
-				sampler = startSampler(m)
+				m := rt.Machine()
+				watch = scenario.WatchResidency(m, m.NumPEs())
 			},
 		},
 	})
-	if sampler == nil {
+	if watch == nil {
 		return err // the machine never got built
 	}
-	peakResident, peakReorder := sampler.finish()
+	mem := watch()
 	if err != nil {
 		return err
 	}
-	fc := m.FlowController()
-	bound := int64(m.NumPEs()) * floodBound(lockless.DefaultRingSize, fc.Config())
 	fmt.Fprintf(out, "lb    over %-45s %d phases, %d migrations, %d recoveries, peak resident %d/bound %d, reorder %d/cap %d in %5.1fs\n",
-		spec+":", phases, res.Moves, res.Stats.Recoveries, peakResident, bound,
-		peakReorder, fc.Config().ReorderCap, res.Elapsed.Seconds())
+		spec+":", phases, res.Moves, res.Stats.Recoveries, mem.PeakResident, mem.ResidentBound,
+		mem.PeakReorder, mem.ReorderCap, res.Elapsed.Seconds())
 
 	if err := scenario.SameBits(scenario.Exact(nelems, phases*itersPerPhase), res); err != nil {
 		return fmt.Errorf("exactly-once violated: %w", err)
@@ -90,11 +85,5 @@ func runLBSoak(spec string, d time.Duration, fcc flowctl.Config, agc *aggregate.
 	if len(victims) > 0 && res.Stats.Recoveries < 1 {
 		return fmt.Errorf("kill schedule ran but no recovery happened: %+v", res.Stats)
 	}
-	if peakResident > bound {
-		return fmt.Errorf("memory unbounded: resident backlog peaked at %d, bound %d", peakResident, bound)
-	}
-	if peakReorder > int64(fc.Config().ReorderCap) {
-		return fmt.Errorf("reorder buffer exceeded cap: %d > %d", peakReorder, fc.Config().ReorderCap)
-	}
-	return nil
+	return mem.Bounded()
 }

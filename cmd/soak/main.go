@@ -1,6 +1,6 @@
 // Command soak is the chaos soak harness for the flow-control and
-// overload-protection layer: it drives real workloads (a flood with a
-// deliberately slowed consumer, the 3D FFT, the mini-NAMD MD step) over
+// overload-protection layer: it drives real workloads (scenario.Flood with
+// a deliberately slowed consumer, the 3D FFT, the mini-NAMD MD step) over
 // hostile transports (faulty: drops/dups, contended: link stalls) for a
 // wall-clock budget and asserts the three saturation properties the
 // runtime promises:
@@ -17,8 +17,10 @@
 // load is stepped across the slowed consumer's capacity and the achieved
 // throughput is tabulated, making the knee visible.
 //
-// Exit status is non-zero if any property fails — CI runs this for 20 s
-// per transport.
+// Each cell is a config for the drivers in internal/scenario plus the line
+// it prints; the residency sampler and both verdicts live there. Exit
+// status is non-zero if any property fails — CI runs this for 20 s per
+// transport.
 package main
 
 import (
@@ -30,7 +32,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,7 +40,6 @@ import (
 	"blueq/internal/converse"
 	"blueq/internal/fft3d"
 	"blueq/internal/flowctl"
-	"blueq/internal/lockless"
 	"blueq/internal/md"
 	"blueq/internal/mdsim"
 	"blueq/internal/scenario"
@@ -80,7 +80,6 @@ func main() {
 	duration := flag.Duration("duration", 20*time.Second, "total wall-clock budget, split across workload×transport cells")
 	workload := flag.String("workload", "all", strings.Join(cellNames, ", ")+", or all")
 	slow := flag.Duration("slow", 50*time.Microsecond, "consumer-side per-message execution delay (the overload)")
-	fcBurst := flag.Int("fc-burst", 0, "m2m burst admission limit (0 = default)")
 	fcMaxBlock := flag.Duration("fc-maxblock", 10*time.Second, "longest a sender parks before overdraft")
 	sweep := flag.Bool("sweep", false, "run the offered-load saturation sweep instead of the soak")
 	corrupt := flag.Float64("corrupt", 0, "packet corruption rate armed on faulty transports (truncation at half the rate)")
@@ -120,7 +119,6 @@ func main() {
 	fcc := flowctl.Config{
 		Window:      rt.FCWindow,
 		OverflowCap: rt.FCOverflowCap,
-		BurstLimit:  *fcBurst,
 		MaxBlock:    *fcMaxBlock,
 	}
 	agc := rt.Aggregation()
@@ -216,150 +214,32 @@ func main() {
 	fmt.Fprintln(out, "soak: all properties held")
 }
 
-// residencySampler polls the machine-wide scheduler backlog and the
-// reorder buffers, tracking peaks, until stop is closed.
-type residencySampler struct {
-	m            *converse.Machine
-	stop         chan struct{}
-	wg           sync.WaitGroup
-	peakResident atomic.Int64
-	peakReorder  atomic.Int64
-}
-
-func startSampler(m *converse.Machine) *residencySampler {
-	s := &residencySampler{m: m, stop: make(chan struct{})}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			if r := m.QueueResidency(); r > s.peakResident.Load() {
-				s.peakResident.Store(r)
-			}
-			for rank := 0; rank < m.NumNodes(); rank++ {
-				if b := int64(m.PAMIClient().Node(rank).ReorderBuffered()); b > s.peakReorder.Load() {
-					s.peakReorder.Store(b)
-				}
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	return s
-}
-
-func (s *residencySampler) finish() (resident, reorder int64) {
-	close(s.stop)
-	s.wg.Wait()
-	return s.peakResident.Load(), s.peakReorder.Load()
-}
-
-// floodBound is the resident-backlog ceiling for a single slow consumer:
-// its ring, its overflow cap, the scheduler pull bound and the credit
-// window still in flight, plus slack for the sampler racing enqueues.
-func floodBound(ringSize int, fcc flowctl.Config) int64 {
-	return int64(ringSize + fcc.OverflowCap + 64 + fcc.Window + 8)
-}
+// floodRing is the consumer's L2 ring in the flood and sweep cells: small,
+// so the slowed consumer spills into the capped overflow queue at once.
+const floodRing = 64
 
 // runFlood: one producer floods one consumer that executes every message
 // `slow` late. The strictest cell — the residency bound is tight and
 // exactly-once is checked per message id.
 func runFlood(spec string, d, slow time.Duration, fcc flowctl.Config, agc *aggregate.Config) error {
-	const ringSize = 64
-	tr, err := transport.New(spec, 2, 1)
-	if err != nil {
-		return err
-	}
-	defer tr.Close()
-	m, err := converse.NewMachine(converse.Config{
-		Nodes: 2, WorkersPerNode: 1, Mode: converse.ModeSMP,
-		Transport: tr, RingSize: ringSize, FlowControl: &fcc, Aggregation: agc,
+	res, err := scenario.Flood(scenario.FloodConfig{
+		Transport: spec, Duration: d, Bytes: 8, Slow: slow,
+		RingSize: floodRing, FlowControl: &fcc, Aggregation: agc,
 	})
 	if err != nil {
 		return err
 	}
-	m.PE(1).SetInvokeDelay(slow)
-
-	var mu sync.Mutex
-	counts := make(map[int]int)
-	var delivered atomic.Int64
-	h := m.RegisterHandler(func(pe *converse.PE, msg *converse.Message) {
-		mu.Lock()
-		counts[msg.Payload.(int)]++
-		mu.Unlock()
-		delivered.Add(1)
-	})
-
-	sampler := startSampler(m)
-	var sent atomic.Int64
-	sendDone := make(chan struct{})
-
-	// Drain monitor: after the send window closes, wait for the backlog
-	// to flush (bounded: the residency cap over the consumer rate), then
-	// stop the machine.
-	go func() {
-		<-sendDone
-		grace := time.Now().Add(30 * time.Second)
-		for delivered.Load() < sent.Load() && time.Now().Before(grace) {
-			time.Sleep(time.Millisecond)
-		}
-		m.Shutdown()
-	}()
-
-	start := time.Now()
-	m.Run(func(pe *converse.PE) {
-		if pe.Id() != 0 {
-			return
-		}
-		deadline := time.Now().Add(d)
-		for i := 0; time.Now().Before(deadline); i++ {
-			msg := pe.NewMessage()
-			msg.Handler = h
-			msg.Bytes = 8
-			msg.Payload = i
-			if err := pe.Send(1, msg); err != nil {
-				fmt.Fprintf(os.Stderr, "flood send %d: %v\n", i, err)
-				break
-			}
-			sent.Add(1)
-		}
-		close(sendDone)
-	})
-	elapsed := time.Since(start)
-	peakResident, peakReorder := sampler.finish()
-
-	mu.Lock()
-	distinct := len(counts)
-	dups := 0
-	for _, c := range counts {
-		if c > 1 {
-			dups++
-		}
-	}
-	mu.Unlock()
-
-	fc := m.FlowController()
-	bound := floodBound(ringSize, fc.Config())
+	elapsed := (res.Send + res.Drain).Seconds()
 	fmt.Fprintf(out, "flood over %-45s %8d msgs in %5.1fs (%6.0f/s), peak resident %d/bound %d, reorder %d/cap %d, parked %d\n",
-		spec+":", sent.Load(), elapsed.Seconds(), float64(delivered.Load())/elapsed.Seconds(),
-		peakResident, bound, peakReorder, fc.Config().ReorderCap, fc.BlockedTotal())
-
-	if sent.Load() == 0 {
+		spec+":", res.Sent, elapsed, float64(res.Distinct)/elapsed,
+		res.PeakResident, res.ResidentBound, res.PeakReorder, res.ReorderCap, res.Parked)
+	if res.Sent == 0 {
 		return fmt.Errorf("no forward progress: nothing sent")
 	}
-	if int64(distinct) != sent.Load() || dups > 0 {
-		return fmt.Errorf("exactly-once violated: sent %d, distinct %d, duplicated %d", sent.Load(), distinct, dups)
+	if err := res.ExactlyOnce(); err != nil {
+		return err
 	}
-	if peakResident > bound {
-		return fmt.Errorf("memory unbounded: resident backlog peaked at %d, bound %d", peakResident, bound)
-	}
-	if peakReorder > int64(fc.Config().ReorderCap) {
-		return fmt.Errorf("reorder buffer exceeded cap: %d > %d", peakReorder, fc.Config().ReorderCap)
-	}
-	return nil
+	return res.Bounded()
 }
 
 // runFFTSoak iterates the distributed 3D FFT with one slowed PE until the
@@ -406,7 +286,7 @@ func runFFTSoak(spec string, d, slow time.Duration, fcc flowctl.Config, agc *agg
 		}
 	})
 
-	sampler := startSampler(m)
+	watch := scenario.WatchResidency(m, m.NumPEs())
 	watchdog := time.AfterFunc(d+60*time.Second, rt.Shutdown)
 	defer watchdog.Stop()
 	start := time.Now()
@@ -419,26 +299,17 @@ func runFFTSoak(spec string, d, slow time.Duration, fcc flowctl.Config, agc *agg
 		}
 	})
 	elapsed := time.Since(start)
-	peakResident, peakReorder := sampler.finish()
-
 	// The FFT keeps at most one full transpose in flight per phase; the
 	// flow-control caps bound each PE's share of it.
-	fc := m.FlowController()
-	bound := int64(m.NumPEs()) * floodBound(lockless.DefaultRingSize, fc.Config())
+	res := watch()
 	fmt.Fprintf(out, "fft   over %-45s %8d iterations in %5.1fs, peak resident %d/bound %d, reorder %d/cap %d, parked %d\n",
-		spec+":", iters.Load(), elapsed.Seconds(), peakResident, bound, peakReorder,
-		fc.Config().ReorderCap, fc.BlockedTotal())
+		spec+":", iters.Load(), elapsed.Seconds(), res.PeakResident, res.ResidentBound, res.PeakReorder,
+		res.ReorderCap, m.FlowController().BlockedTotal())
 
 	if iters.Load() < 1 {
 		return fmt.Errorf("no forward progress: zero FFT iterations completed")
 	}
-	if peakResident > bound {
-		return fmt.Errorf("memory unbounded: resident backlog peaked at %d, bound %d", peakResident, bound)
-	}
-	if peakReorder > int64(fc.Config().ReorderCap) {
-		return fmt.Errorf("reorder buffer exceeded cap: %d > %d", peakReorder, fc.Config().ReorderCap)
-	}
-	return nil
+	return res.Bounded()
 }
 
 // runMDSoak repeats short MD runs (cutoff force field, velocity Verlet)
@@ -471,16 +342,12 @@ func runMDSoak(spec string, d, slow time.Duration, fcc flowctl.Config, agc *aggr
 		}
 		m := sim.Runtime().Machine()
 		m.PE(1).SetInvokeDelay(slow)
-		sampler := startSampler(m)
+		watch := scenario.WatchResidency(m, m.NumPEs())
 		rep := sim.Run()
-		r, b := sampler.finish()
+		res := watch()
 		tr.Close()
-		if r > peakResident {
-			peakResident = r
-		}
-		if b > peakReorder {
-			peakReorder = b
-		}
+		peakResident = max(peakResident, res.PeakResident)
+		peakReorder = max(peakReorder, res.PeakReorder)
 		if math.IsNaN(rep.Total()) || math.IsInf(rep.Total(), 0) {
 			return fmt.Errorf("md run %d produced non-finite energy %g", sims, rep.Total())
 		}
@@ -520,84 +387,18 @@ func runSweep(spec string, slow time.Duration, fcc flowctl.Config, agc *aggregat
 	fmt.Fprintf(out, "%14s %14s %14s %14s %10s\n", "offered msg/s", "achieved msg/s", "utilization", "peak resident", "parked")
 	for _, mult := range multipliers {
 		offered := capacity * mult
-		achieved, peak, parked, err := sweepCell(spec, cell, slow, offered, fcc, agc)
+		// What the slowed consumer executed inside the send window is the
+		// achieved rate; the drain afterwards is not part of it.
+		res, err := scenario.Flood(scenario.FloodConfig{
+			Transport: spec, Duration: cell, Rate: offered, Bytes: 8, Slow: slow,
+			RingSize: floodRing, FlowControl: &fcc, Aggregation: agc,
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweep cell %.0f/s: %v\n", offered, err)
 			os.Exit(1)
 		}
+		achieved := float64(res.InWindow) / res.Send.Seconds()
 		fmt.Fprintf(out, "%14.0f %14.0f %13.0f%% %14d %10d\n",
-			offered, achieved, 100*achieved/offered, peak, parked)
+			offered, achieved, 100*achieved/offered, res.PeakResident, res.Parked)
 	}
-}
-
-// sweepCell paces the producer at the offered rate for the cell duration
-// and measures what the slowed consumer actually executed in that window.
-func sweepCell(spec string, d, slow time.Duration, offered float64, fcc flowctl.Config, agc *aggregate.Config) (achieved float64, peak, parked int64, err error) {
-	const ringSize = 64
-	tr, err := transport.New(spec, 2, 1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer tr.Close()
-	m, err := converse.NewMachine(converse.Config{
-		Nodes: 2, WorkersPerNode: 1, Mode: converse.ModeSMP,
-		Transport: tr, RingSize: ringSize, FlowControl: &fcc, Aggregation: agc,
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	m.PE(1).SetInvokeDelay(slow)
-	var delivered atomic.Int64
-	h := m.RegisterHandler(func(pe *converse.PE, msg *converse.Message) {
-		delivered.Add(1)
-	})
-
-	sampler := startSampler(m)
-	var inWindow int64
-	var sent atomic.Int64
-	sendDone := make(chan struct{})
-	go func() {
-		<-sendDone
-		atomic.StoreInt64(&inWindow, delivered.Load())
-		grace := time.Now().Add(10 * time.Second)
-		for delivered.Load() < sent.Load() && time.Now().Before(grace) {
-			time.Sleep(time.Millisecond)
-		}
-		m.Shutdown()
-	}()
-
-	var elapsed time.Duration
-	m.Run(func(pe *converse.PE) {
-		if pe.Id() != 0 {
-			return
-		}
-		// Pace in 1 ms ticks: offered/1000 messages per tick. A parked
-		// tick (backpressure) just falls behind the schedule — offered
-		// load is a target, the ledger below measures what really went.
-		perTick := offered / 1000
-		begin := time.Now()
-		deadline := begin.Add(d)
-		credit := 0.0
-		for time.Now().Before(deadline) {
-			credit += perTick
-			for ; credit >= 1; credit-- {
-				msg := pe.NewMessage()
-				msg.Handler = h
-				msg.Bytes = 8
-				msg.Payload = int(sent.Load())
-				if err := pe.Send(1, msg); err != nil {
-					fmt.Fprintf(os.Stderr, "sweep send: %v\n", err)
-					credit = 0
-					break
-				}
-				sent.Add(1)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		elapsed = time.Since(begin)
-		close(sendDone)
-	})
-	peakResident, _ := sampler.finish()
-	fc := m.FlowController()
-	return float64(atomic.LoadInt64(&inWindow)) / elapsed.Seconds(), peakResident, fc.BlockedTotal(), nil
 }

@@ -6,7 +6,7 @@
 // runtime paid full per-message converse+PAMI+flow-control cost on every
 // few-byte payload; this package restores the amortization in software:
 //
-//   - Messages at or below MaxMsgBytes headed for a remote node are
+//   - Messages at or below DefaultMaxMsgBytes headed for a remote node are
 //     appended into a per-(src node, dst node) batch buffer instead of
 //     being injected individually. The buffer's backing storage comes from
 //     the node's mempool allocator — one allocation per batch, recycled
@@ -64,9 +64,6 @@ const (
 
 // Config tunes the aggregation layer. Zero values select the defaults.
 type Config struct {
-	// MaxMsgBytes is the eligibility threshold: messages strictly larger
-	// bypass aggregation.
-	MaxMsgBytes int
 	// MaxBatchBytes flushes a batch when its wire size reaches this.
 	MaxBatchBytes int
 	// MaxBatchMsgs flushes a batch when it holds this many messages.
@@ -80,9 +77,6 @@ type Config struct {
 
 // Normalize fills zero fields with defaults and enforces sane minima.
 func (c *Config) Normalize() {
-	if c.MaxMsgBytes <= 0 {
-		c.MaxMsgBytes = DefaultMaxMsgBytes
-	}
 	if c.MaxBatchBytes <= 0 {
 		c.MaxBatchBytes = DefaultMaxBatchBytes
 	}
@@ -213,7 +207,7 @@ func (a *Aggregator) Config() Config { return a.cfg }
 // Eligible reports whether a message of the given wire size should be
 // aggregated rather than sent directly.
 func (a *Aggregator) Eligible(bytes int) bool {
-	return bytes <= a.cfg.MaxMsgBytes && !a.closed.Load()
+	return bytes <= DefaultMaxMsgBytes && !a.closed.Load()
 }
 
 // Pending returns the number of open (unflushed) batches. The scheduler's

@@ -44,7 +44,7 @@ func newTestAgg(cfg Config, nodes int, c *collector) *Aggregator {
 func TestNormalizeDefaults(t *testing.T) {
 	var cfg Config
 	cfg.Normalize()
-	if cfg.MaxMsgBytes != DefaultMaxMsgBytes || cfg.MaxBatchBytes != DefaultMaxBatchBytes ||
+	if cfg.MaxBatchBytes != DefaultMaxBatchBytes ||
 		cfg.MaxBatchMsgs != DefaultMaxBatchMsgs || cfg.MaxDelay != DefaultMaxDelay {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
@@ -187,8 +187,8 @@ func TestDiscardDropsWithoutFlush(t *testing.T) {
 
 func TestEligible(t *testing.T) {
 	c := &collector{}
-	a := newTestAgg(Config{MaxMsgBytes: 64, MaxDelay: time.Hour}, 2, c)
-	if !a.Eligible(64) || a.Eligible(65) {
+	a := newTestAgg(Config{MaxDelay: time.Hour}, 2, c)
+	if !a.Eligible(DefaultMaxMsgBytes) || a.Eligible(DefaultMaxMsgBytes+1) {
 		t.Fatal("eligibility threshold wrong")
 	}
 	a.Close()

@@ -245,12 +245,12 @@ func TestAggregationFaultyTransportExactlyOnce(t *testing.T) {
 	}
 }
 
-// Messages above MaxMsgBytes, self-sends, and NoAgg messages bypass the
+// Messages above aggregate.DefaultMaxMsgBytes, self-sends, and NoAgg messages bypass the
 // aggregator entirely.
 func TestAggregationBypasses(t *testing.T) {
 	cfg := Config{
 		Nodes: 2, WorkersPerNode: 1, Mode: ModeSMP,
-		Aggregation: &aggregate.Config{MaxMsgBytes: 64},
+		Aggregation: &aggregate.Config{},
 	}
 	var count atomic.Int64
 	var h, hGo int
@@ -264,7 +264,7 @@ func TestAggregationBypasses(t *testing.T) {
 			})
 			hGo = m.RegisterHandler(func(pe *PE, msg *Message) {
 				// Oversize: direct path.
-				if err := pe.Send(1, &Message{Handler: h, Bytes: 128}); err != nil {
+				if err := pe.Send(1, &Message{Handler: h, Bytes: aggregate.DefaultMaxMsgBytes + 1}); err != nil {
 					t.Errorf("send: %v", err)
 				}
 				// NoAgg opt-out: direct path.

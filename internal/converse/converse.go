@@ -96,19 +96,14 @@ type Config struct {
 	// header (with exponential backoff; receivers dedup by sequence
 	// number). Zero disables timeouts — correct for reliable transports,
 	// where the timers would be pure overhead. NewMachine defaults it to
-	// DefaultRendezvousTimeout when the transport is unreliable.
+	// DefaultRendezvousTimeout when the transport is unreliable. A
+	// transfer whose maxRzvRetries header retransmissions all go unacked
+	// is abandoned: counted (RendezvousStats.Abandoned,
+	// converse/rzv_abandon_total) and logged, rate-limited.
 	RendezvousTimeout time.Duration
-	// OnRzvAbandon is invoked (from the retry-timer goroutine, after the
-	// transfer is already untracked) when a rendezvous transfer is
-	// abandoned: maxRzvRetries header retransmissions to dstRank went
-	// unacked, so bytes of payload are silently gone. The default counts
-	// it (converse/rzv_abandon_total) and emits a rate-limited log line;
-	// applications that cannot tolerate silent loss override it to
-	// surface or escalate. Must not block.
-	OnRzvAbandon func(dstRank, bytes int)
 	// Aggregation, when non-nil, arms the TRAM-style per-destination
 	// message aggregation layer: small remote messages (at or below
-	// Aggregation.MaxMsgBytes) append into per-(src node, dst node) batch
+	// aggregate.DefaultMaxMsgBytes) append into per-(src node, dst node) batch
 	// buffers and travel as one PAMI inject per batch, flushed when full,
 	// when Aggregation.MaxDelay expires, or — immediately — when the
 	// sending scheduler goes idle. Zero-valued fields inside take their
@@ -168,7 +163,8 @@ type Handler func(pe *PE, msg *Message)
 
 // Message is a Converse message. Within a node it travels by pointer
 // exchange; across nodes the functional network delivers the same value and
-// Bytes records the modelled wire size for statistics and the DES.
+// Bytes records the modelled wire size for statistics and the transports'
+// timing models.
 type Message struct {
 	Handler int
 	SrcPE   int
@@ -315,8 +311,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		alloc := mempool.NewPoolAllocator(cfg.WorkersPerNode+cfg.CommThreads, 0)
 		node.alloc = alloc
 		if fc != nil {
-			fcc := fc.Config()
-			alloc.SetWatermarks(fcc.SoftWatermark, fcc.HardWatermark)
+			alloc.SetWatermarks(flowctl.DefaultSoftWatermark, flowctl.DefaultHardWatermark)
 			rank := r
 			alloc.OnPressureChange(func(level int) { fc.SetPressure(rank, level) })
 		}

@@ -130,8 +130,8 @@ func TestFlowControlSlowConsumerBoundedExactlyOnce(t *testing.T) {
 	if p := atomic.LoadInt64(&peakResident); p > residencyBound {
 		t.Fatalf("resident backlog peaked at %d messages, bound is %d", p, residencyBound)
 	}
-	if p := atomic.LoadInt64(&peakReorder); p > int64(m.FlowController().Config().ReorderCap) {
-		t.Fatalf("reorder buffer peaked at %d, cap is %d", p, m.FlowController().Config().ReorderCap)
+	if p := atomic.LoadInt64(&peakReorder); p > int64(m.FlowController().ReorderCap()) {
+		t.Fatalf("reorder buffer peaked at %d, cap is %d", p, m.FlowController().ReorderCap())
 	}
 	if m.FlowController().BlockedTotal() == 0 {
 		t.Fatal("the flood never hit backpressure — bounds were not exercised")

@@ -202,16 +202,12 @@ func (m *Machine) retryRendezvous(seq uint64) {
 }
 
 // reportRzvAbandon surfaces an abandoned transfer — data silently lost
-// after the retry budget. The configured hook gets it; with no hook the
-// loss is still counted and logged at most once a second, so a dead
-// channel's worth of abandonments cannot drown the run's output.
+// after the retry budget. The loss is counted and logged at most once a
+// second, so a dead channel's worth of abandonments cannot drown the run's
+// output.
 func (m *Machine) reportRzvAbandon(dstRank, bytes int) {
 	if obs.On() {
 		mRzvAbandon.Inc(dstRank)
-	}
-	if hook := m.cfg.OnRzvAbandon; hook != nil {
-		hook(dstRank, bytes)
-		return
 	}
 	now := time.Now().UnixNano()
 	last := m.rzvAbandonLogNS.Load()

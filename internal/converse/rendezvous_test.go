@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"blueq/internal/obs"
 	"blueq/internal/transport"
 )
 
@@ -126,39 +127,37 @@ func TestRendezvousThresholdRespected(t *testing.T) {
 }
 
 // A transfer whose headers are all lost is abandoned after maxRzvRetries
-// and reported through OnRzvAbandon with the destination and byte count —
-// silent loss must be observable.
+// and counted, in RendezvousStats and in the obs counter sharded by
+// destination — silent loss must be observable.
 func TestRendezvousAbandonReported(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	abandon0 := mRzvAbandon.Value()
+
 	const bytes = 64 * 1024
 	tr, err := transport.New("faulty:seed=3,drop=1", 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gotDst, gotBytes atomic.Int64
-	var reported atomic.Bool
-	done := make(chan struct{})
 	var h int
 	m := runMachine(t, Config{
 		Nodes: 2, WorkersPerNode: 1, Mode: ModeSMP,
 		Transport:         tr,
 		RendezvousTimeout: 200 * time.Microsecond,
-		OnRzvAbandon: func(dstRank, b int) {
-			gotDst.Store(int64(dstRank))
-			gotBytes.Store(int64(b))
-			if reported.CompareAndSwap(false, true) {
-				close(done)
-			}
-		},
 	},
 		func(m *Machine) {
 			h = m.RegisterHandler(func(pe *PE, msg *Message) {
 				t.Error("payload delivered over a transport that drops everything")
 			})
 			go func() {
-				select {
-				case <-done:
-				case <-time.After(20 * time.Second):
-					t.Error("transfer never abandoned")
+				deadline := time.Now().Add(20 * time.Second)
+				// The obs counter moves after the stat, so both are set.
+				for mRzvAbandon.Value() == abandon0 {
+					if time.Now().After(deadline) {
+						t.Error("transfer never abandoned")
+						break
+					}
+					time.Sleep(time.Millisecond)
 				}
 				m.Shutdown()
 			}()
@@ -168,14 +167,11 @@ func TestRendezvousAbandonReported(t *testing.T) {
 				_ = pe.Send(1, &Message{Handler: h, Bytes: bytes, Payload: make([]byte, bytes)})
 			}
 		})
-	if !reported.Load() {
-		t.Fatal("OnRzvAbandon never invoked")
-	}
-	if gotDst.Load() != 1 || gotBytes.Load() != bytes {
-		t.Fatalf("abandon reported (dst=%d, bytes=%d), want (1, %d)", gotDst.Load(), gotBytes.Load(), bytes)
-	}
 	if n := m.RendezvousStats().Abandoned.Load(); n != 1 {
 		t.Fatalf("Abandoned = %d, want 1", n)
+	}
+	if d := mRzvAbandon.Value() - abandon0; d != 1 {
+		t.Fatalf("rzv_abandon_total delta = %d, want 1", d)
 	}
 }
 

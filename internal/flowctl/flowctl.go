@@ -49,7 +49,8 @@ const (
 	DefaultWindow = 256
 	// DefaultOverflowCap bounds the lockless overflow queue per PE.
 	DefaultOverflowCap = 4096
-	// DefaultReorderCap bounds the PAMI reorder buffer per channel.
+	// DefaultReorderCap is the floor of the PAMI reorder-buffer bound per
+	// channel (see Controller.ReorderCap).
 	DefaultReorderCap = 512
 	// DefaultBurstLimit bounds in-flight m2m messages per destination PE.
 	DefaultBurstLimit = 64
@@ -77,17 +78,8 @@ type Config struct {
 	// OverflowCap caps each PE's lockless overflow queue; producers park
 	// when it is full.
 	OverflowCap int
-	// ReorderCap caps the PAMI reliability reorder buffer per channel;
-	// out-of-order arrivals beyond it are refused (the sender's
-	// retransmission timer re-offers them once in-order space frees).
-	ReorderCap int
 	// BurstLimit caps in-flight many-to-many messages per destination PE.
 	BurstLimit int
-	// SoftWatermark and HardWatermark are mempool live-bytes thresholds:
-	// crossing soft halves granted windows, crossing hard quarters them
-	// and starts shedding best-effort traffic.
-	SoftWatermark int64
-	HardWatermark int64
 	// MaxBlock bounds how long a sender parks on an exhausted window or a
 	// full cap before proceeding on overdraft. Liveness beats the bound:
 	// a cyclic-wait pattern degrades to one message per MaxBlock instead
@@ -95,10 +87,7 @@ type Config struct {
 	MaxBlock time.Duration
 }
 
-// Normalize fills zero fields with defaults and enforces cross-field
-// invariants (the reorder cap must admit at least a full credit window,
-// or a burst of in-flight packets arriving fully reversed could live-lock
-// on retransmissions).
+// Normalize fills zero fields with defaults.
 func (c *Config) Normalize() {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
@@ -106,23 +95,8 @@ func (c *Config) Normalize() {
 	if c.OverflowCap <= 0 {
 		c.OverflowCap = DefaultOverflowCap
 	}
-	if c.ReorderCap <= 0 {
-		c.ReorderCap = DefaultReorderCap
-	}
-	if c.ReorderCap < c.Window {
-		c.ReorderCap = c.Window
-	}
 	if c.BurstLimit <= 0 {
 		c.BurstLimit = DefaultBurstLimit
-	}
-	if c.SoftWatermark <= 0 {
-		c.SoftWatermark = DefaultSoftWatermark
-	}
-	if c.HardWatermark <= 0 {
-		c.HardWatermark = DefaultHardWatermark
-	}
-	if c.HardWatermark < c.SoftWatermark {
-		c.HardWatermark = c.SoftWatermark
 	}
 	if c.MaxBlock <= 0 {
 		c.MaxBlock = DefaultMaxBlock
@@ -179,6 +153,13 @@ func NewController(cfg Config, nodes int) *Controller {
 
 // Config returns the normalized configuration.
 func (c *Controller) Config() Config { return c.cfg }
+
+// ReorderCap is the bound on the PAMI reliability reorder buffer per
+// channel: out-of-order arrivals beyond it are refused (the sender's
+// retransmission timer re-offers them once in-order space frees). It
+// admits at least a full credit window, or a burst of in-flight packets
+// arriving fully reversed could live-lock on retransmissions.
+func (c *Controller) ReorderCap() int { return max(DefaultReorderCap, c.cfg.Window) }
 
 // Window returns the directed credit window for eager sends src→dst.
 func (c *Controller) Window(src, dst int) *Window {

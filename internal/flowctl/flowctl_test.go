@@ -10,24 +10,20 @@ func TestConfigNormalize(t *testing.T) {
 	var c Config
 	c.Normalize()
 	if c.Window != DefaultWindow || c.OverflowCap != DefaultOverflowCap ||
-		c.ReorderCap != DefaultReorderCap || c.BurstLimit != DefaultBurstLimit ||
-		c.SoftWatermark != DefaultSoftWatermark || c.HardWatermark != DefaultHardWatermark ||
-		c.MaxBlock != DefaultMaxBlock {
+		c.BurstLimit != DefaultBurstLimit || c.MaxBlock != DefaultMaxBlock {
 		t.Fatalf("zero config did not pick defaults: %+v", c)
 	}
+}
 
-	// The reorder cap must admit a full credit window.
-	c = Config{Window: 1024, ReorderCap: 16}
-	c.Normalize()
-	if c.ReorderCap != 1024 {
-		t.Fatalf("ReorderCap = %d, want raised to Window 1024", c.ReorderCap)
-	}
-
-	// Hard watermark can never sit below soft.
-	c = Config{SoftWatermark: 100 << 20, HardWatermark: 1 << 20}
-	c.Normalize()
-	if c.HardWatermark != c.SoftWatermark {
-		t.Fatalf("HardWatermark = %d below soft %d", c.HardWatermark, c.SoftWatermark)
+// The reorder cap is max(DefaultReorderCap, Window): it must admit a full
+// credit window.
+func TestReorderCapAdmitsWindow(t *testing.T) {
+	for _, c := range []struct{ window, want int }{
+		{0, DefaultReorderCap}, {16, DefaultReorderCap}, {1024, 1024},
+	} {
+		if got := NewController(Config{Window: c.window}, 2).ReorderCap(); got != c.want {
+			t.Errorf("Window %d: ReorderCap = %d, want %d", c.window, got, c.want)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
-	"time"
 
 	"blueq/internal/charm"
 	"blueq/internal/converse"
@@ -191,16 +190,6 @@ func (mgr *Manager) registerGroup() {
 	mgr.eAck = mgr.grp.Entry(func(pe *converse.PE, _ charm.Element, p any) { mgr.onAck(pe, p.(*ackMsg)) })
 }
 
-// CheckpointDue reports whether CheckpointInterval has elapsed since the
-// last committed epoch (or since startup). Always false when the interval
-// is zero: cadence is then fully application-driven.
-func (mgr *Manager) CheckpointDue() bool {
-	if mgr.cfg.CheckpointInterval <= 0 {
-		return false
-	}
-	return time.Now().UnixNano()-mgr.lastCkptNS.Load() >= mgr.cfg.CheckpointInterval.Nanoseconds()
-}
-
 // Checkpoint starts a coordinated checkpoint. Call from an entry method at
 // an application quiescent point — no protected-array messages may be in
 // flight. cont runs on the leader PE once the epoch commits; chain the
@@ -337,7 +326,6 @@ func (mgr *Manager) onAck(pe *converse.PE, m *ackMsg) {
 		if r.acks == r.need {
 			mgr.round = nil
 			mgr.committed.Store(r.epoch)
-			mgr.lastCkptNS.Store(time.Now().UnixNano())
 			mgr.checkpoints.Add(1)
 			if obs.On() {
 				obsCkptCommit.Inc(pe.Id())

@@ -12,7 +12,7 @@ import (
 // arrival processing never queues behind application messages. Each node
 // keeps a per-peer last-heard timestamp and a smoothed inter-arrival time;
 // a peer is suspected when its silence exceeds
-// max(SuspectAfter, PhiFactor × smoothed interval) — the timeout floor
+// max(SuspectAfter, phiFactor × smoothed interval) — the timeout floor
 // guards cold channels, the phi-style adaptive term tracks links whose
 // delivery the transport is contending or delaying. Suspicion is local
 // and cheap to be wrong about; a failure is confirmed only when a strict
@@ -159,7 +159,7 @@ func (mgr *Manager) evaluate() []int {
 			}
 			silence := now - mgr.lastHeard[obsr][target].Load()
 			threshold := floor
-			if adaptive := int64(mgr.cfg.PhiFactor * float64(mgr.interval[obsr][target].Load())); adaptive > threshold {
+			if adaptive := phiFactor * mgr.interval[obsr][target].Load(); adaptive > threshold {
 				threshold = adaptive
 			}
 			sus := silence > threshold

@@ -44,29 +44,17 @@ import (
 // even when every PE is blocked waiting for a dead peer).
 const heartbeatDispatch = 9
 
-// Config tunes the detector and checkpoint cadence. Zero values select
-// the documented defaults.
+// Config tunes the detector. Zero values select the documented defaults;
+// checkpoints are purely application-driven.
 type Config struct {
 	// HeartbeatInterval is the period of node-to-node heartbeats.
 	// Default 5ms.
 	HeartbeatInterval time.Duration
 	// SuspectAfter is the silence floor before an observer suspects a
 	// peer. The effective threshold per pair is
-	// max(SuspectAfter, PhiFactor × smoothed inter-arrival), so a noisy
+	// max(SuspectAfter, phiFactor × smoothed inter-arrival), so a noisy
 	// link raises its own bar. Default 20 × HeartbeatInterval.
 	SuspectAfter time.Duration
-	// PhiFactor scales the smoothed heartbeat inter-arrival time into the
-	// adaptive part of the suspicion threshold. Default 12.
-	PhiFactor float64
-	// CheckpointInterval drives CheckpointDue: the application is asked to
-	// checkpoint when this much time has passed since the last committed
-	// epoch. Zero means checkpoints are purely application-driven.
-	CheckpointInterval time.Duration
-	// ProbeRounds is how many path-diverse probe rounds a majority-
-	// suspected (but not fail-stopped) target gets before its death is
-	// confirmed; rounds past the first bump the adaptive path salts so the
-	// pings travel different routes (probe.go). Default 2.
-	ProbeRounds int
 	// ProbeTimeout is how long one probe round waits for an echo.
 	// Default 4 × HeartbeatInterval.
 	ProbeTimeout time.Duration
@@ -83,18 +71,23 @@ type Config struct {
 	OnUnrecoverable func(err error)
 }
 
+const (
+	// phiFactor scales the smoothed heartbeat inter-arrival time into the
+	// adaptive part of the suspicion threshold.
+	phiFactor = 12
+	// probeRounds is how many path-diverse probe rounds a majority-
+	// suspected (but not fail-stopped) target gets before its death is
+	// confirmed; rounds past the first bump the adaptive path salts so the
+	// pings travel different routes (probe.go).
+	probeRounds = 2
+)
+
 func (c *Config) normalize() {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 5 * time.Millisecond
 	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 20 * c.HeartbeatInterval
-	}
-	if c.PhiFactor <= 0 {
-		c.PhiFactor = 12
-	}
-	if c.ProbeRounds <= 0 {
-		c.ProbeRounds = 2
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 4 * c.HeartbeatInterval
@@ -141,7 +134,6 @@ type Manager struct {
 	ckptSeq             uint64
 	round               *ckptRound
 	committed           atomic.Uint64
-	lastCkptNS          atomic.Int64
 
 	// detector (detector.go)
 	lastHeard [][]atomic.Int64 // [observer][target] ns of last heartbeat
@@ -229,7 +221,6 @@ func New(rt *charm.Runtime, cfg Config) *Manager {
 	// without waiting for heartbeat silence.
 	m.PAMIClient().SetRetryStreakObserver(mgr.onRetryStreak)
 	mgr.registerGroup()
-	mgr.lastCkptNS.Store(time.Now().UnixNano())
 	mgr.wg.Add(4)
 	go mgr.heartbeatLoop()
 	go mgr.monitorLoop()

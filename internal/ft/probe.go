@@ -178,7 +178,7 @@ func (mgr *Manager) probeTarget(target int) {
 		return
 	}
 
-	for round := 0; round < mgr.cfg.ProbeRounds; round++ {
+	for round := 0; round < probeRounds; round++ {
 		select {
 		case <-mgr.stop:
 			mgr.probing[target].Store(false)

@@ -132,17 +132,29 @@ func (mgr *Manager) diffusionTick(pe *converse.PE, _ *Meter, _ int) {
 	mgr.diffuse(pe)
 }
 
+const (
+	// diffusionThreshold is the relative overload that triggers a
+	// diffusion move: migrate only when this PE's load exceeds the
+	// lightest neighbor's by more than this fraction.
+	diffusionThreshold = 0.4
+	// minLoadNS ignores PEs measuring below this: idle noise must not
+	// cause migration churn.
+	minLoadNS = 50_000
+)
+
 // diffuse makes one local decision on pe: if this PE's load exceeds the
 // lightest visible PE — same node, or a ring-neighbor node known through
-// gossip — by more than Threshold, shed the largest element that fits in
-// half the gap. Moving at most half the gap can never invert the
-// imbalance, which is what keeps diffusion from oscillating.
+// gossip — by more than diffusionThreshold, shed the largest element that
+// fits in half the gap. Moving at most half the gap can never invert the
+// imbalance, which is what keeps diffusion from oscillating; one move per
+// decision, because diffusion converges by many small steps, not one
+// upheaval.
 func (mgr *Manager) diffuse(pe *converse.PE) {
 	me := pe.Id()
 	r := pe.Node().Rank()
 	view := mgr.views[r]
 	myLoad := view[me].Load()
-	if myLoad < mgr.cfg.MinLoadNS {
+	if myLoad < minLoadNS {
 		return
 	}
 	nodes := mgr.m.NumNodes()
@@ -172,7 +184,7 @@ func (mgr *Manager) diffuse(pe *converse.PE) {
 	if dst < 0 {
 		return
 	}
-	if float64(myLoad) <= float64(dstLoad)*(1+mgr.cfg.Threshold)+float64(mgr.cfg.MinLoadNS) {
+	if float64(myLoad) <= float64(dstLoad)*(1+diffusionThreshold)+minLoadNS {
 		return
 	}
 	gap := myLoad - dstLoad
@@ -180,7 +192,6 @@ func (mgr *Manager) diffuse(pe *converse.PE) {
 	mgr.mu.Lock()
 	arrays := append([]*managed(nil), mgr.arrays...)
 	mgr.mu.Unlock()
-	moves := 0
 	for _, man := range arrays {
 		best, bestLoad := -1, int64(0)
 		for idx, h := range man.a.Homes() {
@@ -205,10 +216,7 @@ func (mgr *Manager) diffuse(pe *converse.PE) {
 		if obs.On() {
 			obsDiffMove.Inc(me)
 		}
-		moves++
-		if moves >= mgr.cfg.MaxMoves {
-			return
-		}
+		return
 	}
 }
 

@@ -39,16 +39,6 @@ type Config struct {
 	Diffusion bool
 	// Period is the gossip/decision cadence (default 2ms).
 	Period time.Duration
-	// Threshold is the relative overload that triggers a diffusion move:
-	// migrate only when this PE's load exceeds the lightest neighbor's
-	// by more than Threshold×. Default 0.4.
-	Threshold float64
-	// MaxMoves caps migrations per PE per diffusion decision (default 1:
-	// diffusion converges by many small steps, not one upheaval).
-	MaxMoves int
-	// MinLoadNS ignores PEs and elements measuring below this (default
-	// 50µs): idle noise must not cause migration churn.
-	MinLoadNS int64
 }
 
 func (c *Config) normalize() {
@@ -57,15 +47,6 @@ func (c *Config) normalize() {
 	}
 	if c.Period <= 0 {
 		c.Period = 2 * time.Millisecond
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 0.4
-	}
-	if c.MaxMoves <= 0 {
-		c.MaxMoves = 1
-	}
-	if c.MinLoadNS <= 0 {
-		c.MinLoadNS = 50_000
 	}
 }
 

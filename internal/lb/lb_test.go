@@ -45,27 +45,6 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	if c.Period != 2*time.Millisecond {
 		t.Errorf("default Period = %v, want 2ms", c.Period)
 	}
-	if c.Threshold != 0.4 {
-		t.Errorf("default Threshold = %v, want 0.4", c.Threshold)
-	}
-	if c.MaxMoves != 1 {
-		t.Errorf("default MaxMoves = %d, want 1", c.MaxMoves)
-	}
-	if c.MinLoadNS != 50_000 {
-		t.Errorf("default MinLoadNS = %d, want 50000", c.MinLoadNS)
-	}
-}
-
-func TestByName(t *testing.T) {
-	for name, want := range map[string]string{"greedy": "greedy", "refine": "refine"} {
-		s, err := ByName(name)
-		if err != nil || s.Name() != want {
-			t.Errorf("ByName(%q) = %v, %v", name, s, err)
-		}
-	}
-	if _, err := ByName("rotate"); err == nil {
-		t.Error("ByName accepted an unknown strategy")
-	}
 }
 
 // The centralized strategies are thin, deterministic adapters over

@@ -1,10 +1,6 @@
 package lb
 
-import (
-	"fmt"
-
-	"blueq/internal/charm"
-)
+import "blueq/internal/charm"
 
 // Strategy plans a new element-to-PE map from measured loads. The two
 // centralized Charm++ strategies reuse charm's placement algorithms; the
@@ -36,16 +32,4 @@ func (Refine) Name() string { return "refine" }
 
 func (Refine) Plan(loads []float64, home []int32, npes int) []int32 {
 	return charm.RefinePlacement(loads, home, npes)
-}
-
-// ByName maps the flag spellings used by cmd/experiments and cmd/soak to
-// strategies.
-func ByName(name string) (Strategy, error) {
-	switch name {
-	case "greedy":
-		return Greedy{}, nil
-	case "refine":
-		return Refine{}, nil
-	}
-	return nil, fmt.Errorf("lb: unknown strategy %q (want greedy or refine)", name)
 }

@@ -1,10 +1,6 @@
 package md
 
-import (
-	"math"
-
-	"blueq/internal/qpx"
-)
+import "math"
 
 // NonbondedParams configures the cutoff pair interactions.
 type NonbondedParams struct {
@@ -15,8 +11,6 @@ type NonbondedParams struct {
 	// EwaldBeta is the Ewald splitting parameter; > 0 adds the real-space
 	// erfc(βr)/r electrostatic term (the PME direct-space part).
 	EwaldBeta float64
-	// UseQPX selects the 4-wide vectorized kernel (paper §IV-B.1).
-	UseQPX bool
 	// TableBins > 0 evaluates erfc through the NAMD-style interpolation
 	// table instead of calling erfc directly.
 	TableBins int
@@ -170,8 +164,8 @@ func mod(a, n int) int {
 // real-space Ewald interaction (paper §IV-B.1's "large interpolation
 // table").
 type erfcTable struct {
-	energy *qpx.InterpolationTable // erfc(βr)/r as function of r²
-	force  *qpx.InterpolationTable // (erfc(βr)/r + 2β/√π·exp(-β²r²))/r² as fn of r²
+	energy *InterpolationTable // erfc(βr)/r as function of r²
+	force  *InterpolationTable // (erfc(βr)/r + 2β/√π·exp(-β²r²))/r² as fn of r²
 }
 
 func newErfcTable(beta, cutoff float64, bins int) *erfcTable {
@@ -186,24 +180,8 @@ func newErfcTable(beta, cutoff float64, bins int) *erfcTable {
 		return (math.Erfc(beta*r)/r + 2*beta/math.SqrtPi*math.Exp(-beta*beta*r2)) / r2
 	}
 	return &erfcTable{
-		energy: qpx.NewInterpolationTable(e, r2min, r2max, bins),
-		force:  qpx.NewInterpolationTable(f, r2min, r2max, bins),
-	}
-}
-
-// ComputeNonbonded evaluates LJ + real-space Ewald forces within the cutoff
-// into out. The kernel variant (scalar vs QPX) and erfc evaluation (direct
-// vs table) follow params.
-func ComputeNonbonded(s *System, params NonbondedParams, out *Forces) {
-	cl := NewCellList(s, params.Cutoff)
-	var tab *erfcTable
-	if params.EwaldBeta > 0 && params.TableBins > 0 {
-		tab = newErfcTable(params.EwaldBeta, params.Cutoff, params.TableBins)
-	}
-	if params.UseQPX {
-		computeNonbondedQPX(s, params, cl, tab, out)
-	} else {
-		computeNonbondedScalar(s, params, cl, tab, out)
+		energy: NewInterpolationTable(e, r2min, r2max, bins),
+		force:  NewInterpolationTable(f, r2min, r2max, bins),
 	}
 }
 
@@ -224,7 +202,14 @@ func ljSwitch(r2, ron2, roff2 float64) (sw, dswdr2 float64) {
 	return sw, dswdr2
 }
 
-func computeNonbondedScalar(s *System, p NonbondedParams, cl *CellList, tab *erfcTable, out *Forces) {
+// ComputeNonbonded evaluates LJ + real-space Ewald forces within the cutoff
+// into out; p.TableBins selects direct or table erfc evaluation.
+func ComputeNonbonded(s *System, p NonbondedParams, out *Forces) {
+	cl := NewCellList(s, p.Cutoff)
+	var tab *erfcTable
+	if p.EwaldBeta > 0 && p.TableBins > 0 {
+		tab = newErfcTable(p.EwaldBeta, p.Cutoff, p.TableBins)
+	}
 	cut2 := p.Cutoff * p.Cutoff
 	ron2 := cut2
 	if p.SwitchDist > 0 {
@@ -278,99 +263,6 @@ func computeNonbondedScalar(s *System, p NonbondedParams, cl *CellList, tab *erf
 		out.F[j] = out.F[j].Sub(f)
 		out.Virial += fr * r2
 	})
-}
-
-// computeNonbondedQPX is the 4-wide kernel: pairs are gathered in batches of
-// four and processed with Vec4 arithmetic, the structure the XL-compiler
-// QPX intrinsics give the NAMD inner loop. Results are bit-comparable to
-// the scalar kernel only up to FMA rounding; tests use tolerances.
-func computeNonbondedQPX(s *System, p NonbondedParams, cl *CellList, tab *erfcTable, out *Forces) {
-	cut2 := p.Cutoff * p.Cutoff
-	ron2 := cut2
-	if p.SwitchDist > 0 {
-		ron2 = p.SwitchDist * p.SwitchDist
-	}
-	beta := p.EwaldBeta
-
-	// Pair batch buffers.
-	var bi, bj [qpx.Width]int
-	var dx, dy, dz, r2v qpx.Vec4
-	fill := 0
-
-	flush := func() {
-		if fill == 0 {
-			return
-		}
-		n := fill
-		fill = 0
-		// Gather per-pair parameters.
-		var epsV, sigV, qqV qpx.Vec4
-		for l := 0; l < n; l++ {
-			epsV[l] = math.Sqrt(s.Eps[bi[l]] * s.Eps[bj[l]])
-			sigV[l] = 0.5 * (s.Sigma[bi[l]] + s.Sigma[bj[l]])
-			qqV[l] = s.Charge[bi[l]] * s.Charge[bj[l]]
-		}
-		// LJ: sr2 = sig²/r², vectorized.
-		invR2 := r2v.Recip()
-		sr2 := sigV.Mul(sigV).Mul(invR2)
-		sr6 := sr2.Mul(sr2).Mul(sr2)
-		sr12 := sr6.Mul(sr6)
-		four := qpx.Splat(4)
-		elj := four.Mul(epsV).Mul(sr12.Sub(sr6))
-		dlj := qpx.Splat(24).Mul(epsV).Mul(qpx.Splat(2).Mul(sr12).Sub(sr6)).Mul(invR2)
-		// Electrostatics via the interpolation table (4-wide lookup) or
-		// direct scalar erfc per lane.
-		var eel, fel qpx.Vec4
-		if beta > 0 {
-			if tab != nil {
-				eel = tab.energy.LookupQPX(r2v).Mul(qqV)
-				fel = tab.force.LookupQPX(r2v).Mul(qqV)
-			} else {
-				for l := 0; l < n; l++ {
-					r := math.Sqrt(r2v[l])
-					er := math.Erfc(beta * r)
-					eel[l] = qqV[l] * er / r
-					fel[l] = qqV[l] * (er/r + 2*beta/math.SqrtPi*math.Exp(-beta*beta*r2v[l])) / r2v[l]
-				}
-			}
-		}
-		for l := 0; l < n; l++ {
-			sw, dsw := ljSwitch(r2v[l], ron2, cut2)
-			fr := 0.0
-			if epsV[l] != 0 {
-				out.LJEnergy += elj[l] * sw
-				fr += dlj[l]*sw - elj[l]*dsw*2
-			}
-			if qqV[l] != 0 {
-				out.ElecEnergy += eel[l]
-				fr += fel[l]
-			}
-			f := Vec3{dx[l], dy[l], dz[l]}.Scale(fr)
-			out.F[bi[l]] = out.F[bi[l]].Add(f)
-			out.F[bj[l]] = out.F[bj[l]].Sub(f)
-			out.Virial += fr * r2v[l]
-		}
-	}
-
-	cl.ForEachPair(func(i, j int) {
-		if s.IsExcluded(i, j) {
-			return
-		}
-		d := s.Box.MinImage(s.Pos[i].Sub(s.Pos[j]))
-		r2 := d.Norm2()
-		if r2 >= cut2 || r2 == 0 {
-			return
-		}
-		out.Pairs++
-		bi[fill], bj[fill] = i, j
-		dx[fill], dy[fill], dz[fill] = d[0], d[1], d[2]
-		r2v[fill] = r2
-		fill++
-		if fill == qpx.Width {
-			flush()
-		}
-	})
-	flush()
 }
 
 // ---------------------------------------------------------------------------

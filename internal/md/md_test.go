@@ -139,41 +139,28 @@ func TestCellListTwoCellsNoDuplicates(t *testing.T) {
 // Newton's third law: nonbonded + bonded forces sum to ~zero.
 func TestForcesSumToZero(t *testing.T) {
 	s := WaterBox(WaterBoxConfig{Molecules: 30, Seed: 5})
-	for _, useQPX := range []bool{false, true} {
-		f := NewForces(s.N())
-		ComputeNonbonded(s, NonbondedParams{Cutoff: 5, SwitchDist: 4, EwaldBeta: 0.35, UseQPX: useQPX}, f)
-		ComputeBonded(s, f)
-		var sum Vec3
-		for _, fi := range f.F {
-			sum = sum.Add(fi)
-		}
-		if sum.Norm() > 1e-8 {
-			t.Fatalf("qpx=%v: net force %v", useQPX, sum)
-		}
+	f := NewForces(s.N())
+	ComputeNonbonded(s, NonbondedParams{Cutoff: 5, SwitchDist: 4, EwaldBeta: 0.35}, f)
+	ComputeBonded(s, f)
+	var sum Vec3
+	for _, fi := range f.F {
+		sum = sum.Add(fi)
+	}
+	if sum.Norm() > 1e-8 {
+		t.Fatalf("net force %v", sum)
 	}
 }
 
-// The QPX kernel must match the scalar kernel.
-func TestQPXKernelMatchesScalar(t *testing.T) {
-	s := WaterBox(WaterBoxConfig{Molecules: 50, Seed: 6})
-	p := NonbondedParams{Cutoff: 5, SwitchDist: 4, EwaldBeta: 0.35}
-	fs := NewForces(s.N())
-	ComputeNonbonded(s, p, fs)
-	p.UseQPX = true
-	fq := NewForces(s.N())
-	ComputeNonbonded(s, p, fq)
-	if fs.Pairs != fq.Pairs {
-		t.Fatalf("pair counts differ: %d vs %d", fs.Pairs, fq.Pairs)
-	}
-	if math.Abs(fs.LJEnergy-fq.LJEnergy) > 1e-8*math.Abs(fs.LJEnergy)+1e-10 {
-		t.Fatalf("LJ energy %g vs %g", fs.LJEnergy, fq.LJEnergy)
-	}
-	if math.Abs(fs.ElecEnergy-fq.ElecEnergy) > 1e-8*math.Abs(fs.ElecEnergy)+1e-10 {
-		t.Fatalf("elec energy %g vs %g", fs.ElecEnergy, fq.ElecEnergy)
-	}
-	for i := range fs.F {
-		if fs.F[i].Sub(fq.F[i]).Norm() > 1e-7*(1+fs.F[i].Norm()) {
-			t.Fatalf("force %d: %v vs %v", i, fs.F[i], fq.F[i])
+// A table over a force-like r^-3 curve stays within 1e-4 of the function.
+func TestInterpolationTableAccuracy(t *testing.T) {
+	f := func(r2 float64) float64 { return 1 / (r2 * math.Sqrt(r2)) }
+	tab := NewInterpolationTable(f, 1, 144, 768)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		r2 := 1 + rng.Float64()*142.9
+		got, want := tab.Lookup(r2), f(r2)
+		if math.Abs(got-want) > 1e-4*math.Max(1, math.Abs(want)) {
+			t.Fatalf("Lookup(%v) = %v, want %v", r2, got, want)
 		}
 	}
 }
@@ -333,9 +320,9 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 }
 
-func benchNonbonded(b *testing.B, useQPX bool, tableBins int) {
+func benchNonbonded(b *testing.B, tableBins int) {
 	s := WaterBox(WaterBoxConfig{Molecules: 500, Seed: 20})
-	p := NonbondedParams{Cutoff: 6, SwitchDist: 5, EwaldBeta: 0.35, UseQPX: useQPX, TableBins: tableBins}
+	p := NonbondedParams{Cutoff: 6, SwitchDist: 5, EwaldBeta: 0.35, TableBins: tableBins}
 	f := NewForces(s.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -344,7 +331,5 @@ func benchNonbonded(b *testing.B, useQPX bool, tableBins int) {
 	}
 }
 
-func BenchmarkNonbondedScalar(b *testing.B)      { benchNonbonded(b, false, 0) }
-func BenchmarkNonbondedQPX(b *testing.B)         { benchNonbonded(b, true, 0) }
-func BenchmarkNonbondedScalarTable(b *testing.B) { benchNonbonded(b, false, 768) }
-func BenchmarkNonbondedQPXTable(b *testing.B)    { benchNonbonded(b, true, 768) }
+func BenchmarkNonbondedDirect(b *testing.B) { benchNonbonded(b, 0) }
+func BenchmarkNonbondedTable(b *testing.B)  { benchNonbonded(b, 768) }

@@ -85,8 +85,8 @@ func NewClientFlow(tr transport.Transport, ctxPerNode int, fc *flowctl.Controlle
 	}
 	reliable := tr.Reliable()
 	rcap := DefaultReorderCap
-	if fc != nil && fc.Config().ReorderCap > 0 {
-		rcap = fc.Config().ReorderCap
+	if fc != nil {
+		rcap = fc.ReorderCap()
 	}
 	c := &Client{tr: tr, nodes: make([]*Node, tr.Nodes()), fc: fc, crc: !reliable && CRCEnabled}
 	for r := range c.nodes {

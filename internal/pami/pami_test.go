@@ -10,12 +10,10 @@ import (
 	"blueq/internal/transport"
 )
 
-// newTestClient builds a client over a bare functional network wrapped in
-// the inproc transport.
+// newTestClient builds a client over the inproc transport.
 func newTestClient(nodes, ctxs int) *Client {
 	tor := torus.MustNew(torus.ShapeForNodes(nodes))
-	net := torus.NewNetwork(tor, ctxs)
-	return NewClient(transport.OverNetwork(net), ctxs)
+	return NewClient(transport.NewInproc(tor, ctxs), ctxs)
 }
 
 func TestSendImmediateDispatch(t *testing.T) {

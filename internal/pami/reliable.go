@@ -42,7 +42,8 @@ var (
 	// An out-of-order arrival finding the buffer full is refused — neither
 	// buffered nor acknowledged — so the sender's retransmission timer
 	// re-offers it once the gap closes: exactly-once delivery with bounded
-	// receiver memory. A flowctl Config overrides it (NewClientFlow).
+	// receiver memory. With flow control attached the bound is the
+	// controller's ReorderCap instead (NewClientFlow).
 	DefaultReorderCap = 512
 	// RetryStreakThreshold is how many consecutive retransmission rounds a
 	// channel endures without an intervening ack before the retry-streak

@@ -1,0 +1,139 @@
+package scenario
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"blueq/internal/aggregate"
+	"blueq/internal/flowctl"
+)
+
+// Flood holds both verdicts over a clean, a lossy and a corrupting
+// transport; bare, with flow control plus aggregation armed, and with a
+// slowed consumer behind tight flow-control caps (the soak cell); bounded
+// by a message count and by a duration.
+func TestFloodVerdicts(t *testing.T) {
+	shapes := []struct {
+		name string
+		cfg  FloodConfig
+	}{
+		{"bare", FloodConfig{}},
+		{"flow+agg", FloodConfig{FlowControl: &flowctl.Config{}, Aggregation: &aggregate.Config{}}},
+		{"slowed", FloodConfig{
+			Slow: 50 * time.Microsecond, RingSize: 64,
+			FlowControl: &flowctl.Config{Window: 16, OverflowCap: 64},
+		}},
+	}
+	for _, spec := range []string{
+		"inproc",
+		"faulty:seed=7,drop=0.05,dup=0.02",
+		"faulty:seed=7,corrupt=0.02,truncate=0.01,drop=0.02",
+	} {
+		for _, shape := range shapes {
+			for _, bound := range []string{"count", "time"} {
+				t.Run(spec+"/"+shape.name+"/"+bound, func(t *testing.T) {
+					cfg := shape.cfg
+					cfg.Transport, cfg.Bytes = spec, 8
+					if bound == "count" {
+						cfg.Count = 400
+					} else {
+						cfg.Duration = 20 * time.Millisecond
+					}
+					res, err := Flood(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := res.ExactlyOnce(); err != nil {
+						t.Error(err)
+					}
+					if err := res.Bounded(); err != nil {
+						t.Error(err)
+					}
+					if res.Sent == 0 || (cfg.Count > 0 && res.Sent != int64(cfg.Count)) {
+						t.Errorf("sent %d messages of Count %d", res.Sent, cfg.Count)
+					}
+					if res.Send <= 0 || res.InWindow > res.Sent || res.Stats.Injected < res.Sent/128 {
+						t.Errorf("implausible result: %+v", res)
+					}
+					if shape.name == "slowed" && (res.ResidentBound == 0 || res.Parked == 0) {
+						t.Errorf("slowed consumer never hit backpressure — the bound was not exercised: %+v", res)
+					}
+				})
+			}
+		}
+	}
+}
+
+// A paced flood offers its rate and no more; a config with both bounds or
+// neither is refused.
+func TestFloodPacingAndBounds(t *testing.T) {
+	res, err := Flood(FloodConfig{Duration: 100 * time.Millisecond, Rate: 5000, Bytes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.ExactlyOnce(); err != nil {
+		t.Fatal(err)
+	}
+	// 5 messages a tick for at most 100 ticks.
+	if res.Sent == 0 || res.Sent > 500 {
+		t.Fatalf("paced at 5000/s for 100 ms but sent %d", res.Sent)
+	}
+	for _, cfg := range []FloodConfig{{}, {Count: 10, Duration: time.Second}} {
+		if _, err := Flood(cfg); err == nil {
+			t.Errorf("Flood(%+v) accepted", cfg)
+		}
+	}
+}
+
+// The ledger turns one skipped id and one doubled id each into a verdict
+// naming the count.
+func TestFloodLedger(t *testing.T) {
+	const sent = 100
+	run := func(skip, double int) error {
+		var l ledger
+		for id := 0; id < sent; id++ {
+			if id == skip {
+				continue
+			}
+			l.record(id)
+			if id == double {
+				l.record(id)
+			}
+		}
+		res := FloodResult{Sent: sent}
+		res.Distinct, res.Duplicated = l.tally()
+		return res.ExactlyOnce()
+	}
+	if err := run(-1, -1); err != nil {
+		t.Fatalf("clean ledger: %v", err)
+	}
+	if err := run(17, -1); err == nil || !strings.Contains(err.Error(), "sent 100, distinct 99, duplicated 0") {
+		t.Errorf("skipped id: %v", err)
+	}
+	if err := run(-1, 42); err == nil || !strings.Contains(err.Error(), "sent 100, distinct 100, duplicated 1") {
+		t.Errorf("doubled id: %v", err)
+	}
+}
+
+// The residency verdict names whichever bound was crossed, and promises
+// nothing when flow control was not armed.
+func TestResidencyBounded(t *testing.T) {
+	ok := Residency{PeakResident: 10, ResidentBound: 10, PeakReorder: 5, ReorderCap: 5}
+	if err := ok.Bounded(); err != nil {
+		t.Errorf("at the bound: %v", err)
+	}
+	if err := (Residency{PeakResident: 1 << 20}).Bounded(); err != nil {
+		t.Errorf("no flow control, so no promise: %v", err)
+	}
+	over := ok
+	over.PeakResident++
+	if err := over.Bounded(); err == nil || !strings.Contains(err.Error(), "peaked at 11, bound 10") {
+		t.Errorf("resident over: %v", err)
+	}
+	over = ok
+	over.PeakReorder++
+	if err := over.Bounded(); err == nil || !strings.Contains(err.Error(), "6 > 5") {
+		t.Errorf("reorder over: %v", err)
+	}
+}

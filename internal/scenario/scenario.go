@@ -12,8 +12,10 @@
 //
 // PingPong is the one ping-pong driver outside bench/: the root Fig 5
 // benchmarks and their 0-allocs test, cmd/obsdump and cmd/experiments all
-// bounce through it. Flags declares the runtime flags cmd/experiments and
-// cmd/soak share.
+// bounce through it. Flood is the one flood driver: cmd/soak's flood and
+// sweep cells and cmd/experiments' E16 / E17 rate tables; WatchResidency is
+// the bounded-memory sampler it and the other soak cells share. Flags
+// declares the runtime flags cmd/experiments and cmd/soak share.
 package scenario
 
 import (
@@ -66,8 +68,8 @@ var cellVictims = []int{1, 3}
 var cellLinks = [][2]int{{0, 1}, {1, 3}, {2, 3}, {0, 2}}
 
 // ParseSchedule parses the N@DUR form shared by soak's -kills and -links
-// flags (e.g. "2@100ms"): a count of at least one and a duration. flag
-// names the flag in error messages.
+// flags (e.g. "2@100ms"): a count of at least one and a duration that is
+// not negative. flag names the flag in error messages.
 func ParseSchedule(flag, s string) (n int, d time.Duration, err error) {
 	count, dur, ok := strings.Cut(s, "@")
 	if !ok {
@@ -78,6 +80,9 @@ func ParseSchedule(flag, s string) (n int, d time.Duration, err error) {
 	}
 	if d, err = time.ParseDuration(dur); err != nil {
 		return 0, 0, fmt.Errorf("%s=%q: bad duration: %v", flag, s, err)
+	}
+	if d < 0 {
+		return 0, 0, fmt.Errorf("%s=%q: bad duration: negative", flag, s)
 	}
 	return n, d, nil
 }

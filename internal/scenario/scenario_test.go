@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,9 @@ func TestParseSchedule(t *testing.T) {
 		{in: "0@50ms", wantErr: "bad count"},
 		{in: "x@50ms", wantErr: "bad count"},
 		{in: "2@soon", wantErr: "bad duration"},
+		{in: "2@0s", n: 2},
+		{in: "2@-100ms", wantErr: "negative"},
+		{in: "1@-1ns", wantErr: "negative"},
 	} {
 		n, d, err := ParseSchedule("-links", tc.in)
 		if tc.wantErr != "" {
@@ -50,6 +54,9 @@ func TestParseKills(t *testing.T) {
 	}
 	if _, _, err := ParseKills("3@1s"); err == nil || !strings.Contains(err.Error(), "at most 2 kills") {
 		t.Errorf("ParseKills(3@1s) error = %v, want the 4-node cell's two-kill limit", err)
+	}
+	if _, _, err := ParseKills("2@-1s"); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Errorf("ParseKills(2@-1s) error = %v, want the negative spread refused", err)
 	}
 	if _, _, err := ParseKills("2-1s"); err == nil || !strings.Contains(err.Error(), "-kills") {
 		t.Errorf("ParseKills(2-1s) error = %v, want one naming -kills", err)
@@ -146,4 +153,31 @@ func TestBadTransportSpecIsAnError(t *testing.T) {
 	if _, err := Imbalance(ImbalanceConfig{Nodes: 2, Workers: 1, Elems: 2, Total: 1, Transport: "warp-drive"}); err == nil {
 		t.Error("Imbalance accepted an unknown transport")
 	}
+}
+
+// FuzzParseSchedule: any flag value is refused with an error naming the
+// flag, or parses to a count of at least one and a duration that is not
+// negative and that prints back to an equal schedule.
+func FuzzParseSchedule(f *testing.F) {
+	for _, s := range []string{
+		"2@50ms", "2@100ms", "2@150ms", "4@50ms", "1@1s", "3@1s", "2@0s",
+		"2", "0@50ms", "x@50ms", "2@soon", "2@-100ms", "2@-1s", "2-1s", "@", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		n, d, err := ParseSchedule("-links", s)
+		if err != nil {
+			if !strings.Contains(err.Error(), "-links") {
+				t.Fatalf("ParseSchedule(%q) error %q does not name the flag", s, err)
+			}
+			return
+		}
+		if n < 1 || d < 0 {
+			t.Fatalf("ParseSchedule(%q) = %d, %v: want a count >= 1 and a duration >= 0", s, n, d)
+		}
+		if n2, d2, err := ParseSchedule("-links", fmt.Sprintf("%d@%s", n, d)); err != nil || n2 != n || d2 != d {
+			t.Fatalf("ParseSchedule(%q) = %d@%s re-parses to %d, %v, %v", s, n, d, n2, d2, err)
+		}
+	})
 }

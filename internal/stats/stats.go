@@ -1,11 +1,10 @@
-// Package stats provides the small table/series formatting and summary
-// helpers shared by the benchmark commands and EXPERIMENTS.md generation.
+// Package stats provides the small table formatting helpers shared by the
+// experiment commands.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -86,100 +85,6 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return sb.String()
-}
-
-// Series is a labelled (x, y) sequence for figure-style output.
-type Series struct {
-	Name string
-	X, Y []float64
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// RenderSeries prints several series as a combined table keyed by x.
-func RenderSeries(title, xlabel string, series ...*Series) string {
-	xs := map[float64]bool{}
-	for _, s := range series {
-		for _, x := range s.X {
-			xs[x] = true
-		}
-	}
-	sorted := make([]float64, 0, len(xs))
-	for x := range xs {
-		sorted = append(sorted, x)
-	}
-	sort.Float64s(sorted)
-	headers := []string{xlabel}
-	for _, s := range series {
-		headers = append(headers, s.Name)
-	}
-	t := NewTable(title, headers...)
-	for _, x := range sorted {
-		row := make([]any, 0, len(series)+1)
-		row = append(row, FormatFloat(x))
-		for _, s := range series {
-			v := math.NaN()
-			for i, sx := range s.X {
-				if sx == x {
-					v = s.Y[i]
-					break
-				}
-			}
-			if math.IsNaN(v) {
-				row = append(row, "-")
-			} else {
-				row = append(row, v)
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t.String()
-}
-
-// Summary holds basic statistics of a sample.
-type Summary struct {
-	N              int
-	Mean, Min, Max float64
-	Stddev         float64
-	P50, P90, P99  float64
-}
-
-// Summarize computes summary statistics (percentiles by nearest rank).
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
-	sum := 0.0
-	for _, x := range sorted {
-		sum += x
-	}
-	s.Mean = sum / float64(len(sorted))
-	varsum := 0.0
-	for _, x := range sorted {
-		d := x - s.Mean
-		varsum += d * d
-	}
-	s.Stddev = math.Sqrt(varsum / float64(len(sorted)))
-	pick := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
-	s.P50, s.P90, s.P99 = pick(0.50), pick(0.90), pick(0.99)
-	return s
 }
 
 // Ratio formats a/b as the paper's speedup notation.

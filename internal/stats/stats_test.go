@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -35,62 +33,11 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestSeriesRendering(t *testing.T) {
-	a := &Series{Name: "BG/Q"}
-	a.Add(512, 1.9)
-	a.Add(1024, 1.09)
-	b := &Series{Name: "BG/P"}
-	b.Add(512, 4.0)
-	out := RenderSeries("Fig 11", "nodes", a, b)
-	if !strings.Contains(out, "BG/Q") || !strings.Contains(out, "BG/P") {
-		t.Fatalf("series output:\n%s", out)
-	}
-	if !strings.Contains(out, "-") { // missing BG/P point at 1024
-		t.Fatalf("missing point not rendered as '-':\n%s", out)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 {
-		t.Fatalf("summary %+v", s)
-	}
-	if s.P50 != 3 {
-		t.Fatalf("P50 = %v", s.P50)
-	}
-	if math.Abs(s.Stddev-math.Sqrt(2)) > 1e-12 {
-		t.Fatalf("stddev = %v", s.Stddev)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 {
-		t.Fatal("empty summary broken")
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(3030, 1826) != "1.66x" {
 		t.Fatalf("Ratio = %s", Ratio(3030, 1826))
 	}
 	if Ratio(1, 0) != "inf" {
 		t.Fatal("division by zero not handled")
-	}
-}
-
-// Property: percentiles are ordered and bounded by min/max.
-func TestQuickSummaryOrdering(t *testing.T) {
-	f := func(xs []float64) bool {
-		for i, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				xs[i] = 0
-			}
-		}
-		s := Summarize(xs)
-		if s.N == 0 {
-			return true
-		}
-		return s.Min <= s.P50 && s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.Max
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -21,7 +21,7 @@ type ContentionConfig struct {
 
 // Contended wraps an inner transport and books every packet across the
 // per-link FCFS serialization model of the 5D torus — the same
-// store-and-forward link-bandwidth accounting internal/cluster's DES uses
+// store-and-forward link-bandwidth accounting the internal/cluster model uses
 // (torus.EffectiveBW, torus.HopLatencySeconds), but applied to the live
 // functional runtime: a packet's delivery is delayed by the serialization
 // of its packetized payload on every link of its dimension-order route,
@@ -109,9 +109,9 @@ func (t *Contended) Close() {
 	t.inner.Close()
 }
 
-func (t *Contended) String() string {
-	return fmt.Sprintf("contended(%s, scale=%g)", t.inner, t.scale)
-}
+// String is the transport's canonical spec: New parses it back to an
+// equivalent transport.
+func (t *Contended) String() string { return fmt.Sprintf("contended:scale=%g", t.scale) }
 
 // bookRoute walks the fail-aware route from src to dst, serializing the
 // packetized payload on every directed link FCFS behind earlier traffic,

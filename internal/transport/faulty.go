@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -256,10 +257,34 @@ func (t *Faulty) Close() {
 	t.inner.Close()
 }
 
+// String is the transport's canonical spec — every option spelled out,
+// defaults included — so New parses it back to an equivalent transport.
 func (t *Faulty) String() string {
-	return fmt.Sprintf("faulty(%s, seed=%d, drop=%g, dup=%g, delay=%g/%s, corrupt=%g, truncate=%g)",
-		t.inner, t.cfg.Seed, t.cfg.DropRate, t.cfg.DupRate, t.cfg.DelayRate, t.cfg.DelayMax,
+	var b strings.Builder
+	fmt.Fprintf(&b, "faulty:seed=%d,drop=%g,dup=%g,delayrate=%g,delaymax=%s,corrupt=%g,truncate=%g",
+		t.cfg.Seed, t.cfg.DropRate, t.cfg.DupRate, t.cfg.DelayRate, t.cfg.DelayMax,
 		t.cfg.CorruptRate, t.cfg.TruncateRate)
+	if t.cfg.ForceUnreliable {
+		b.WriteString(",unreliable=true")
+	}
+	if c, ok := t.inner.(*Contended); ok {
+		fmt.Fprintf(&b, ",scale=%g", c.scale)
+	}
+	for i, k := range t.cfg.Kills {
+		fmt.Fprintf(&b, "%s%d@%s", sep(i, ",kill="), k.Rank, k.After)
+	}
+	for i, ev := range t.cfg.Links {
+		fmt.Fprintf(&b, "%s%s", sep(i, ",link="), ev)
+	}
+	return b.String()
+}
+
+// sep is first before element 0 of a '+'-joined option list and "+" after.
+func sep(i int, first string) string {
+	if i == 0 {
+		return first
+	}
+	return "+"
 }
 
 // Garbled marks a payload whose bits were damaged in flight (corruption)

@@ -16,9 +16,6 @@ func NewInproc(t *torus.Torus, fifosPerNode int) *Inproc {
 	return &Inproc{net: torus.NewNetwork(t, fifosPerNode)}
 }
 
-// OverNetwork wraps an existing functional network as a transport.
-func OverNetwork(net *torus.Network) *Inproc { return &Inproc{net: net} }
-
 // Network returns the underlying functional network.
 func (t *Inproc) Network() *torus.Network { return t.net }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -55,6 +56,15 @@ type LinkEvent struct {
 	After time.Duration
 	Mode  LinkEventMode
 	Param float64 // flaky probability or slow factor
+}
+
+// String renders the event in the link= spec grammar parseLinks reads.
+func (ev LinkEvent) String() string {
+	s := fmt.Sprintf("%d-%d@%s:%s", ev.A, ev.B, ev.After, ev.Mode)
+	if ev.Mode == LinkEvtFlaky || ev.Mode == LinkEvtSlow {
+		s += fmt.Sprintf("=%g", ev.Param)
+	}
+	return s
 }
 
 // LinkFaulter is the link-level fault control surface of a transport.
@@ -129,7 +139,7 @@ func parseLinks(v string, tor *torus.Torus) ([]LinkEvent, error) {
 				if err != nil {
 					return nil, fmt.Errorf("link flaky rate %q: %w", param, err)
 				}
-				if p < 0 || p > 1 {
+				if !(p >= 0 && p <= 1) {
 					return nil, fmt.Errorf("link flaky rate %g outside [0,1]", p)
 				}
 				ev.Mode, ev.Param = LinkEvtFlaky, p
@@ -141,8 +151,8 @@ func parseLinks(v string, tor *torus.Torus) ([]LinkEvent, error) {
 				if err != nil {
 					return nil, fmt.Errorf("link slow factor %q: %w", param, err)
 				}
-				if f < 1 {
-					return nil, fmt.Errorf("link slow factor %g must be >= 1", f)
+				if !(f >= 1) || math.IsInf(f, 1) {
+					return nil, fmt.Errorf("link slow factor %g must be >= 1 and finite", f)
 				}
 				ev.Mode, ev.Param = LinkEvtSlow, f
 			default:

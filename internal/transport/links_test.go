@@ -64,6 +64,9 @@ func TestLinkSpecParsing(t *testing.T) {
 		{"faulty:link=0-1@0s:flaky=1.5", "outside [0,1]"},
 		{"faulty:link=0-1@0s:slow", "needs a factor"},
 		{"faulty:link=0-1@0s:slow=0.5", "must be >= 1"},
+		{"faulty:link=0-1@0s:flaky=NaN", "outside [0,1]"},
+		{"faulty:link=0-1@0s:slow=NaN", "must be >= 1"},
+		{"faulty:link=0-1@0s:slow=Inf", "finite"},
 	}
 	for _, tc := range bad {
 		tr, err := New(tc.spec, 4, 1)
@@ -90,6 +93,14 @@ func TestSpecValidationRejectsMalformedOptions(t *testing.T) {
 		{"faulty:scale=0", "must be positive"},
 		{"faulty:scale=-2", "must be positive"},
 		{"contended:scale=0", "must be positive"},
+		{"contended:scale=NaN", "must be positive"},
+		{"contended:scale=+Inf", "finite"},
+		{"faulty:scale=Inf", "finite"},
+		{"faulty:drop=NaN", "outside [0,1]"},
+		{"faulty:dup=nan", "outside [0,1]"},
+		{"faulty:corrupt=Inf", "outside [0,1]"},
+		{"faulty:truncate=-Inf", "outside [0,1]"},
+		{"faulty:delayrate=NaN", "outside [0,1]"},
 		{"faulty:kill=1@-10ms", "negative"},
 		{"faulty:kill=9@10ms", "out of range"},
 	}

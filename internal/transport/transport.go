@@ -14,7 +14,7 @@
 //     and is benchmark-neutral with respect to the pre-transport runtime.
 //   - Contended: a wrapper that books every packet across the per-link
 //     FCFS serialization model of the 5D torus (the same link-bandwidth
-//     figures the DES uses), so experiments run with realistic torus
+//     figures the cluster model uses), so experiments run with realistic torus
 //     contention instead of instant delivery.
 //   - Faulty: a seeded fault injector that drops, duplicates, and delays
 //     packets. It reports Reliable() == false, which arms the PAMI layer's
@@ -29,6 +29,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -328,27 +329,29 @@ func parseOpts(opts string) (map[string]string, error) {
 	return kv, nil
 }
 
-// parseRate parses a probability and rejects values outside [0,1].
+// parseRate parses a probability and rejects values outside [0,1]; the
+// comparison is written so that NaN is outside too.
 func parseRate(v string) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, err
 	}
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) {
 		return 0, fmt.Errorf("rate %g outside [0,1]", f)
 	}
 	return f, nil
 }
 
 // parseScale parses a time-scale multiplier and rejects non-positive
-// values (scale=0 would silently disable the contended wrapper).
+// values (scale=0 would silently disable the contended wrapper) and
+// non-finite ones (NaN or +Inf would reach the delay line as a duration).
 func parseScale(v string) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, err
 	}
-	if f <= 0 {
-		return 0, fmt.Errorf("scale %g must be positive", f)
+	if !(f > 0) || math.IsInf(f, 1) {
+		return 0, fmt.Errorf("scale %g must be positive and finite", f)
 	}
 	return f, nil
 }

@@ -44,12 +44,14 @@ func TestFactoryParsing(t *testing.T) {
 	}{
 		{"", "inproc"},
 		{"inproc", "inproc"},
-		{"contended", "contended(inproc, scale=1)"},
-		{"contended:scale=2.5", "contended(inproc, scale=2.5)"},
-		{"faulty", "faulty(inproc, seed=1, drop=0, dup=0, delay=0/200µs, corrupt=0, truncate=0)"},
-		{"faulty:seed=7,drop=0.05,dup=0.02", "faulty(inproc, seed=7, drop=0.05, dup=0.02, delay=0/200µs, corrupt=0, truncate=0)"},
-		{"faulty:scale=2", "faulty(contended(inproc, scale=2), seed=1, drop=0, dup=0, delay=0/200µs, corrupt=0, truncate=0)"},
-		{"faulty:corrupt=0.02,truncate=0.01", "faulty(inproc, seed=1, drop=0, dup=0, delay=0/200µs, corrupt=0.02, truncate=0.01)"},
+		{"contended", "contended:scale=1"},
+		{"contended:scale=2.5", "contended:scale=2.5"},
+		{"faulty", "faulty:seed=1,drop=0,dup=0,delayrate=0,delaymax=200µs,corrupt=0,truncate=0"},
+		{"faulty:seed=7,drop=0.05,dup=0.02", "faulty:seed=7,drop=0.05,dup=0.02,delayrate=0,delaymax=200µs,corrupt=0,truncate=0"},
+		{"faulty:scale=2", "faulty:seed=1,drop=0,dup=0,delayrate=0,delaymax=200µs,corrupt=0,truncate=0,scale=2"},
+		{"faulty:corrupt=0.02,truncate=0.01", "faulty:seed=1,drop=0,dup=0,delayrate=0,delaymax=200µs,corrupt=0.02,truncate=0.01"},
+		{"faulty:unreliable=1,kill=1@1h+0@2h,link=0-1@1h:flaky=0.5+0-1@2h",
+			"faulty:seed=1,drop=0,dup=0,delayrate=0,delaymax=200µs,corrupt=0,truncate=0,unreliable=true,kill=1@1h0m0s+0@2h0m0s,link=0-1@1h0m0s:flaky=0.5+0-1@2h0m0s:down"},
 	}
 	for _, tc := range good {
 		tr, err := New(tc.spec, 2, 1)
