@@ -68,14 +68,9 @@ func (n *SMPNode) onBroadcast(pe *PE, bm *bcastMsg) {
 		fwd.Handler = m.bcastHandler
 		fwd.Payload = &bcastMsg{inner: bm.inner.Retain(), root: bm.root}
 		fwd.destLocal = 0
-		ctx := n.contexts[pe.local%len(n.contexts)]
-		var err error
-		if fwd.Bytes <= 480 {
-			err = ctx.SendImmediate(child, 0, m.dispConverse, fwd, fwd.Bytes)
-		} else {
-			err = ctx.Send(child, 0, m.dispConverse, fwd, fwd.Bytes, nil)
-		}
-		if err != nil {
+		// Straight to the child's first PE, never through the aggregator:
+		// a collective completes when its slowest leg lands.
+		if err := pe.sendDirect(m.nodes[child].pes[0], fwd); err != nil {
 			panic(fmt.Sprintf("converse: broadcast forward to node %d: %v", child, err))
 		}
 		if obs.On() {
@@ -96,31 +91,4 @@ func (n *SMPNode) onBroadcast(pe *PE, bm *bcastMsg) {
 		mBcastDeliver.Add(pe.id, int64(len(n.pes)))
 	}
 	bm.inner.releaseFrom(pe.id)
-}
-
-// BroadcastOthers delivers to every PE except the caller, consuming the
-// caller's reference on msg.
-func (pe *PE) BroadcastOthers(msg *Message) error {
-	msg.SrcPE = pe.id
-	skip := pe.id
-	// Simple implementation: tree-broadcast with a wrapper is possible but
-	// the exclude-self case is rare; send individually off-node and skip
-	// locally. Kept for API parity with CmiSyncBroadcastFn.
-	for dst := range pe.node.machine.pes {
-		if dst == skip {
-			continue
-		}
-		clone := pe.NewMessage()
-		clone.CopyFrom(msg)
-		// Broadcast clones bypass aggregation: the collective completes
-		// when its slowest leg lands, so buffering any leg for company
-		// stretches the whole operation.
-		clone.NoAgg = true
-		if err := pe.Send(dst, clone); err != nil {
-			msg.releaseFrom(pe.id)
-			return err
-		}
-	}
-	msg.releaseFrom(pe.id)
-	return nil
 }

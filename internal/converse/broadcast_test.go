@@ -70,34 +70,3 @@ func TestTreeBroadcastLargePayload(t *testing.T) {
 		t.Fatalf("reached %d PEs", count.Load())
 	}
 }
-
-func TestBroadcastOthersSkipsSelf(t *testing.T) {
-	var selfGot atomic.Bool
-	var count atomic.Int64
-	var h int
-	runMachine(t, Config{Nodes: 2, WorkersPerNode: 3, Mode: ModeSMP},
-		func(m *Machine) {
-			total := int64(m.NumPEs() - 1)
-			h = m.RegisterHandler(func(pe *PE, msg *Message) {
-				if pe.Id() == 2 {
-					selfGot.Store(true)
-				}
-				if count.Add(1) == total {
-					pe.Machine().Shutdown()
-				}
-			})
-		},
-		func(pe *PE) {
-			if pe.Id() == 2 {
-				if err := pe.BroadcastOthers(&Message{Handler: h, Bytes: 8}); err != nil {
-					t.Errorf("broadcast: %v", err)
-				}
-			}
-		})
-	if selfGot.Load() {
-		t.Fatal("BroadcastOthers delivered to the origin")
-	}
-	if count.Load() != 5 {
-		t.Fatalf("reached %d PEs, want 5", count.Load())
-	}
-}

@@ -91,16 +91,6 @@ type Config struct {
 	// machine then owns and closes on Wait. A caller-supplied transport
 	// must span at least Nodes endpoints and is closed by the caller.
 	Transport transport.Transport
-	// RendezvousTimeout, when positive, bounds how long a rendezvous
-	// sender waits for the destination's ack before retransmitting the
-	// header (with exponential backoff; receivers dedup by sequence
-	// number). Zero disables timeouts — correct for reliable transports,
-	// where the timers would be pure overhead. NewMachine defaults it to
-	// DefaultRendezvousTimeout when the transport is unreliable. A
-	// transfer whose maxRzvRetries header retransmissions all go unacked
-	// is abandoned: counted (RendezvousStats.Abandoned,
-	// converse/rzv_abandon_total) and logged, rate-limited.
-	RendezvousTimeout time.Duration
 	// Aggregation, when non-nil, arms the TRAM-style per-destination
 	// message aggregation layer: small remote messages (at or below
 	// aggregate.DefaultMaxMsgBytes) append into per-(src node, dst node) batch
@@ -233,23 +223,14 @@ type Machine struct {
 	// envPool is the per-PE message-envelope pool (message.go).
 	envPool *mempool.EnvPool[Message]
 
-	rzvSeq   atomic.Uint64
 	rzvStats RendezvousStats
-
-	// rendezvous timeout machinery (rendezvous.go), armed only when
-	// cfg.RendezvousTimeout > 0
-	rzvMu   sync.Mutex
-	rzvPend map[uint64]*rzvPending
-	rzvSeen map[[2]int]rzvWindow // by (source PE, destination PE)
-	// rzvAbandonLogNS rate-limits the default abandonment log line.
-	rzvAbandonLogNS atomic.Int64
 
 	// internal handler id for spanning-tree broadcasts
 	bcastHandler int
 
 	// shutdown hooks (OnShutdown), run once from Shutdown so subsystems
 	// layered above the machine (fault tolerance, checkpoint timers) tear
-	// down with the same discipline as the rendezvous/reliability timers.
+	// down with the same discipline as the reliability timers.
 	hooksMu       sync.Mutex
 	shutdownHooks []func()
 }
@@ -267,9 +248,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		ownsTr = true
 	} else if tr.Nodes() < cfg.Nodes {
 		return nil, fmt.Errorf("converse: transport %s spans %d nodes, need %d", tr, tr.Nodes(), cfg.Nodes)
-	}
-	if cfg.RendezvousTimeout == 0 && !tr.Reliable() {
-		cfg.RendezvousTimeout = DefaultRendezvousTimeout
 	}
 	var fc *flowctl.Controller
 	if cfg.FlowControl != nil {
@@ -300,10 +278,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		// the batch (sendAggregated), released when the destination PE
 		// executes it. Charging the envelope too would double-bill.
 		fc.ExemptDispatch(m.dispAggBatch)
-	}
-	if cfg.RendezvousTimeout > 0 {
-		m.rzvPend = make(map[uint64]*rzvPending)
-		m.rzvSeen = make(map[[2]int]rzvWindow)
 	}
 	m.envPool = mempool.NewEnvPool[Message](cfg.Nodes*cfg.WorkersPerNode, mempool.DefaultEnvPoolThreshold)
 	for r := 0; r < cfg.Nodes; r++ {
@@ -420,14 +394,13 @@ func (m *Machine) Start(initPE func(pe *PE)) {
 
 // Shutdown stops all schedulers and comm threads (CsdExitScheduler on every
 // PE). Safe to call from handlers or externally, once. In-flight transfers
-// are abandoned: pending rendezvous and reliability retransmission timers
-// are cancelled, and OnShutdown hooks run, so no timer above or below the
-// scheduler fires into the stopping machine.
+// are abandoned: OnShutdown hooks run and the reliability retransmission
+// timers are cancelled, so no timer above or below the scheduler fires
+// into the stopping machine.
 func (m *Machine) Shutdown() {
 	if !m.stopped.CompareAndSwap(false, true) {
 		return
 	}
-	m.cancelRendezvousTimers()
 	m.hooksMu.Lock()
 	hooks := append([]func(){}, m.shutdownHooks...)
 	m.hooksMu.Unlock()
@@ -452,8 +425,7 @@ func (m *Machine) Shutdown() {
 // OnShutdown registers a hook that runs exactly once, early in Shutdown.
 // Layers that arm their own timers (heartbeats, checkpoint schedules) use
 // it to cancel them with the same discipline the machine applies to its
-// rendezvous and reliability timers. Hooks registered after Shutdown run
-// immediately.
+// reliability timers. Hooks registered after Shutdown run immediately.
 func (m *Machine) OnShutdown(fn func()) {
 	m.hooksMu.Lock()
 	if m.stopped.Load() {

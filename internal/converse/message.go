@@ -15,10 +15,10 @@ import (
 //     pe's pool. It must be called from pe's scheduler goroutine (init
 //     closures and handlers qualify); other goroutines use
 //     Machine.NewMessage, which returns an unpooled heap envelope.
-//   - Send / Broadcast / BroadcastOthers consume the caller's reference,
-//     on every path — success, shed, and error. After handing a message
-//     to the runtime the caller must not touch it again unless it took
-//     its own reference with Retain first.
+//   - Send / Broadcast consume the caller's reference, on every path —
+//     success, shed, and error. After handing a message to the runtime
+//     the caller must not touch it again unless it took its own
+//     reference with Retain first.
 //   - The scheduler releases the executing reference after the handler
 //     returns (release-after-execute), and after the deferred
 //     flow-control credit release, so the credit never outlives its

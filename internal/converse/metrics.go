@@ -21,8 +21,6 @@ var (
 	mBcastRoot     = obs.NewCounter("converse", "broadcast_root_total", 0)
 	mBcastForward  = obs.NewCounter("converse", "broadcast_forward_total", 0)
 	mBcastDeliver  = obs.NewCounter("converse", "broadcast_fanout_total", 0)
-	// Sharded by destination node rank: which peer the data was lost to.
-	mRzvAbandon = obs.NewCounter("converse", "rzv_abandon_total", 0)
 )
 
 // DeliverLatencyQuantile returns an upper bound on the q-quantile of the

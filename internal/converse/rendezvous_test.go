@@ -4,9 +4,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"blueq/internal/obs"
-	"blueq/internal/transport"
 )
 
 // Large inter-node []byte payloads take the rendezvous path: header,
@@ -126,55 +123,6 @@ func TestRendezvousThresholdRespected(t *testing.T) {
 	}
 }
 
-// A transfer whose headers are all lost is abandoned after maxRzvRetries
-// and counted, in RendezvousStats and in the obs counter sharded by
-// destination — silent loss must be observable.
-func TestRendezvousAbandonReported(t *testing.T) {
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
-	abandon0 := mRzvAbandon.Value()
-
-	const bytes = 64 * 1024
-	tr, err := transport.New("faulty:seed=3,drop=1", 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var h int
-	m := runMachine(t, Config{
-		Nodes: 2, WorkersPerNode: 1, Mode: ModeSMP,
-		Transport:         tr,
-		RendezvousTimeout: 200 * time.Microsecond,
-	},
-		func(m *Machine) {
-			h = m.RegisterHandler(func(pe *PE, msg *Message) {
-				t.Error("payload delivered over a transport that drops everything")
-			})
-			go func() {
-				deadline := time.Now().Add(20 * time.Second)
-				// The obs counter moves after the stat, so both are set.
-				for mRzvAbandon.Value() == abandon0 {
-					if time.Now().After(deadline) {
-						t.Error("transfer never abandoned")
-						break
-					}
-					time.Sleep(time.Millisecond)
-				}
-				m.Shutdown()
-			}()
-		},
-		func(pe *PE) {
-			if pe.Id() == 0 {
-				_ = pe.Send(1, &Message{Handler: h, Bytes: bytes, Payload: make([]byte, bytes)})
-			}
-		})
-	if n := m.RendezvousStats().Abandoned.Load(); n != 1 {
-		t.Fatalf("Abandoned = %d, want 1", n)
-	}
-	if d := mRzvAbandon.Value() - abandon0; d != 1 {
-		t.Fatalf("rzv_abandon_total delta = %d, want 1", d)
-	}
-}
-
 // Many concurrent rendezvous transfers complete exactly once each.
 func TestRendezvousConcurrent(t *testing.T) {
 	const msgs = 50
@@ -213,106 +161,5 @@ func TestRendezvousConcurrent(t *testing.T) {
 	}
 	if count.Load() != msgs {
 		t.Fatalf("delivered %d/%d", count.Load(), msgs)
-	}
-}
-
-// The receiver's duplicate filter remembers a window, not a history: a
-// late retransmission is a duplicate whether it falls inside the window or
-// below its floor, and slack inside the window is still a first arrival.
-func TestRzvWindowDedup(t *testing.T) {
-	var w rzvWindow
-	for seq := uint64(1); seq <= 3*rzvDedupWindow; seq += 2 {
-		if w.dup(seq) {
-			t.Fatalf("first arrival of %d reported as duplicate", seq)
-		}
-		if !w.dup(seq) {
-			t.Fatalf("retransmission of %d not reported as duplicate", seq)
-		}
-	}
-	if len(w.seen) != rzvDedupWindow {
-		t.Fatalf("window holds %d entries, want %d", len(w.seen), rzvDedupWindow)
-	}
-	if !w.dup(1) {
-		t.Fatal("a retransmission from below the floor not reported as duplicate")
-	}
-	newest := w.seen[len(w.seen)-1]
-	if w.dup(newest-1) || !w.dup(newest-1) {
-		t.Fatal("an out-of-order first arrival inside the window must be new once, then a duplicate")
-	}
-}
-
-// Many more rendezvous transfers than the dedup window, over a transport
-// that drops, duplicates and delays past the header timeout: every transfer
-// is pulled and executed exactly once although headers are retransmitted,
-// and what the receivers remember stays O(window) per PE pair instead of
-// growing by one entry per transfer for the life of the machine.
-func TestRendezvousDedupBounded(t *testing.T) {
-	tr, err := transport.New("faulty:seed=41,drop=0.05,dup=0.02,delayrate=0.2,delaymax=3ms", 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	const transfers, inflight = 10 * rzvDedupWindow, 8
-	counts := make([]atomic.Int32, transfers)
-	var delivered atomic.Int64
-	var hData, hNext int
-	next := 0 // next transfer id; PE 0 only
-	send := func(pe *PE) {
-		if next == transfers {
-			return
-		}
-		payload := make([]byte, RendezvousThreshold+1)
-		payload[0], payload[1] = byte(next), byte(next>>8)
-		dst := 2 + next%2 // both PEs of the other node
-		next++
-		if err := pe.Send(dst, &Message{Handler: hData, Bytes: len(payload), Payload: payload}); err != nil {
-			t.Errorf("send: %v", err)
-		}
-	}
-	m := runMachine(t, Config{
-		Nodes: 2, WorkersPerNode: 2, Mode: ModeSMP,
-		Transport:         tr,
-		RendezvousTimeout: time.Millisecond,
-	}, func(m *Machine) {
-		hData = m.RegisterHandler(func(pe *PE, msg *Message) {
-			b := msg.Payload.([]byte)
-			counts[int(b[0])|int(b[1])<<8].Add(1)
-			if delivered.Add(1) == transfers {
-				pe.Machine().Shutdown()
-				return
-			}
-			_ = pe.Send(0, &Message{Handler: hNext, Bytes: 8})
-		})
-		hNext = m.RegisterHandler(func(pe *PE, msg *Message) { send(pe) })
-	}, func(pe *PE) {
-		if pe.Id() == 0 {
-			for i := 0; i < inflight; i++ {
-				send(pe)
-			}
-		}
-	})
-
-	for id := range counts {
-		if n := counts[id].Load(); n != 1 {
-			t.Fatalf("transfer %d executed %d times, want exactly once", id, n)
-		}
-	}
-	rs := m.RendezvousStats()
-	if rs.Pulled.Load() != transfers {
-		t.Fatalf("Pulled = %d, want %d (duplicate headers must not re-pull)", rs.Pulled.Load(), transfers)
-	}
-	if rs.DupHeaders.Load() == 0 {
-		t.Fatalf("no duplicate header ever reached a receiver — the filter was not exercised: %+v", statsSnapshot(rs))
-	}
-	m.rzvMu.Lock()
-	defer m.rzvMu.Unlock()
-	entries := 0
-	for _, w := range m.rzvSeen {
-		entries += len(w.seen)
-	}
-	if pairs := len(m.rzvSeen); pairs != 2 || entries > pairs*rzvDedupWindow {
-		t.Fatalf("receivers remember %d sequence numbers over %d PE pairs after %d transfers, want at most %d per pair over 2 pairs",
-			entries, pairs, transfers, rzvDedupWindow)
 	}
 }

@@ -183,8 +183,8 @@ type Manager struct {
 // scheduling). The manager registers its heartbeat dispatch on every PAMI
 // context, declares its coordination chare group, starts the heartbeat
 // sender and failure monitor, and arranges teardown via the machine's
-// shutdown hooks — the same timer discipline the rendezvous and
-// reliability layers follow.
+// shutdown hooks — the same timer discipline the reliability layer
+// follows.
 func New(rt *charm.Runtime, cfg Config) *Manager {
 	cfg.normalize()
 	m := rt.Machine()

@@ -29,7 +29,7 @@ func tightCfg() Config {
 // TestShutdownMidCheckpoint drives Shutdown while a checkpoint round is in
 // flight: the shutdown hook must stop the heartbeat and monitor goroutines
 // (Stop returns only after they exit) and nothing may deadlock or leak
-// timers — the same cancel-on-shutdown discipline as the rendezvous layer.
+// timers — the same cancel-on-shutdown discipline as the reliability layer.
 func TestShutdownMidCheckpoint(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		conv := converse.Config{Nodes: 4, WorkersPerNode: 1, Mode: converse.ModeSMP}

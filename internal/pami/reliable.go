@@ -1,7 +1,7 @@
 package pami
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,8 +26,16 @@ import (
 //   - the sender retransmits unacknowledged packets on a timer with
 //     exponential backoff until acknowledged.
 //
-// Rendezvous payloads are untouched: the header and ack packets travel
-// through this sublayer; the Rget pull is a direct memory copy.
+// Sequence numbers are dense and acks cumulative, so the sender's
+// unacknowledged set is always the contiguous run (acked, nextSeq]: the
+// retransmission window is a FIFO, one slice in sequence order — a send
+// appends, an ack deletes a prefix, a retry walks it front to back — and
+// needs no lookup by sequence number.
+//
+// This is the only retransmission and dedup protocol in the tree: every
+// layer above (aggregation, m2m, load balancing, migration, the rendezvous
+// header and ack) sends through it and keeps no timers of its own. The
+// rendezvous Rget pull is a direct memory copy and bypasses it.
 
 // Retry timing for unacknowledged packets. Variables, not constants, so
 // tests can tighten them; production code treats them as constants. Each
@@ -74,14 +82,22 @@ type relAck struct {
 	cum uint64
 }
 
+// relSlot is one unacknowledged packet in a channel's retransmission
+// window, stamped and ready to re-inject as is.
+type relSlot struct {
+	packet   torus.Packet
+	credited bool // holds a flow-control credit, returned when acked
+}
+
 // relSendState is the sender half of one directed node-pair channel.
+// window is the retransmission window: the unacknowledged packets, oldest
+// first — sequence numbers nextSeq-len(window)+1 through nextSeq.
 type relSendState struct {
-	nextSeq  uint64
-	unacked  map[uint64]torus.Packet
-	credited map[uint64]struct{} // seqs holding a flow-control credit
-	timer    *time.Timer
-	backoff  time.Duration
-	streak   int // consecutive retry rounds since the last ack
+	nextSeq uint64 // last sequence number assigned
+	window  []relSlot
+	timer   *time.Timer
+	backoff time.Duration
+	streak  int // consecutive retry rounds since the last ack
 }
 
 // relRecvState is the receiver half: nextExpected is the cumulative
@@ -150,16 +166,10 @@ func (r *reliator) sendEager(dstNode, fifo, bytes int, am amPacket, credited boo
 	r.mu.Lock()
 	st := r.send[dstNode]
 	if st == nil {
-		st = &relSendState{
-			unacked:  make(map[uint64]torus.Packet),
-			credited: make(map[uint64]struct{}),
-		}
+		st = &relSendState{}
 		r.send[dstNode] = st
 	}
 	st.nextSeq++
-	if credited {
-		st.credited[st.nextSeq] = struct{}{}
-	}
 	p := torus.Packet{
 		Type:    torus.MemoryFIFO,
 		Dst:     dstNode,
@@ -170,7 +180,7 @@ func (r *reliator) sendEager(dstNode, fifo, bytes int, am amPacket, credited boo
 	// Stamp before recording: retransmissions reuse the stored packet, so
 	// they carry the identical checksum.
 	r.node.stamp(&p)
-	st.unacked[st.nextSeq] = p
+	st.window = append(st.window, relSlot{packet: p, credited: credited})
 	r.armLocked(st, dstNode)
 	r.mu.Unlock()
 	return r.node.ep.Inject(p)
@@ -197,21 +207,17 @@ func (r *reliator) retry(dstNode int) {
 		return
 	}
 	st.timer = nil
-	if len(st.unacked) == 0 {
+	if len(st.window) == 0 {
 		st.backoff = 0
 		r.mu.Unlock()
 		return
 	}
-	// Retransmit in sequence order so a lossless window is rebuilt with
-	// minimal receiver buffering.
-	seqs := make([]uint64, 0, len(st.unacked))
-	for seq := range st.unacked {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	packets := make([]torus.Packet, len(seqs))
-	for i, seq := range seqs {
-		packets[i] = st.unacked[seq]
+	// Retransmit in sequence order (the window's own) so a lossless window
+	// is rebuilt with minimal receiver buffering. Copied out: the injects
+	// run outside the lock, where an ack may shift the window.
+	packets := make([]torus.Packet, len(st.window))
+	for i := range st.window {
+		packets[i] = st.window[i].packet
 	}
 	r.stats.Retries += int64(len(packets))
 	st.streak++
@@ -348,17 +354,22 @@ func (r *reliator) onAck(from int, cum uint64) {
 	// Any ack arriving proves the round trip works right now, whatever
 	// it covers — clear the consecutive-retry streak.
 	st.streak = 0
+	// The window starts at nextSeq-len+1, so cum covers its first
+	// cum-(nextSeq-len) slots: none for a stale or duplicate ack (or one
+	// for a window DropPeer cleared), and at most all of them — an ack
+	// from beyond nextSeq (a misrouted one, possible with the CRC
+	// disarmed) is clamped to the window.
 	released := 0
-	for seq := range st.unacked {
-		if seq <= cum {
-			delete(st.unacked, seq)
-			if _, ok := st.credited[seq]; ok {
-				delete(st.credited, seq)
+	if base := st.nextSeq - uint64(len(st.window)); cum > base {
+		n := int(min(cum-base, uint64(len(st.window))))
+		for i := range st.window[:n] {
+			if st.window[i].credited {
 				released++
 			}
 		}
+		st.window = slices.Delete(st.window, 0, n)
 	}
-	if len(st.unacked) == 0 {
+	if len(st.window) == 0 {
 		st.backoff = 0
 		if st.timer != nil {
 			st.timer.Stop()
@@ -384,15 +395,10 @@ func (r *reliator) dropPeer(dstNode int) {
 	if st == nil {
 		return
 	}
-	for seq := range st.unacked {
-		delete(st.unacked, seq)
-	}
 	// Credits held by the cleared window die with the peer; the
-	// flow-control layer's DropPeer resets the window wholesale, so no
-	// per-seq release is needed — just forget the ledger.
-	for seq := range st.credited {
-		delete(st.credited, seq)
-	}
+	// flow-control layer's DropPeer resets its window wholesale, so no
+	// per-packet release is needed — just forget them.
+	st.window = slices.Delete(st.window, 0, len(st.window))
 	st.backoff = 0
 	st.streak = 0
 	if st.timer != nil {

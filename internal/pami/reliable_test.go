@@ -1,10 +1,12 @@
 package pami
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"blueq/internal/flowctl"
 	"blueq/internal/transport"
 )
 
@@ -133,5 +135,129 @@ func TestNodeShutdownStopsRetries(t *testing.T) {
 	r2 := c.Node(0).ReliabilityStats().Retries
 	if r2 != r1 {
 		t.Fatalf("retries continued after Shutdown: %d -> %d", r1, r2)
+	}
+}
+
+// The sender's retransmission window, driven by hand: sends go in through
+// the public path, acks and retry rounds are applied directly to node 0's
+// reliator (node 1 is never advanced, so it acknowledges nothing, and the
+// retry timers are parked an hour out), and the result is read off the
+// credit window and the packets landing in node 1's reception FIFO. Only
+// behaviour is asserted, never the window's representation.
+func TestSendWindowAcksAndRetransmitOrder(t *testing.T) {
+	base, max := RetryBase, RetryMax
+	RetryBase, RetryMax = time.Hour, time.Hour
+	t.Cleanup(func() { RetryBase, RetryMax = base, max })
+
+	const credited, exempt = 1, 9 // dispatch ids
+	T, F := true, false
+	cases := []struct {
+		name     string
+		sends    []bool   // one send each, sequence 1..n: does it hold a credit?
+		drop     bool     // dropPeer before the acks
+		acks     []uint64 // cumulative acks, applied in order
+		inFlight []int    // credits still out after each ack
+		retry    []uint64 // what a retry round then re-injects, in order
+	}{
+		{name: "prefix ack releases exactly the credited slots it covers",
+			sends: []bool{T, F, T, T, F, T}, acks: []uint64{3}, inFlight: []int{2}, retry: []uint64{4, 5, 6}},
+		{name: "acks advance one slot at a time",
+			sends: []bool{T, T, F, T}, acks: []uint64{1, 2, 3}, inFlight: []int{2, 1, 1}, retry: []uint64{4}},
+		{name: "duplicate and stale acks release nothing",
+			sends: []bool{T, F, T, T, F, T}, acks: []uint64{3, 3, 1, 0}, inFlight: []int{2, 2, 2, 2}, retry: []uint64{4, 5, 6}},
+		{name: "an ack for the whole window drains it",
+			sends: []bool{T, T, F}, acks: []uint64{3}, inFlight: []int{0}},
+		{name: "an ack beyond nextSeq releases the window and no more",
+			sends: []bool{T, F, T}, acks: []uint64{1 << 40, 1 << 40}, inFlight: []int{0, 0}},
+		{name: "a straggler ack after dropPeer is a no-op",
+			sends: []bool{T, T, F, T, T}, drop: true, acks: []uint64{2, 5, 1 << 40}, inFlight: []int{4, 4, 4}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := transport.New("faulty:seed=1,unreliable=1", 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			fc := flowctl.NewController(flowctl.Config{Window: 64, MaxBlock: 10 * time.Second}, 2)
+			fc.ExemptDispatch(exempt)
+			c := NewClientFlow(tr, 1, fc)
+			defer c.Node(0).Shutdown()
+			rel, win := c.Node(0).rel, fc.Window(0, 1)
+
+			send := func(holdsCredit bool) {
+				t.Helper()
+				disp := exempt
+				if holdsCredit {
+					disp = credited
+				}
+				if err := c.Node(0).Context(0).SendImmediate(1, 0, disp, nil, 8); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// arrived drains node 1's reception FIFO: the sequence numbers
+			// injected since the last call, in arrival order.
+			arrived := func() []uint64 {
+				tr.Advance() // every inject so far is due: deliver it now
+				var seqs []uint64
+				for {
+					p, ok := c.Node(1).ep.Poll(0)
+					if !ok {
+						return seqs
+					}
+					seqs = append(seqs, p.Payload.(relPacket).seq)
+				}
+			}
+
+			out := 0
+			for _, holdsCredit := range tc.sends {
+				send(holdsCredit)
+				if holdsCredit {
+					out++
+				}
+			}
+			if got := win.InFlight(); got != int64(out) {
+				t.Fatalf("InFlight = %d after the sends, want %d", got, out)
+			}
+			if tc.drop {
+				rel.dropPeer(1)
+			}
+			for i, cum := range tc.acks {
+				rel.onAck(1, cum)
+				if got := win.InFlight(); got != int64(tc.inFlight[i]) {
+					t.Fatalf("InFlight = %d after ack %d (cum=%d), want %d", got, i, cum, tc.inFlight[i])
+				}
+			}
+
+			// The channel keeps working whatever the acks were: the next
+			// send takes the next sequence number, a retry round re-injects
+			// the survivors and it, oldest first, and acking it drains the
+			// window and returns every credit the window still held.
+			next := uint64(len(tc.sends) + 1)
+			send(true)
+			arrived()
+			retries := c.Node(0).ReliabilityStats().Retries
+			rel.retry(1)
+			want := append(slices.Clone(tc.retry), next)
+			if got := arrived(); !slices.Equal(got, want) {
+				t.Fatalf("retry re-injected %v, want %v", got, want)
+			}
+			if got := c.Node(0).ReliabilityStats().Retries - retries; got != int64(len(want)) {
+				t.Fatalf("Retries moved by %d, want %d", got, len(want))
+			}
+			rel.onAck(1, next)
+			stranded := 0 // credits dropPeer forgot: flowctl's DropPeer returns those
+			if tc.drop {
+				stranded = out
+			}
+			if got := win.InFlight(); got != int64(stranded) {
+				t.Fatalf("InFlight = %d after the final ack, want %d", got, stranded)
+			}
+			retries = c.Node(0).ReliabilityStats().Retries
+			rel.retry(1)
+			if got := c.Node(0).ReliabilityStats().Retries; got != retries || len(arrived()) != 0 {
+				t.Fatalf("retry on a drained window re-injected packets (Retries %d -> %d)", retries, got)
+			}
+		})
 	}
 }

@@ -82,7 +82,7 @@ func TestAckClearsRetryStreak(t *testing.T) {
 		rel := c.Node(0).rel
 		rel.mu.Lock()
 		st := rel.send[1]
-		drained := st != nil && len(st.unacked) == 0
+		drained := st != nil && len(st.window) == 0
 		streak := 0
 		if st != nil {
 			streak = st.streak

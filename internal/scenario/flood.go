@@ -114,6 +114,8 @@ type FloodResult struct {
 	Retries    int64 // packets the reliability sublayer retransmitted
 	CRCRejects int64 // packets the wire CRC rejected
 	Stats      transport.Stats
+
+	rzvStarted, rzvPulled int64 // rendezvous headers sent, transfers pulled
 }
 
 // ExactlyOnce is the delivery verdict: every id sent ran once, none twice.
@@ -257,6 +259,8 @@ func Flood(cfg FloodConfig) (FloodResult, error) {
 		res.Retries += client.Node(r).ReliabilityStats().Retries
 	}
 	res.CRCRejects = client.CRCFails()
+	rzv := m.RendezvousStats()
+	res.rzvStarted, res.rzvPulled = rzv.Started.Load(), rzv.Pulled.Load()
 	res.Stats = tr.Stats()
 	if p := failed.Load(); p != nil {
 		return res, fmt.Errorf("%w (sent %d, executed %d)", *p, res.Sent, executed.Load())

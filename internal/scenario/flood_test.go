@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"blueq/internal/aggregate"
+	"blueq/internal/converse"
 	"blueq/internal/flowctl"
 )
 
@@ -62,6 +63,35 @@ func TestFloodVerdicts(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// Messages above the rendezvous threshold cross as header, pull and ack —
+// one of each per message — over a clean network and over one that drops,
+// duplicates, delays, corrupts and truncates: the header and the ack are
+// ordinary PAMI sends, so the reliability sublayer's retransmissions and
+// sequence dedup are all the repair the protocol has, and all it needs.
+func TestFloodRendezvous(t *testing.T) {
+	for _, spec := range []string{
+		"inproc",
+		"faulty:seed=41,drop=0.2,dup=0.1,delayrate=0.3,delaymax=2ms,corrupt=0.05,truncate=0.02",
+	} {
+		t.Run(spec, func(t *testing.T) {
+			const count = 500
+			res, err := Flood(FloodConfig{Transport: spec, Count: count, Bytes: converse.RendezvousThreshold + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.ExactlyOnce(); err != nil {
+				t.Error(err)
+			}
+			if res.Sent != count || res.rzvStarted != count || res.rzvPulled != count {
+				t.Errorf("sent %d, headers %d, pulls %d: want %d of each", res.Sent, res.rzvStarted, res.rzvPulled, count)
+			}
+			if lossy := spec != "inproc"; lossy != (res.Retries > 0) {
+				t.Errorf("Retries = %d over %s", res.Retries, spec)
+			}
+		})
 	}
 }
 

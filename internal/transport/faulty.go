@@ -65,8 +65,7 @@ type KillEvent struct {
 // Faulty wraps an inner transport with seeded fault injection: packets are
 // dropped, duplicated, and delayed according to FaultConfig. It reports
 // Reliable() == false, arming the PAMI reliability protocol (acks,
-// retransmission with backoff, in-order dedup delivery) and the Converse
-// rendezvous timeouts above it.
+// retransmission with backoff, in-order dedup delivery) above it.
 type Faulty struct {
 	inner Transport
 	cfg   FaultConfig

@@ -18,9 +18,8 @@
 //     contention instead of instant delivery.
 //   - Faulty: a seeded fault injector that drops, duplicates, and delays
 //     packets. It reports Reliable() == false, which arms the PAMI layer's
-//     ack/retry/backoff protocol and the Converse rendezvous timeouts,
-//     turning "every packet always arrives" into tested graceful
-//     degradation.
+//     ack/retry/backoff protocol, turning "every packet always arrives"
+//     into tested graceful degradation.
 //
 // Wrappers compose: Contended and Faulty both wrap an inner Transport and
 // deliver through it, so the destination-side mechanics (reception FIFOs,
