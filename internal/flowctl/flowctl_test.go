@@ -27,34 +27,56 @@ func TestReorderCapAdmitsWindow(t *testing.T) {
 	}
 }
 
+// A sender parked on an exhausted window resumes once at most half the
+// (effective) window is in flight, not at the first returned credit.
 func TestWindowAcquireRelease(t *testing.T) {
-	ctl := NewController(Config{Window: 4, MaxBlock: 50 * time.Millisecond}, 2)
-	w := ctl.Window(0, 1)
-	for i := 0; i < 4; i++ {
-		if !w.Acquire(nil) {
-			t.Fatalf("acquire %d should have credit", i)
-		}
-	}
-	if w.Available() != 0 {
-		t.Fatalf("Available = %d, want 0", w.Available())
-	}
+	for _, tc := range []struct {
+		name             string
+		window, pressure int
+		resumeAfter      int // single-credit releases the parked sender needs
+	}{
+		{name: "window 4 resumes at half", window: 4, resumeAfter: 2},
+		{name: "window 1 resumes at 0", window: 1, resumeAfter: 1},
+		{name: "a shrunk window uses the shrunk limit", window: 8, pressure: 1, resumeAfter: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctl := NewController(Config{Window: tc.window, MaxBlock: 10 * time.Second}, 2)
+			ctl.SetPressure(0, tc.pressure)
+			w := ctl.Window(0, 1)
+			limit := int(ctl.effectiveWindow())
+			for i := 0; i < limit; i++ {
+				if !w.Acquire(nil) {
+					t.Fatalf("acquire %d should have credit", i)
+				}
+			}
+			if w.Available() != 0 {
+				t.Fatalf("Available = %d, want 0", w.Available())
+			}
 
-	// A fifth acquire parks; a concurrent release unblocks it.
-	done := make(chan bool, 1)
-	go func() { done <- w.Acquire(nil) }()
-	select {
-	case <-done:
-		t.Fatal("acquire succeeded with no credits")
-	case <-time.After(2 * time.Millisecond):
-	}
-	w.Release(1)
-	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("unblocked acquire reported overdraft")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("release did not unblock the parked acquire")
+			// One more acquire parks; it stays parked until the
+			// resumeAfter-th release.
+			done := make(chan bool, 1)
+			go func() { done <- w.Acquire(nil) }()
+			for i := 0; i < tc.resumeAfter; i++ {
+				select {
+				case <-done:
+					t.Fatalf("parked acquire resumed after %d releases, want %d", i, tc.resumeAfter)
+				case <-time.After(2 * time.Millisecond):
+				}
+				w.Release(1)
+			}
+			select {
+			case ok := <-done:
+				if !ok {
+					t.Fatal("unblocked acquire reported overdraft")
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("%d releases did not unblock the parked acquire", tc.resumeAfter)
+			}
+			if got, want := w.InFlight(), int64(limit-tc.resumeAfter+1); got != want {
+				t.Fatalf("InFlight = %d after resuming, want %d", got, want)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,7 @@
 package flowctl
 
 import (
-	"runtime"
 	"sync/atomic"
-	"time"
 
 	"blueq/internal/obs"
 )
@@ -42,7 +40,9 @@ func (w *Window) Acquire(progress func()) bool {
 	return w.acquireSlow(progress)
 }
 
-// acquireSlow is the parked path, kept out of the inline fast path.
+// acquireSlow is the parked path, kept out of the inline fast path. It
+// resumes only once at most half the window is in flight (Clark's
+// silly-window avoidance, RFC 813), not at every returned credit.
 func (w *Window) acquireSlow(progress func()) bool {
 	w.ctl.blocked.Add(1)
 	w.ctl.blockedTotal.Add(1)
@@ -57,39 +57,27 @@ func (w *Window) acquireSlow(progress func()) bool {
 		}
 	}()
 
-	deadline := time.Now().Add(w.ctl.cfg.MaxBlock)
-	sleep := 20 * time.Microsecond
-	for spins := 0; ; spins++ {
+	resumed := ParkUntil(func() bool {
 		if w.dead.Load() {
 			return true
 		}
 		limit := w.ctl.effectiveWindow()
-		if n := w.inflight.Add(1); n <= limit {
+		if n := w.inflight.Add(1); n-1 <= limit-(limit+1)/2 { // a 1-credit window: 0
 			if obs.On() {
 				mCreditsAvail.Set(limit - n)
 			}
 			return true
 		}
 		w.inflight.Add(-1)
-		if progress != nil {
-			progress()
-		}
-		if spins < 32 {
-			runtime.Gosched()
-			continue
-		}
-		if time.Now().After(deadline) {
-			// Overdraft: liveness beats the bound. The credit is still
-			// accounted, so the window re-tightens as acks drain.
-			w.inflight.Add(1)
-			mOverdraft.Inc(0)
-			return false
-		}
-		time.Sleep(sleep)
-		if sleep < time.Millisecond {
-			sleep *= 2
-		}
+		return false
+	}, progress, w.ctl.cfg.MaxBlock)
+	if !resumed {
+		// Overdraft: liveness beats the bound. The credit is still
+		// accounted, so the window re-tightens as acks drain.
+		w.inflight.Add(1)
+		mOverdraft.Inc(0)
 	}
+	return resumed
 }
 
 // Release returns n credits (delivery confirmed by receiver dispatch or

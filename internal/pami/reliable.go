@@ -92,13 +92,25 @@ type relSlot struct {
 // relSendState is the sender half of one directed node-pair channel.
 // window is the retransmission window: the unacknowledged packets, oldest
 // first — sequence numbers nextSeq-len(window)+1 through nextSeq.
+// timer is the channel's one retransmission timer for its whole life; no
+// ack stops or resets it. gen bumps on every arm, fire and cancel and
+// armedGen is the gen of the last arm, so the timer is pending while they
+// are equal and a fire finding them unequal is stale. armedBase is the
+// window base at the last arm.
 type relSendState struct {
-	nextSeq uint64 // last sequence number assigned
-	window  []relSlot
-	timer   *time.Timer
-	backoff time.Duration
-	streak  int // consecutive retry rounds since the last ack
+	nextSeq   uint64 // last sequence number assigned
+	window    []relSlot
+	timer     *time.Timer
+	gen       uint64
+	armedGen  uint64
+	armedBase uint64
+	backoff   time.Duration
+	streak    int // consecutive retry rounds since the last ack
 }
+
+// base is the cumulative ack horizon: every sequence number at or below it
+// is acknowledged.
+func (st *relSendState) base() uint64 { return st.nextSeq - uint64(len(st.window)) }
 
 // relRecvState is the receiver half: nextExpected is the cumulative
 // horizon (everything below it has been delivered), buffer holds
@@ -186,15 +198,48 @@ func (r *reliator) sendEager(dstNode, fifo, bytes int, am amPacket, credited boo
 	return r.node.ep.Inject(p)
 }
 
-// armLocked ensures a retransmit timer is pending for the channel.
+// armLocked ensures the channel's retransmit timer is pending.
 func (r *reliator) armLocked(st *relSendState, dstNode int) {
-	if st.timer != nil || r.down {
+	if (st.timer != nil && st.armedGen == st.gen) || r.down {
 		return
 	}
 	if st.backoff == 0 {
 		st.backoff = r.base
 	}
-	st.timer = time.AfterFunc(st.backoff, func() { r.retry(dstNode) })
+	st.gen++
+	st.armedGen, st.armedBase = st.gen, st.base()
+	if st.timer == nil {
+		st.timer = time.AfterFunc(st.backoff, func() { r.fire(dstNode) })
+	} else {
+		st.timer.Reset(st.backoff)
+	}
+}
+
+// fire is the retransmit timer's expiry. An empty window idles the timer
+// until the next send arms it; a window an ack advanced since the arm
+// re-arms at RetryBase without retransmitting; a stalled one is
+// retransmitted. So a lost packet is re-sent one to two backoffs after it
+// left, however many stale acks arrive.
+func (r *reliator) fire(dstNode int) {
+	r.mu.Lock()
+	st := r.send[dstNode]
+	if st == nil || r.down || st.armedGen != st.gen {
+		r.mu.Unlock() // stale: cancelled since it was armed
+		return
+	}
+	st.gen++
+	switch {
+	case len(st.window) == 0:
+		st.backoff = 0
+	case st.base() != st.armedBase:
+		st.backoff = r.base
+		r.armLocked(st, dstNode)
+	default:
+		r.mu.Unlock()
+		r.retry(dstNode)
+		return
+	}
+	r.mu.Unlock()
 }
 
 // retry retransmits every unacknowledged packet on the channel, doubling
@@ -206,7 +251,6 @@ func (r *reliator) retry(dstNode int) {
 		r.mu.Unlock()
 		return
 	}
-	st.timer = nil
 	if len(st.window) == 0 {
 		st.backoff = 0
 		r.mu.Unlock()
@@ -222,12 +266,7 @@ func (r *reliator) retry(dstNode int) {
 	r.stats.Retries += int64(len(packets))
 	st.streak++
 	streak := st.streak
-	if st.backoff < r.max {
-		st.backoff *= 2
-		if st.backoff > r.max {
-			st.backoff = r.max
-		}
-	}
+	st.backoff = min(2*st.backoff, r.max)
 	r.armLocked(st, dstNode)
 	r.mu.Unlock()
 	if obs.On() {
@@ -360,7 +399,7 @@ func (r *reliator) onAck(from int, cum uint64) {
 	// from beyond nextSeq (a misrouted one, possible with the CRC
 	// disarmed) is clamped to the window.
 	released := 0
-	if base := st.nextSeq - uint64(len(st.window)); cum > base {
+	if base := st.base(); cum > base {
 		n := int(min(cum-base, uint64(len(st.window))))
 		for i := range st.window[:n] {
 			if st.window[i].credited {
@@ -368,13 +407,6 @@ func (r *reliator) onAck(from int, cum uint64) {
 			}
 		}
 		st.window = slices.Delete(st.window, 0, n)
-	}
-	if len(st.window) == 0 {
-		st.backoff = 0
-		if st.timer != nil {
-			st.timer.Stop()
-			st.timer = nil
-		}
 	}
 	r.mu.Unlock()
 	if released > 0 {
@@ -386,8 +418,8 @@ func (r *reliator) onAck(from int, cum uint64) {
 
 // dropPeer abandons the send channel to a peer declared failed: pending
 // retransmissions to a silenced endpoint can never be acknowledged, so
-// the window is cleared and its timer cancelled. The channel state stays
-// registered; a straggler send would re-arm it harmlessly.
+// the window is cleared and the timer's next fire idles it. The channel
+// state stays registered; a straggler send would re-arm it harmlessly.
 func (r *reliator) dropPeer(dstNode int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -401,10 +433,6 @@ func (r *reliator) dropPeer(dstNode int) {
 	st.window = slices.Delete(st.window, 0, len(st.window))
 	st.backoff = 0
 	st.streak = 0
-	if st.timer != nil {
-		st.timer.Stop()
-		st.timer = nil
-	}
 }
 
 // kick collapses the channel's backoff and retransmits the pending window
@@ -420,10 +448,7 @@ func (r *reliator) kick(dstNode int) {
 		r.mu.Unlock()
 		return
 	}
-	if st.timer != nil {
-		st.timer.Stop()
-		st.timer = nil
-	}
+	st.gen++ // cancel the pending timer: retry re-arms it at RetryBase
 	st.backoff = 0
 	r.mu.Unlock()
 	r.retry(dstNode)
@@ -481,7 +506,6 @@ func (r *reliator) shutdown() {
 	for _, st := range r.send {
 		if st.timer != nil {
 			st.timer.Stop()
-			st.timer = nil
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package pami
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -94,6 +95,105 @@ func TestFaultyTransportDeliversExactlyOnce(t *testing.T) {
 	}
 	if rr := c.Node(1).ReliabilityStats(); rr.Redelivered == 0 {
 		t.Fatalf("retransmissions+dups occurred but the receiver deduped nothing: %+v", rr)
+	}
+}
+
+// A busy channel keeps one retransmission timer for its whole life — no
+// send or ack creates, stops or replaces it, and its fires re-arm it — and
+// a loss-free ping-pong never retransmits.
+func TestOneRetransmitTimerPerChannel(t *testing.T) {
+	// A hop is microseconds; 10 ms keeps a multi-millisecond host stall
+	// (the race detector's, a shared CPU's) from posing as a loss.
+	base := RetryBase
+	RetryBase = 10 * time.Millisecond
+	t.Cleanup(func() { RetryBase = base })
+	tr, err := transport.New("faulty:seed=1,unreliable=1", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := NewClient(tr, 1)
+	defer c.Node(0).Shutdown()
+	defer c.Node(1).Shutdown()
+	got := 0
+	c.Node(1).Context(0).RegisterDispatch(1, func(int, any, int) { got++ })
+
+	// At least 1000 cycles, and on until the timer has fired and re-armed
+	// mid-stream (gen 1 is the first arm, 2 its fire, 3 the re-arm). Each
+	// ack is consumed a cycle late, so every fire finds a packet in flight
+	// and must count the advanced base as progress, not loss.
+	rel := c.Node(0).rel
+	var timer, first *time.Timer
+	var gen uint64
+	cycles := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for ; cycles < 1000 || gen < 3; cycles++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("timer never re-armed in %d cycles", cycles)
+		}
+		runtime.Gosched() // on a single P the timer runs only at a yield
+		if err := c.Node(0).Context(0).SendImmediate(1, 0, 1, nil, 8); err != nil {
+			t.Fatal(err)
+		}
+		c.Node(0).Context(0).Advance() // consume the previous cycle's ack
+		c.Node(1).Context(0).Advance() // deliver + ack
+		rel.mu.Lock()
+		timer, gen = rel.send[1].timer, rel.send[1].gen
+		rel.mu.Unlock()
+		if first == nil {
+			first = timer
+		}
+		if timer == nil || timer != first {
+			t.Fatalf("cycle %d: channel timer %p, want the first send's %p", cycles, timer, first)
+		}
+	}
+	if got != cycles {
+		t.Fatalf("delivered %d/%d", got, cycles)
+	}
+	if rs := c.Node(0).ReliabilityStats(); rs.Retries != 0 {
+		t.Fatalf("loss-free ping-pong retransmitted over %d cycles: %+v", cycles, rs)
+	}
+}
+
+// A lost packet is retransmitted within two RetryBase of leaving even
+// while later packets on its channel keep arriving and drawing the stale
+// cumulative ack: an ack that does not advance the window is not progress.
+func TestStaleAckDoesNotPostponeRetransmit(t *testing.T) {
+	base := RetryBase
+	RetryBase = 20 * time.Millisecond
+	t.Cleanup(func() { RetryBase = base })
+	tr, err := transport.New("faulty:seed=1,unreliable=1", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := NewClient(tr, 1)
+	defer c.Node(0).Shutdown()
+	defer c.Node(1).Shutdown()
+	c.Node(1).Context(0).RegisterDispatch(1, func(int, any, int) {})
+	send := func() {
+		t.Helper()
+		if err := c.Node(0).Context(0).SendImmediate(1, 0, 1, nil, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	send()
+	sent := time.Now()
+	if _, ok := c.Node(1).ep.Poll(0); !ok { // lose sequence 1
+		t.Fatal("first packet not pollable as soon as it was sent")
+	}
+	for c.Node(0).ReliabilityStats().Retries == 0 {
+		if e := time.Since(sent); e > 2*RetryBase {
+			t.Fatalf("lost packet not retransmitted %v after it left (RetryBase %v)", e, RetryBase)
+		}
+		send()                         // a later packet ...
+		c.Node(1).Context(0).Advance() // ... buffered out of order, answered with cum=0 ...
+		c.Node(0).Context(0).Advance() // ... which lands and advances nothing
+		time.Sleep(RetryBase / 10)
+	}
+	if rs := c.Node(0).ReliabilityStats(); rs.AcksReceived == 0 {
+		t.Fatalf("no stale ack landed before the retransmission: %+v", rs)
 	}
 }
 

@@ -276,10 +276,13 @@ func reference(t *testing.T, tc fftCase) Result {
 // TestDetectorNoFalsePositivesContended runs the FFT under the contended
 // transport's modelled link delays with heartbeats at full tilt and
 // asserts the detector never so much as suspects a live node: the timeout
-// floor plus the adaptive phi term must absorb worst-case queueing.
+// floor plus the adaptive phi term must absorb worst-case queueing. Each
+// iteration waits out the modelled link delays (~0.3 ms at scale 25), so
+// 64 of them span about ten heartbeat intervals: the run must outlast
+// several, or whether any heartbeat is sent is down to luck.
 func TestDetectorNoFalsePositivesContended(t *testing.T) {
 	res, err := FFT(FFTConfig{
-		N: 8, Iters: 8, Transport: "contended:scale=25",
+		N: 8, Iters: 64, Transport: "contended:scale=25",
 		Detector: ft.Config{HeartbeatInterval: 2 * time.Millisecond, SuspectAfter: 100 * time.Millisecond},
 	})
 	if err != nil {

@@ -11,11 +11,12 @@ import (
 
 // delayLine holds packets in flight until their release time, then injects
 // them into the inner transport in strict (release time, submission order)
-// order. A single background goroutine performs timed delivery; Advance
-// lets callers drain due packets synchronously. Serializing all deliveries
-// through one path preserves per-(src,dst) FIFO order whenever release
-// times are monotone per pair, which the contended backend guarantees by
-// FCFS link booking.
+// order. The injecting thread delivers a packet already due itself; only
+// packets that carry a delay (and anything queued behind them) wait for the
+// single background goroutine, and Advance lets callers drain due packets
+// synchronously. Serializing all deliveries under deliverMu preserves
+// per-(src,dst) FIFO order whenever release times are monotone per pair,
+// which the contended backend guarantees by FCFS link booking.
 type delayLine struct {
 	deliver func(src int, p torus.Packet)
 
@@ -69,9 +70,21 @@ func newDelayLine(deliver func(src int, p torus.Packet)) *delayLine {
 }
 
 // schedule books p for delivery at due. Packets scheduled after close are
-// dropped, like packets on the wire at teardown.
+// dropped, like packets on the wire at teardown. A due packet is delivered
+// before schedule returns when nothing is queued and no delivery batch is
+// running; otherwise it is queued, never waiting for another batch.
 func (dl *delayLine) schedule(due time.Time, src int, p torus.Packet) {
+	inline := !due.After(time.Now()) && dl.deliverMu.TryLock()
 	dl.mu.Lock()
+	if inline {
+		if !dl.closed && len(dl.flights) == 0 {
+			dl.mu.Unlock()
+			dl.deliver(src, p)
+			dl.deliverMu.Unlock()
+			return
+		}
+		dl.deliverMu.Unlock()
+	}
 	if dl.closed {
 		dl.mu.Unlock()
 		return
@@ -122,7 +135,6 @@ func (dl *delayLine) run() {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
-		dl.advance()
 		dl.mu.Lock()
 		if dl.closed {
 			dl.mu.Unlock()
@@ -135,7 +147,7 @@ func (dl *delayLine) run() {
 		dl.mu.Unlock()
 		switch {
 		case wait <= 0:
-			continue // became due while delivering; go around again
+			dl.advance() // only with a flight due: an idle line never blocks inline delivery
 		case wait < spinHorizon:
 			runtime.Gosched()
 		default:

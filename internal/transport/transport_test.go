@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -93,25 +94,41 @@ func TestFaultyReliableOnlyWhenFaultFree(t *testing.T) {
 	}
 }
 
+// A packet nothing delays can be polled at the destination as soon as
+// Inject returns — no Advance, no sleep — whether the endpoint is the MU
+// itself or a faulty one with every fault rate at zero.
 func TestInprocPassthrough(t *testing.T) {
-	tr := NewInproc(torus.MustNew(torus.ShapeForNodes(2)), 2)
-	defer tr.Close()
-	if _, ok := tr.Endpoint(0).(*torus.MU); !ok {
-		t.Fatalf("inproc endpoint is %T, want *torus.MU", tr.Endpoint(0))
-	}
-	if !tr.Reliable() || tr.Pending() || tr.Advance() != 0 {
-		t.Fatal("inproc must be reliable with no in-flight state")
-	}
-	if err := tr.Endpoint(0).Inject(torus.Packet{Type: torus.MemoryFIFO, Dst: 1, Bytes: 32, FIFO: 1, Payload: "hi"}); err != nil {
-		t.Fatal(err)
-	}
-	got := pollAll(tr.Endpoint(1))
-	if len(got) != 1 || got[0].Payload != "hi" || got[0].Src != 0 {
-		t.Fatalf("got %+v", got)
-	}
-	s := tr.Stats()
-	if s.Injected != 1 || s.Delivered != 1 {
-		t.Fatalf("stats = %+v", s)
+	for _, tc := range []struct {
+		spec         string
+		mu, reliable bool
+	}{
+		{"inproc", true, true},
+		{"faulty:unreliable=1", false, false},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			tr, err := New(tc.spec, 2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			if _, ok := tr.Endpoint(0).(*torus.MU); ok != tc.mu {
+				t.Fatalf("endpoint is %T, want *torus.MU: %v", tr.Endpoint(0), tc.mu)
+			}
+			if tr.Reliable() != tc.reliable || tr.Pending() || tr.Advance() != 0 {
+				t.Fatalf("Reliable = %v, want %v, with no in-flight state", tr.Reliable(), tc.reliable)
+			}
+			if err := tr.Endpoint(0).Inject(torus.Packet{Type: torus.MemoryFIFO, Dst: 1, Bytes: 32, FIFO: 1, Payload: "hi"}); err != nil {
+				t.Fatal(err)
+			}
+			got := pollAll(tr.Endpoint(1))
+			if len(got) != 1 || got[0].Payload != "hi" || got[0].Src != 0 {
+				t.Fatalf("got %+v", got)
+			}
+			s := tr.Stats()
+			if s.Injected != 1 || s.Delivered != 1 {
+				t.Fatalf("stats = %+v", s)
+			}
+		})
 	}
 }
 
@@ -208,13 +225,41 @@ func TestFaultyDeliveryAccounting(t *testing.T) {
 }
 
 func TestDelayLineOrdersByDueTime(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name   string
+		due    []time.Duration // flight i carries payload i, due this long from now
+		inline []int           // delivered before schedule returned
+		want   []int           // final delivery order
+	}{
+		{name: "release times, not submission order", due: []time.Duration{3 * ms, 4 * ms, 2 * ms}, want: []int{2, 0, 1}},
+		{name: "a due flight on an empty line goes inline", due: []time.Duration{0}, inline: []int{0}, want: []int{0}},
+		{name: "a due flight behind a queued one waits its turn", due: []time.Duration{2 * ms, 0}, want: []int{1, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// No delivery goroutine: what schedule did not deliver inline
+			// stays queued until the explicit advance below.
+			var got []int
+			dl := &delayLine{deliver: func(src int, p torus.Packet) { got = append(got, p.Payload.(int)) }}
+			now := time.Now()
+			for i, d := range tc.due {
+				dl.schedule(now.Add(d), 0, torus.Packet{Payload: i})
+			}
+			if !slices.Equal(got, tc.inline) {
+				t.Fatalf("delivered inline %v, want %v", got, tc.inline)
+			}
+			time.Sleep(time.Until(now.Add(slices.Max(tc.due))))
+			dl.advance()
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("delivery order %v, want %v", got, tc.want)
+			}
+		})
+	}
+
+	// The delivery goroutine releases a delayed flight with no Advance.
 	var got []int
 	dl := newDelayLine(func(src int, p torus.Packet) { got = append(got, p.Payload.(int)) })
-	base := time.Now().Add(2 * time.Millisecond)
-	// Schedule out of order; release times force 2, 0, 1.
-	dl.schedule(base.Add(1*time.Millisecond), 0, torus.Packet{Payload: 0})
-	dl.schedule(base.Add(2*time.Millisecond), 0, torus.Packet{Payload: 1})
-	dl.schedule(base, 0, torus.Packet{Payload: 2})
+	dl.schedule(time.Now().Add(ms), 0, torus.Packet{Payload: 7})
 	deadline := time.Now().Add(5 * time.Second)
 	for dl.pending() {
 		if time.Now().After(deadline) {
@@ -223,8 +268,8 @@ func TestDelayLineOrdersByDueTime(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	dl.advance() // no-op barrier: ensures the background batch finished
-	if len(got) != 3 || got[0] != 2 || got[1] != 0 || got[2] != 1 {
-		t.Fatalf("delivery order %v, want [2 0 1]", got)
+	if !slices.Equal(got, []int{7}) {
+		t.Fatalf("goroutine delivered %v, want [7]", got)
 	}
 	dl.close()
 	dl.schedule(time.Now(), 0, torus.Packet{Payload: 9})
