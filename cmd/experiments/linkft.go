@@ -79,7 +79,7 @@ func linkFFTRun(seed int64, nodes, iters int, f scenario.Faults) scenario.Result
 func failLinks(links ...[2]int) func(*charm.Runtime, *ft.Manager) {
 	return func(rt *charm.Runtime, _ *ft.Manager) {
 		for _, l := range links {
-			if err := rt.Machine().FailLink(l[0], l[1]); err != nil {
+			if err := rt.Machine().Torus().FailLink(l[0], l[1]); err != nil {
 				log.Fatalf("FailLink(%d,%d): %v", l[0], l[1], err)
 			}
 		}

@@ -178,6 +178,11 @@ type Aggregator struct {
 	freeMu   sync.Mutex
 	freeList []*Batch
 
+	// allocMu serialises flush-time allocations: flushes run on any worker
+	// of the node and on the MaxDelay timer, while a mempool pool has one
+	// consumer.
+	allocMu sync.Mutex
+
 	batches atomic.Int64
 	msgs    atomic.Int64
 	reasons [numReasons]atomic.Int64
@@ -321,7 +326,9 @@ func (a *Aggregator) FlushAll(reason FlushReason) {
 // would pin peak-sized buffers through the whole in-flight window.
 func (a *Aggregator) dispatch(dst int, b *Batch, reason FlushReason) {
 	if a.alloc != nil {
+		a.allocMu.Lock()
 		b.buf = a.alloc.Alloc(b.tid, b.WireBytes())
+		a.allocMu.Unlock()
 	}
 	a.batches.Add(1)
 	a.msgs.Add(int64(len(b.Items)))

@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -239,5 +240,42 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 	if s := a.Stats(); s.Messages != 4*per {
 		t.Fatalf("stats messages %d", s.Messages)
+	}
+}
+
+// Flushes run on every worker of a node and on the MaxDelay timer, all
+// allocating from the opening worker's pool, which has one consumer: two
+// concurrent flushes must never be handed the same buffer.
+func TestConcurrentFlushesGetDistinctBuffers(t *testing.T) {
+	var mu sync.Mutex
+	inUse := map[*mempool.Buffer]bool{}
+	var a *Aggregator
+	dupes := 0
+	a = New(Config{MaxBatchMsgs: 1}, 0, 5, mempool.NewPoolAllocator(1, 0), func(dst int, b *Batch) {
+		mu.Lock()
+		if inUse[b.buf] {
+			dupes++
+		}
+		inUse[b.buf] = true
+		mu.Unlock()
+		runtime.Gosched() // hold the buffer while the other flushers run
+		mu.Lock()
+		delete(inUse, b.buf)
+		mu.Unlock()
+		a.Recycle(b)
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(dst int) {
+			defer wg.Done()
+			for i := 0; i < 20000; i++ {
+				a.Append(dst, 0, i, 16)
+			}
+		}(1 + w)
+	}
+	wg.Wait()
+	if dupes != 0 {
+		t.Fatalf("%d flushes were handed a buffer another flush held", dupes)
 	}
 }

@@ -471,34 +471,13 @@ func (m *Machine) HaltNode(rank int) {
 
 // KillNode fail-stops a node end to end: its transport endpoints go silent
 // (when the transport supports fail-stop injection) and its schedulers
-// halt. This is the programmatic hook behind the faulty transport's
-// kill=R@DUR spec events.
+// halt. Fault schedules (scenario.Faults, ft.Manager.KillPE) kill through
+// it; link faults go to the torus link table (Torus().FailLink).
 func (m *Machine) KillNode(rank int) {
 	if k, ok := m.tr.(transport.Killer); ok {
 		k.KillNode(rank) // kill hook calls HaltNode
 	}
 	m.HaltNode(rank) // direct halt when the transport has no kill support
-}
-
-// FailLink takes the physical torus link a-b out of service, machine-wide:
-// routes recompute around it (detouring when no minimal route survives),
-// the contended backend re-books serialization on the new paths, and a
-// (src,dst) pair the down links partition loses its packets on the wire.
-// This is the programmatic hook behind the faulty transport's
-// link=A-B@DUR spec events; chaos harnesses call it directly.
-func (m *Machine) FailLink(a, b int) error {
-	if lf, ok := m.tr.(transport.LinkFaulter); ok {
-		return lf.FailLink(a, b)
-	}
-	return m.tor.FailLink(a, b)
-}
-
-// HealLink returns the physical torus link a-b to service.
-func (m *Machine) HealLink(a, b int) error {
-	if lf, ok := m.tr.(transport.LinkFaulter); ok {
-		return lf.HealLink(a, b)
-	}
-	return m.tor.HealLink(a, b)
 }
 
 // NodeDead reports whether the node has been halted or killed.

@@ -32,7 +32,8 @@ import (
 //     re-buddies around the dead, so the rolled-back state is double-
 //     copied again before the application resumes — and wait for it to
 //     commit.
-//  7. Hand the application blob to the restart hook on the leader PE.
+//  7. Hand the application blob to the restart hook, delivered as an
+//     entry on the leader PE so the hook runs on that PE's scheduler.
 //
 // After steps 2, 5 and 6 the pass checks whether the dead set grew (the
 // detector kept running); if so it restarts from step 1 with the larger
@@ -169,9 +170,15 @@ func (mgr *Manager) runRecovery() {
 			obsRecoveryNS.Observe(d, time.Since(start).Nanoseconds())
 		}
 	}
+	// The restart hook sends from the PE it is handed, and a PE's envelope
+	// pool has one consumer: its scheduler. Send the hook to the leader PE
+	// as an entry (one message from this goroutine while the application
+	// is stopped, like the checkpoint round's) rather than run it here.
 	epoch := mgr.committed.Load()
 	if _, restore := mgr.appHooks(); restore != nil && epoch > 0 {
-		restore(mgr.m.PE(mgr.leaderPE()), mgr.findApp(epoch))
+		leader := mgr.leaderPE()
+		app := mgr.findApp(epoch)
+		_ = mgr.grp.Send(mgr.m.PE(leader), leader, mgr.eRestore, app, 16+len(app))
 	}
 }
 

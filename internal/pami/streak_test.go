@@ -165,14 +165,13 @@ func TestRerouteDrainsWindowWithoutDuplicates(t *testing.T) {
 		mu.Unlock()
 	})
 
-	lf := tr.(transport.LinkFaulter)
 	var failed atomic.Bool
 	for i := 0; i < msgs; i++ {
 		if i == msgs/2 {
 			// Cut the primary link mid-stream. Packets in flight on it are
 			// lost; the send window holds them for retransmission over the
 			// detour.
-			if err := lf.FailLink(0, 1); err != nil {
+			if err := tr.Torus().FailLink(0, 1); err != nil {
 				t.Fatal(err)
 			}
 			failed.Store(true)

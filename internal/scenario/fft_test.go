@@ -38,7 +38,7 @@ const linky = "faulty:seed=1,unreliable=1"
 func failLinks(t *testing.T, links ...[2]int) func(*charm.Runtime, *ft.Manager) {
 	return func(rt *charm.Runtime, _ *ft.Manager) {
 		for _, l := range links {
-			if err := rt.Machine().FailLink(l[0], l[1]); err != nil {
+			if err := rt.Machine().Torus().FailLink(l[0], l[1]); err != nil {
 				t.Errorf("FailLink(%d,%d): %v", l[0], l[1], err)
 			}
 		}

@@ -265,10 +265,10 @@ func (h *harness) flap() {
 	m := h.rt.Machine()
 	for k := 0; k < h.f.Flaps; k++ {
 		l := cellLinks[k%len(cellLinks)]
-		err := m.FailLink(l[0], l[1])
+		err := m.Torus().FailLink(l[0], l[1])
 		if err == nil {
 			time.Sleep(h.f.Hold)
-			err = m.HealLink(l[0], l[1])
+			err = m.Torus().HealLink(l[0], l[1])
 		}
 		if err != nil {
 			h.fail(fmt.Errorf("link flap %d: %w", k, err))

@@ -2,6 +2,7 @@ package torus
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -20,9 +21,10 @@ import (
 //
 // Everything here is off the hot path by construction: a torus with no
 // link faults and no path salts answers HasLinkFaults with one atomic
-// load, and FaultRoute's callers (the contended and faulty transports)
-// cache routes per (src,dst), invalidating on the route-generation
-// counter — a second atomic load per injected packet.
+// load, and Verdict caches each (src,dst) pair's route in the table,
+// invalidating on the route-generation counter — a pointer load and a
+// second atomic load per injected packet, shared by every transport
+// stacked over the torus.
 
 // LinkState classifies one physical torus link.
 type LinkState uint8
@@ -78,6 +80,8 @@ type linkTable struct {
 
 	reroutes atomic.Int64 // fault-avoiding routes handed out
 	detours  atomic.Int64 // of those, non-minimal
+
+	routes []atomic.Pointer[RouteVerdict] // src*n+dst -> cached verdict
 }
 
 var linkTablesMu sync.Mutex
@@ -92,9 +96,11 @@ func (t *Torus) table() *linkTable {
 	if lt := t.links.Load(); lt != nil {
 		return lt
 	}
+	n := t.Nodes()
 	lt := &linkTable{
 		faults: make(map[[2]int]LinkFault),
 		salts:  make(map[[2]int]uint32),
+		routes: make([]atomic.Pointer[RouteVerdict], n*n),
 	}
 	t.links.Store(lt)
 	return lt
@@ -128,7 +134,7 @@ func (t *Torus) checkLink(a, b int) error {
 }
 
 // SetLinkFault installs the fault entry for the physical link a-b (both
-// directions) and bumps the route generation so every route cache above
+// directions) and bumps the route generation so every cached Verdict
 // recomputes. A LinkUp entry with zero parameters removes the link from
 // the table.
 func (t *Torus) SetLinkFault(a, b int, f LinkFault) error {
@@ -179,11 +185,14 @@ func (t *Torus) HealLink(a, b int) error {
 // drops crossings with probability flaky and stretches serialization by
 // slow (0 keeps nominal speed).
 func (t *Torus) DegradeLink(a, b int, flaky, slow float64) error {
-	if flaky < 0 || flaky > 1 {
+	if !(flaky >= 0 && flaky <= 1) {
 		return fmt.Errorf("torus: link %d-%d: flaky rate %g outside [0,1]", a, b, flaky)
 	}
-	if slow < 0 {
-		return fmt.Errorf("torus: link %d-%d: slow factor %g negative", a, b, slow)
+	if !(slow >= 0) {
+		return fmt.Errorf("torus: link %d-%d: slow factor %g negative or NaN", a, b, slow)
+	}
+	if math.IsInf(slow, 1) {
+		return fmt.Errorf("torus: link %d-%d: slow factor must be finite", a, b)
 	}
 	return t.SetLinkFault(a, b, LinkFault{State: LinkDegraded, FlakyRate: flaky, SlowFactor: slow})
 }
@@ -227,9 +236,8 @@ func (t *Torus) HasLinkFaults() bool {
 }
 
 // RouteGen returns the route-generation counter. It bumps on every link
-// state change and every path-salt bump; caches keyed on it (the
-// contended transport's route cache, the faulty transport's link-crossing
-// cache) invalidate exactly when routing inputs changed.
+// state change and every path-salt bump; Verdict's cache is keyed on it,
+// so a pair's route is recomputed exactly when routing inputs changed.
 func (t *Torus) RouteGen() uint64 {
 	lt := t.links.Load()
 	if lt == nil {
@@ -299,14 +307,58 @@ func (t *Torus) Detours() int64 {
 // Reachable reports whether any route from a to b survives the current
 // fault set.
 func (t *Torus) Reachable(a, b int) bool {
-	if a == b {
-		return true
+	return a == b || !t.HasLinkFaults() || t.Verdict(a, b).OK
+}
+
+// RouteVerdict is the fail-aware routing verdict of one (src,dst) pair at
+// one route generation. It is shared by every caller and never mutated
+// after Verdict publishes it.
+type RouteVerdict struct {
+	gen uint64
+	// Path is the route as node ranks (excluding src, including dst).
+	Path []int
+	// OK is false when the down links partition the pair.
+	OK bool
+	// Flaky is the combined probability that a packet is lost crossing
+	// the degraded links on Path.
+	Flaky float64
+	// Slows holds each hop's serialization factor (0 at nominal speed);
+	// nil when every hop runs at nominal speed.
+	Slows []float64
+}
+
+// Verdict returns the pair's fail-aware route, computed by FaultRoute at
+// most once per route generation (so a reroute counts once per pair per
+// generation, however many transports are stacked over the torus). A hit
+// is one pointer load and a generation compare, with no lock.
+func (t *Torus) Verdict(src, dst int) *RouteVerdict {
+	lt := t.table()
+	gen := lt.gen.Load()
+	slot := &lt.routes[src*t.Nodes()+dst]
+	if v := slot.Load(); v != nil && v.gen == gen {
+		return v
 	}
-	if !t.HasLinkFaults() {
-		return true
+	v := &RouteVerdict{gen: gen}
+	v.Path, _, v.OK = t.FaultRoute(src, dst)
+	if v.OK && lt.nFault.Load() != 0 {
+		pass := 1.0
+		prev := src
+		for i, to := range v.Path {
+			if f := t.LinkFaultOf(prev, to); f.State == LinkDegraded {
+				pass *= 1 - f.FlakyRate
+				if f.SlowFactor > 0 {
+					if v.Slows == nil {
+						v.Slows = make([]float64, len(v.Path))
+					}
+					v.Slows[i] = f.SlowFactor
+				}
+			}
+			prev = to
+		}
+		v.Flaky = 1 - pass
 	}
-	_, _, ok := t.FaultRoute(a, b)
-	return ok
+	slot.Store(v)
+	return v
 }
 
 // rankRoute is the dimension-order route from a to b as node ranks

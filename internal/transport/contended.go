@@ -32,25 +32,13 @@ type Contended struct {
 	dl    *delayLine
 	eps   []Endpoint
 
-	mu     sync.Mutex
-	links  map[[2]int]time.Time  // directed link -> busy-until
-	routes map[[2]int]*contRoute // (src,dst) -> fail-aware route cache
+	mu    sync.Mutex
+	links map[[2]int]time.Time // directed link -> busy-until
 
 	injected  atomic.Int64
 	stalled   atomic.Int64
 	stallNS   atomic.Int64
 	linkDrops atomic.Int64
-}
-
-// contRoute is one cached route, valid while the torus route generation
-// matches gen: the fail-aware path, per-link serialization multipliers
-// for degraded links (nil when every link is nominal), and whether any
-// route survives at all.
-type contRoute struct {
-	gen   uint64
-	ok    bool
-	path  []int
-	slows []float64
 }
 
 // NewContended wraps inner with the torus contention model.
@@ -60,10 +48,9 @@ func NewContended(inner Transport, cfg ContentionConfig) *Contended {
 		scale = 1.0
 	}
 	t := &Contended{
-		inner:  inner,
-		scale:  scale,
-		links:  make(map[[2]int]time.Time),
-		routes: make(map[[2]int]*contRoute),
+		inner: inner,
+		scale: scale,
+		links: make(map[[2]int]time.Time),
 	}
 	t.dl = newDelayLine(func(src int, p torus.Packet) {
 		_ = inner.Endpoint(src).Inject(p)
@@ -116,9 +103,9 @@ func (t *Contended) String() string { return fmt.Sprintf("contended:scale=%g", t
 // bookRoute walks the fail-aware route from src to dst, serializing the
 // packetized payload on every directed link FCFS behind earlier traffic,
 // and returns the absolute delivery time plus the portion spent stalled
-// behind other packets. Routes are cached per (src,dst) and invalidated
-// by the torus route-generation counter, so a link failure, heal or
-// adaptive path-salt bump recomputes exactly the routes it affects.
+// behind other packets. The route is the torus's cached verdict
+// (Torus.Verdict), so a link failure, heal or adaptive path-salt bump
+// recomputes exactly the routes it affects.
 // ok=false means the down links partition the pair and the packet is
 // lost on the severed wire. The due time is computed against a single
 // clock read under the booking lock: per-(src,dst) due times are then
@@ -136,35 +123,15 @@ func (t *Contended) bookRoute(src, dst, bytes int) (due time.Time, stall time.Du
 	}
 	ser := time.Duration(float64(packets*torus.PacketSize) / torus.EffectiveBW * 1e9 * t.scale)
 	hop := time.Duration(torus.HopLatencySeconds * 1e9 * t.scale)
-	tor := t.inner.Torus()
-	gen := tor.RouteGen()
+	v := t.inner.Torus().Verdict(src, dst)
+	if !v.OK {
+		return time.Time{}, 0, false
+	}
 
 	t.mu.Lock()
 	cursor := time.Now()
-	cr := t.routes[[2]int{src, dst}]
-	if cr == nil || cr.gen != gen {
-		cr = &contRoute{gen: gen}
-		cr.path, _, cr.ok = tor.FaultRoute(src, dst)
-		if cr.ok && tor.HasLinkFaults() {
-			prev := src
-			for i, to := range cr.path {
-				if f := tor.LinkFaultOf(prev, to); f.SlowFactor > 0 {
-					if cr.slows == nil {
-						cr.slows = make([]float64, len(cr.path))
-					}
-					cr.slows[i] = f.SlowFactor
-				}
-				prev = to
-			}
-		}
-		t.routes[[2]int{src, dst}] = cr
-	}
-	if !cr.ok {
-		t.mu.Unlock()
-		return time.Time{}, 0, false
-	}
 	prev := src
-	for i, to := range cr.path {
+	for i, to := range v.Path {
 		key := [2]int{prev, to}
 		start := cursor
 		if free, ok := t.links[key]; ok && free.After(start) {
@@ -172,8 +139,8 @@ func (t *Contended) bookRoute(src, dst, bytes int) (due time.Time, stall time.Du
 			start = free
 		}
 		serL := ser
-		if cr.slows != nil && cr.slows[i] > 0 {
-			serL = time.Duration(float64(ser) * cr.slows[i])
+		if v.Slows != nil && v.Slows[i] > 0 {
+			serL = time.Duration(float64(ser) * v.Slows[i])
 		}
 		end := start.Add(serL)
 		t.links[key] = end
@@ -183,18 +150,6 @@ func (t *Contended) bookRoute(src, dst, bytes int) (due time.Time, stall time.Du
 	t.mu.Unlock()
 	return cursor, stall, true
 }
-
-// FailLink programmatically takes the physical link a-b out of service.
-// Implements LinkFaulter. Packets whose pair the failure partitions are
-// dropped (Stats.LinkDrops) — arming fault injection on a bare contended
-// transport is an explicit choice to leave the reliability sublayer's
-// contract to the operator.
-func (t *Contended) FailLink(a, b int) error { return t.inner.Torus().FailLink(a, b) }
-
-// HealLink returns the link a-b to service. Implements LinkFaulter.
-func (t *Contended) HealLink(a, b int) error { return t.inner.Torus().HealLink(a, b) }
-
-var _ LinkFaulter = (*Contended)(nil)
 
 // contendedEndpoint intercepts Inject to apply the link model; everything
 // on the reception side delegates to the inner endpoint.

@@ -44,22 +44,6 @@ type FaultConfig struct {
 	// perfect network. Benchmarks use it to measure protocol overhead
 	// deterministically.
 	ForceUnreliable bool
-	// Kills schedules fail-stop events: each event silences a node rank a
-	// fixed duration after the transport is built. Kills are orthogonal to
-	// the packet-level rates and do not flip Reliable() — a dead node is a
-	// fault-tolerance event, not a lossy-channel event.
-	Kills []KillEvent
-	// Links schedules link-state events (down/heal/flaky/slow) against
-	// the torus link table. Unlike Kills they DO flip Reliable(): a flaky
-	// or severed link loses packets between live nodes, which only the
-	// reliability sublayer can repair.
-	Links []LinkEvent
-}
-
-// KillEvent fail-stops one node at a fixed offset from transport start.
-type KillEvent struct {
-	Rank  int
-	After time.Duration
 }
 
 // Faulty wraps an inner transport with seeded fault injection: packets are
@@ -84,18 +68,13 @@ type Faulty struct {
 
 	killed      []atomic.Bool
 	killHook    atomic.Value // func(rank int)
-	killTimers  []*time.Timer
 	killedNodes atomic.Int64
 	killedDrops atomic.Int64
 
-	// Link faults: scheduled events, the per-pair fail-aware route cache
-	// (invalidated by the torus route generation), and whether the inner
-	// transport is the contended model (which then owns slow-link timing).
-	linkTimers   []*time.Timer
+	// viaContended: the inner transport is the contended model, which then
+	// owns slow-link timing.
 	linkDrops    atomic.Int64
 	viaContended bool
-	lrMu         sync.Mutex
-	lroutes      map[[2]int]linkRoute
 }
 
 // NewFaulty wraps inner with fault injection.
@@ -113,7 +92,6 @@ func NewFaulty(inner Transport, cfg FaultConfig) *Faulty {
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		killed:       make([]atomic.Bool, inner.Nodes()),
 		viaContended: viaContended,
-		lroutes:      make(map[[2]int]linkRoute),
 	}
 	t.dl = newDelayLine(func(src int, p torus.Packet) {
 		// A packet in flight toward (or from) a node that died while it was
@@ -131,50 +109,7 @@ func NewFaulty(inner Transport, cfg FaultConfig) *Faulty {
 	for r := range t.eps {
 		t.eps[r] = &faultyEndpoint{t: t, inner: inner.Endpoint(r)}
 	}
-	for _, k := range cfg.Kills {
-		rank := k.Rank
-		t.killTimers = append(t.killTimers, time.AfterFunc(k.After, func() { t.KillNode(rank) }))
-	}
-	tor := inner.Torus()
-	for _, ev := range cfg.Links {
-		ev := ev
-		t.linkTimers = append(t.linkTimers, time.AfterFunc(ev.After, func() {
-			applyLinkEvent(tor, ev)
-			if obs.On() {
-				obsLinkEvent.Inc(ev.A)
-			}
-		}))
-	}
 	return t
-}
-
-// FailLink programmatically takes the physical link a-b out of service;
-// routes recompute around it through the shared torus table. Implements
-// LinkFaulter.
-func (t *Faulty) FailLink(a, b int) error { return t.inner.Torus().FailLink(a, b) }
-
-// HealLink returns the link a-b to service. Implements LinkFaulter.
-func (t *Faulty) HealLink(a, b int) error { return t.inner.Torus().HealLink(a, b) }
-
-var _ LinkFaulter = (*Faulty)(nil)
-
-// linkRouteFor returns the cached fail-aware routing verdict for the
-// pair, recomputing when the torus route generation moved (a link event
-// or an adaptive path-salt bump).
-func (t *Faulty) linkRouteFor(src, dst int) linkRoute {
-	tor := t.inner.Torus()
-	gen := tor.RouteGen()
-	key := [2]int{src, dst}
-	t.lrMu.Lock()
-	lr, ok := t.lroutes[key]
-	if !ok || lr.gen != gen {
-		t.lrMu.Unlock()
-		lr = resolveLinkRoute(tor, src, dst)
-		t.lrMu.Lock()
-		t.lroutes[key] = lr
-	}
-	t.lrMu.Unlock()
-	return lr
 }
 
 // KillNode fail-stops the node: every packet from it, to it, or in flight
@@ -214,12 +149,13 @@ func (t *Faulty) Endpoint(rank int) Endpoint { return t.eps[rank] }
 
 // Reliable reports false whenever faults are configured: packets may be
 // lost, duplicated, reordered, or corrupted, and the layers above must
-// cope.
+// cope. Link faults installed on the torus do not flip it: a run that
+// fails or degrades links passes unreliable=1 or a nonzero rate so the
+// reliability sublayer is armed to repair their losses.
 func (t *Faulty) Reliable() bool {
 	return !t.cfg.ForceUnreliable &&
 		t.cfg.DropRate == 0 && t.cfg.DupRate == 0 && t.cfg.DelayRate == 0 &&
-		t.cfg.CorruptRate == 0 && t.cfg.TruncateRate == 0 &&
-		len(t.cfg.Links) == 0 && t.inner.Reliable()
+		t.cfg.CorruptRate == 0 && t.cfg.TruncateRate == 0 && t.inner.Reliable()
 }
 
 // Pending reports whether delayed packets remain in flight.
@@ -243,15 +179,8 @@ func (t *Faulty) Stats() Stats {
 	return s
 }
 
-// Close stops the delivery goroutine and any pending kill timers; delayed
-// packets are dropped.
+// Close stops the delivery goroutine; delayed packets are dropped.
 func (t *Faulty) Close() {
-	for _, tm := range t.killTimers {
-		tm.Stop()
-	}
-	for _, tm := range t.linkTimers {
-		tm.Stop()
-	}
 	t.dl.close()
 	t.inner.Close()
 }
@@ -269,21 +198,7 @@ func (t *Faulty) String() string {
 	if c, ok := t.inner.(*Contended); ok {
 		fmt.Fprintf(&b, ",scale=%g", c.scale)
 	}
-	for i, k := range t.cfg.Kills {
-		fmt.Fprintf(&b, "%s%d@%s", sep(i, ",kill="), k.Rank, k.After)
-	}
-	for i, ev := range t.cfg.Links {
-		fmt.Fprintf(&b, "%s%s", sep(i, ",link="), ev)
-	}
 	return b.String()
-}
-
-// sep is first before element 0 of a '+'-joined option list and "+" after.
-func sep(i int, first string) string {
-	if i == 0 {
-		return first
-	}
-	return "+"
 }
 
 // Garbled marks a payload whose bits were damaged in flight (corruption)
@@ -340,25 +255,27 @@ func (e *faultyEndpoint) Inject(p torus.Packet) error {
 	t.injected.Add(1)
 
 	// Link faults: one atomic load when the table is quiet. With faults
-	// armed, the cached fail-aware route decides the packet's fate — a
-	// partitioned pair loses the packet outright, degraded links on the
-	// route add loss probability and serialization delay.
+	// armed, the torus's cached fail-aware route decides the packet's fate
+	// — a partitioned pair loses the packet outright, degraded links on
+	// the route add loss probability and serialization delay.
 	var linkFlaky, linkSlow float64
-	if t.inner.Torus().HasLinkFaults() {
-		lr := t.linkRouteFor(src, p.Dst)
-		if !lr.ok {
+	if tor := t.inner.Torus(); tor.HasLinkFaults() {
+		v := tor.Verdict(src, p.Dst)
+		if !v.OK {
 			t.linkDrops.Add(1)
 			if obs.On() {
 				obsLinkDrop.Inc(src)
 			}
 			return nil
 		}
-		linkFlaky = lr.flaky
+		linkFlaky = v.Flaky
 		if !t.viaContended {
 			// Over inproc there is no serialization model to stretch, so a
 			// slow link becomes injected delay; over contended the booking
 			// path applies the factor to the link itself.
-			linkSlow = lr.slow
+			for _, f := range v.Slows {
+				linkSlow += f
+			}
 		}
 	}
 

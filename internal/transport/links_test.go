@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -10,76 +11,6 @@ import (
 
 // The 4-node shape {2,1,1,1,2} has physical links 0-1, 2-3 (E dimension)
 // and 0-2, 1-3 (A dimension); the detour around a dead 0-1 is 0→2→3→1.
-
-func TestLinkSpecParsing(t *testing.T) {
-	good := []struct {
-		spec string
-		want []LinkEvent
-	}{
-		{"faulty:link=0-1@0s", []LinkEvent{{A: 0, B: 1}}},
-		{"faulty:link=0-1@50ms:down", []LinkEvent{{A: 0, B: 1, After: 50 * time.Millisecond}}},
-		{"faulty:link=0-1@0s:flaky=0.25", []LinkEvent{{A: 0, B: 1, Mode: LinkEvtFlaky, Param: 0.25}}},
-		{"faulty:link=1-3@1s:slow=4", []LinkEvent{{A: 1, B: 3, After: time.Second, Mode: LinkEvtSlow, Param: 4}}},
-		{"faulty:link=0-1@0s+0-1@80ms:heal", []LinkEvent{
-			{A: 0, B: 1},
-			{A: 0, B: 1, After: 80 * time.Millisecond, Mode: LinkEvtHeal},
-		}},
-		{"faulty:kill=2@10ms,link=0-1@0s", []LinkEvent{{A: 0, B: 1}}},
-	}
-	for _, tc := range good {
-		tr, err := New(tc.spec, 4, 1)
-		if err != nil {
-			t.Fatalf("New(%q): %v", tc.spec, err)
-		}
-		f, ok := tr.(*Faulty)
-		if !ok {
-			t.Fatalf("New(%q) = %T, want *Faulty", tc.spec, tr)
-		}
-		if len(f.cfg.Links) != len(tc.want) {
-			t.Fatalf("New(%q): %d link events, want %d", tc.spec, len(f.cfg.Links), len(tc.want))
-		}
-		for i, ev := range f.cfg.Links {
-			if ev != tc.want[i] {
-				t.Errorf("New(%q) event %d = %+v, want %+v", tc.spec, i, ev, tc.want[i])
-			}
-		}
-		if tr.Reliable() {
-			t.Errorf("New(%q) reports Reliable; link events must arm the reliability stack", tc.spec)
-		}
-		tr.Close()
-	}
-
-	bad := []struct{ spec, frag string }{
-		{"faulty:link=0-1", "malformed link event"},
-		{"faulty:link=01@0s", "malformed link"},
-		{"faulty:link=0-9@0s", "out of range"},
-		{"faulty:link=0-3@0s", "not a physical link"},
-		{"faulty:link=0-0@0s", "same rank"},
-		{"faulty:link=0-1@soon", "link time"},
-		{"faulty:link=0-1@-5ms", "negative"},
-		{"faulty:link=0-1@0s:sever", "unknown link mode"},
-		{"faulty:link=0-1@0s:down=1", "takes no parameter"},
-		{"faulty:link=0-1@0s:heal=1", "takes no parameter"},
-		{"faulty:link=0-1@0s:flaky", "needs a probability"},
-		{"faulty:link=0-1@0s:flaky=1.5", "outside [0,1]"},
-		{"faulty:link=0-1@0s:slow", "needs a factor"},
-		{"faulty:link=0-1@0s:slow=0.5", "must be >= 1"},
-		{"faulty:link=0-1@0s:flaky=NaN", "outside [0,1]"},
-		{"faulty:link=0-1@0s:slow=NaN", "must be >= 1"},
-		{"faulty:link=0-1@0s:slow=Inf", "finite"},
-	}
-	for _, tc := range bad {
-		tr, err := New(tc.spec, 4, 1)
-		if err == nil {
-			tr.Close()
-			t.Errorf("New(%q) accepted, want error containing %q", tc.spec, tc.frag)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.frag) {
-			t.Errorf("New(%q) error %q, want it to contain %q", tc.spec, err, tc.frag)
-		}
-	}
-}
 
 func TestSpecValidationRejectsMalformedOptions(t *testing.T) {
 	bad := []struct{ spec, frag string }{
@@ -101,8 +32,6 @@ func TestSpecValidationRejectsMalformedOptions(t *testing.T) {
 		{"faulty:corrupt=Inf", "outside [0,1]"},
 		{"faulty:truncate=-Inf", "outside [0,1]"},
 		{"faulty:delayrate=NaN", "outside [0,1]"},
-		{"faulty:kill=1@-10ms", "negative"},
-		{"faulty:kill=9@10ms", "out of range"},
 	}
 	for _, tc := range bad {
 		tr, err := New(tc.spec, 4, 1)
@@ -117,6 +46,72 @@ func TestSpecValidationRejectsMalformedOptions(t *testing.T) {
 	}
 }
 
+// Link faults are not a spec option: the spec refuses link= and the torus
+// link table, reached through Transport.Torus, validates what the spec
+// parser once did.
+func TestLinkSpecParsing(t *testing.T) {
+	for _, spec := range []string{
+		"faulty:link=0-1@0s",
+		"faulty:link=0-1@0s+0-1@80ms:heal",
+		"faulty:unreliable=1,link=1-3@1s:slow=4",
+	} {
+		tr, err := New(spec, 4, 1)
+		if err == nil {
+			tr.Close()
+			t.Errorf("New(%q) accepted, want error containing %q", spec, "unknown option")
+			continue
+		}
+		if !strings.Contains(err.Error(), "unknown option") {
+			t.Errorf("New(%q) error %q, want it to contain %q", spec, err, "unknown option")
+		}
+	}
+
+	tr, err := New("faulty:seed=5", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tor := tr.Torus()
+	bad := []struct {
+		name string
+		err  error
+		frag string
+	}{
+		{"fail 0-9", tor.FailLink(0, 9), "out of range"},
+		{"fail 0-3", tor.FailLink(0, 3), "not a physical link"},
+		{"fail 0-0", tor.FailLink(0, 0), "same rank"},
+		{"flaky 1.5", tor.DegradeLink(0, 1, 1.5, 0), "outside [0,1]"},
+		{"flaky NaN", tor.DegradeLink(0, 1, math.NaN(), 0), "outside [0,1]"},
+		{"slow -1", tor.DegradeLink(0, 1, 0, -1), "negative"},
+		{"slow NaN", tor.DegradeLink(0, 1, 0, math.NaN()), "NaN"},
+		{"slow Inf", tor.DegradeLink(0, 1, 0, math.Inf(1)), "finite"},
+	}
+	for _, tc := range bad {
+		if tc.err == nil {
+			t.Errorf("%s accepted, want error containing %q", tc.name, tc.frag)
+			continue
+		}
+		if !strings.Contains(tc.err.Error(), tc.frag) {
+			t.Errorf("%s error %q, want it to contain %q", tc.name, tc.err, tc.frag)
+		}
+	}
+	if tor.HasLinkFaults() {
+		t.Error("rejected link faults left entries in the link table")
+	}
+	if err := tor.DegradeLink(1, 3, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if f := tor.LinkFaultOf(3, 1); f.State != torus.LinkDegraded || f.SlowFactor != 4 {
+		t.Errorf("LinkFaultOf(3,1) = %+v, want degraded with slow=4", f)
+	}
+	if err := tor.HealLink(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if tor.HasLinkFaults() {
+		t.Error("healed link still in the link table")
+	}
+}
+
 // sendAndDrain injects one packet src→dst and drains the transport.
 func sendAndDrain(t *testing.T, tr Transport, src, dst int) {
 	t.Helper()
@@ -127,19 +122,14 @@ func sendAndDrain(t *testing.T, tr Transport, src, dst int) {
 }
 
 func TestFaultyReroutesAroundDownLink(t *testing.T) {
-	tr, err := New("faulty:seed=5,link=0-1@0s", 4, 1)
+	tr, err := New("faulty:seed=5", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	// The @0s event fires from a timer; wait for the table to show it.
 	tor := tr.Torus()
-	deadline := time.Now().Add(2 * time.Second)
-	for !tor.HasLinkFaults() {
-		if time.Now().After(deadline) {
-			t.Fatal("scheduled link event never fired")
-		}
-		time.Sleep(time.Millisecond)
+	if err := tor.FailLink(0, 1); err != nil {
+		t.Fatal(err)
 	}
 	sendAndDrain(t, tr, 0, 1)
 	got := pollAll(tr.Endpoint(1))
@@ -160,12 +150,11 @@ func TestFaultyDropsAcrossPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	lf := tr.(LinkFaulter)
 	// Node 1's only links are 0-1 and 1-3; failing both isolates it.
-	if err := lf.FailLink(0, 1); err != nil {
+	if err := tr.Torus().FailLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := lf.FailLink(1, 3); err != nil {
+	if err := tr.Torus().FailLink(1, 3); err != nil {
 		t.Fatal(err)
 	}
 	sendAndDrain(t, tr, 0, 1)
@@ -177,7 +166,7 @@ func TestFaultyDropsAcrossPartition(t *testing.T) {
 	}
 	// Healing one link restores delivery and the route cache notices via
 	// the generation bump.
-	if err := lf.HealLink(0, 1); err != nil {
+	if err := tr.Torus().HealLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	sendAndDrain(t, tr, 0, 1)
@@ -251,15 +240,14 @@ func TestContendedReroutesAndDropsOnPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	lf := tr.(LinkFaulter)
-	if err := lf.FailLink(0, 1); err != nil {
+	if err := tr.Torus().FailLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	sendAndDrain(t, tr, 0, 1)
 	if got := pollAll(tr.Endpoint(1)); len(got) != 1 {
 		t.Fatalf("contended did not reroute around dead link: %+v", got)
 	}
-	if err := lf.FailLink(1, 3); err != nil {
+	if err := tr.Torus().FailLink(1, 3); err != nil {
 		t.Fatal(err)
 	}
 	sendAndDrain(t, tr, 0, 1)
@@ -271,28 +259,26 @@ func TestContendedReroutesAndDropsOnPartition(t *testing.T) {
 	}
 }
 
-func TestScheduledHealRestoresLink(t *testing.T) {
-	tr, err := New("faulty:seed=5,link=0-1@0s+0-1@40ms:heal", 4, 1)
+// Faulty over contended reads the one route cache in the torus: the
+// first 0→1 packet after the link fails resolves the detour once for both
+// layers, and the second reuses it.
+func TestStackedTransportsShareRouteCache(t *testing.T) {
+	tr, err := New("faulty:scale=1", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 	tor := tr.Torus()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(tor.DownLinks()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("down event never fired")
-		}
-		time.Sleep(time.Millisecond)
+	if err := tor.FailLink(0, 1); err != nil {
+		t.Fatal(err)
 	}
-	for len(tor.DownLinks()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("heal event never fired")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	before := tor.Reroutes()
 	sendAndDrain(t, tr, 0, 1)
-	if got := pollAll(tr.Endpoint(1)); len(got) != 1 {
-		t.Fatalf("healed link did not deliver: %+v", got)
+	sendAndDrain(t, tr, 0, 1)
+	if got := pollAll(tr.Endpoint(1)); len(got) != 2 {
+		t.Fatalf("delivered %d packets around the dead link, want 2", len(got))
+	}
+	if got := tor.Reroutes() - before; got != 1 {
+		t.Errorf("two sends added %d reroutes, want 1 (one per pair per generation)", got)
 	}
 }

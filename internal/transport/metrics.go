@@ -16,8 +16,7 @@ var (
 	obsContentionStallNS = obs.NewCounter("transport", "contention_stall_ns_total", 0)
 	obsKillNode          = obs.NewCounter("transport", "faulty_killed_nodes_total", 0)
 	obsKillDrop          = obs.NewCounter("transport", "faulty_killed_drop_total", 0)
-	// Link faults: scheduled link events fired and packets lost to flaky
-	// links or partitions, charged to the source rank.
-	obsLinkEvent = obs.NewCounter("transport", "link_event_total", 0)
-	obsLinkDrop  = obs.NewCounter("transport", "link_drop_total", 0)
+	// Link faults: packets lost to flaky links or partitions, charged to
+	// the source rank.
+	obsLinkDrop = obs.NewCounter("transport", "link_drop_total", 0)
 )

@@ -144,7 +144,7 @@ type Transport interface {
 //
 //	inproc
 //	contended[:scale=F]
-//	faulty[:seed=N,drop=F,dup=F,delayrate=F,delaymax=DUR,corrupt=F,truncate=F,unreliable=B,scale=F,kill=R@DUR,link=A-B@DUR:MODE]
+//	faulty[:seed=N,drop=F,dup=F,delayrate=F,delaymax=DUR,corrupt=F,truncate=F,unreliable=B,scale=F]
 //
 // Rates are probabilities in [0,1]; delaymax takes time.ParseDuration
 // syntax; scale multiplies the contended backend's modelled link delays
@@ -152,15 +152,12 @@ type Transport interface {
 // corrupt and truncate damage delivered packets (bit flips and short
 // reads, caught by the PAMI CRC); unreliable=1 arms the reliability +
 // checksum stack with every fault rate at zero (protocol-overhead
-// benchmarks). kill=R@DUR fail-stops node rank R DUR after the transport
-// is built; multiple kills join with '+' (kill=2@300ms+3@1s) since option
-// keys are unique. link=A-B@DUR[:down|heal|flaky=P|slow=F] schedules a
-// link-state event against the torus link table DUR after the transport
-// is built ('+'-joined like kills, default mode down, composable with
-// kill= and the packet rates); A-B must name a physical torus link.
-// Malformed options — unknown keys, duplicate keys, rates outside [0,1],
-// non-links, unknown event modes — are rejected with a descriptive error
-// rather than silently ignored. An empty spec selects inproc.
+// benchmarks). The spec carries no fault schedule: node kills go through
+// the Killer interface (converse.Machine.KillNode) and link faults through
+// the torus link table (Torus().FailLink, HealLink, DegradeLink).
+// Malformed options — unknown keys, duplicate keys, rates outside [0,1] —
+// are rejected with a descriptive error rather than silently ignored. An
+// empty spec selects inproc.
 func New(spec string, nodes, fifosPerNode int) (Transport, error) {
 	name := spec
 	var opts string
@@ -235,14 +232,6 @@ func New(spec string, nodes, fifosPerNode int) (Transport, error) {
 				if scale, err = parseScale(v); err != nil {
 					return nil, fmt.Errorf("transport %q: scale: %w", spec, err)
 				}
-			case "kill":
-				if cfg.Kills, err = parseKills(v, nodes); err != nil {
-					return nil, fmt.Errorf("transport %q: kill: %w", spec, err)
-				}
-			case "link":
-				if cfg.Links, err = parseLinks(v, inproc.Torus()); err != nil {
-					return nil, fmt.Errorf("transport %q: link: %w", spec, err)
-				}
 			default:
 				return nil, fmt.Errorf("transport %q: unknown option %q", spec, k)
 			}
@@ -255,33 +244,6 @@ func New(spec string, nodes, fifosPerNode int) (Transport, error) {
 	default:
 		return nil, fmt.Errorf("transport %q: unknown backend (want inproc, contended or faulty)", spec)
 	}
-}
-
-// parseKills decodes a '+'-joined list of R@DUR fail-stop events.
-func parseKills(v string, nodes int) ([]KillEvent, error) {
-	var kills []KillEvent
-	for _, part := range strings.Split(v, "+") {
-		rs, ds, ok := strings.Cut(part, "@")
-		if !ok {
-			return nil, fmt.Errorf("malformed kill %q (want rank@duration)", part)
-		}
-		rank, err := strconv.Atoi(rs)
-		if err != nil {
-			return nil, fmt.Errorf("kill rank %q: %w", rs, err)
-		}
-		if rank < 0 || rank >= nodes {
-			return nil, fmt.Errorf("kill rank %d out of range [0,%d)", rank, nodes)
-		}
-		after, err := time.ParseDuration(ds)
-		if err != nil {
-			return nil, fmt.Errorf("kill time %q: %w", ds, err)
-		}
-		if after < 0 {
-			return nil, fmt.Errorf("kill time %q is negative", ds)
-		}
-		kills = append(kills, KillEvent{Rank: rank, After: after})
-	}
-	return kills, nil
 }
 
 // WithSeed returns spec with its seed option forced to the given value, so
