@@ -19,7 +19,7 @@
 //     ping-pong traffic is never penalized by the timer.
 //   - The receiver unpacks a batch in one dispatch and enqueues each inner
 //     message locally: one transport inject, one reliability sequence
-//     number, and one credit-exempt dispatch cover N messages.
+//     number, and one dispatch cover N messages.
 //
 // The layer deliberately knows nothing about Converse: it batches opaque
 // items for a flush callback, so it unit-tests in isolation and the

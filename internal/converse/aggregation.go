@@ -7,11 +7,10 @@ import (
 // Converse wiring for the TRAM-style aggregation layer (internal/aggregate).
 //
 // Sender side: PE.Send diverts small remote messages into the node's
-// per-destination batch buffers. Flow-control credits are charged per
-// message at append time — the batch envelope itself rides credit-exempt
-// on dispAggBatch — and released per message when the destination PE
-// executes it (the same deferred-release point as unaggregated converse
-// traffic), so the window bounds the consumer's backlog identically
+// per-destination batch buffers. Each message is charged its credit by
+// Send before the append, like any remote message, and returns it when
+// the destination PE executes it; the batch envelope is a plain PAMI send
+// and holds none. So the window bounds the consumer's backlog identically
 // whether messages travel alone or batched.
 //
 // Receiver side: one dispatch unpacks the whole batch and enqueues each
@@ -40,34 +39,16 @@ func (n *SMPNode) initAggregator(cfg aggregate.Config) {
 		// the same fail-stop fate as packets in a dead node's FIFOs.
 		_ = n.contexts[0].Send(dst, 0, m.dispAggBatch, b, b.WireBytes(), nil)
 	})
-	n.aggProgress = func() {
-		n.agg.FlushAll(aggregate.FlushExplicit)
-		for _, nd := range m.nodes {
-			for _, ctx := range nd.contexts {
-				ctx.Advance()
-			}
-		}
-	}
 }
 
-// sendAggregated buffers one small remote message. The credit is acquired
-// here, before the append: a buffered message already occupies its slot in
-// the destination's backlog bound. The progress closure run while parked
-// flushes this node's own buffers — without that, a window fully consumed
-// by messages sitting in our buffer could never drain itself.
+// sendAggregated buffers one small remote message. Send has charged its
+// credit already: a buffered message occupies its slot in the
+// destination's backlog bound, which is why a parked sender's progress
+// closure flushes this node's buffers.
 func (pe *PE) sendAggregated(target *PE, msg *Message) error {
-	node := pe.node
-	m := node.machine
-	dst := target.node.rank
-	if m.fc != nil {
-		m.fc.Window(node.rank, dst).Acquire(node.aggProgress)
-	}
-	if !node.agg.Append(dst, pe.local, msg, msg.Bytes) {
-		// Aggregator closed (shutdown or halt raced the send): give the
-		// credit back and take the direct path, which charges its own.
-		if m.fc != nil {
-			m.fc.Window(node.rank, dst).Release(1)
-		}
+	if !pe.node.agg.Append(target.node.rank, pe.local, msg, msg.Bytes) {
+		// Aggregator closed (shutdown or halt raced the send): take the
+		// direct path, keeping the credit already held.
 		return pe.sendDirect(target, msg)
 	}
 	return nil
@@ -75,33 +56,24 @@ func (pe *PE) sendAggregated(target *PE, msg *Message) error {
 
 // onAggBatch is the dispAggBatch dispatch callback: unpack the batch,
 // enqueue every inner message locally, and hand the batch back to the
-// sender's recycle pool. Each inner message is marked viaNet so its credit
-// releases when it executes — identical accounting to a message that
-// travelled alone on dispConverse.
+// sender's recycle pool. Each inner message returns its own credit when it
+// executes — identical accounting to a message that travelled alone on
+// dispConverse.
 func (n *SMPNode) onAggBatch(src int, data any, bytes int) {
 	b := data.(*aggregate.Batch)
-	markNet := n.machine.fc != nil && src != n.rank
+	for _, it := range b.Items {
+		n.machine.fromNetwork(it.(*Message), src)
+	}
 	if len(n.pes) == 1 {
 		// Single-worker node: the whole batch lands on one scheduler queue
 		// in one ring reservation and one wakeup. Items is handed to the
 		// queue directly — EnqueueBatch copies into ring slots before
 		// returning, so the Recycle below cannot race the consumer.
-		if markNet {
-			for _, it := range b.Items {
-				msg := it.(*Message)
-				msg.viaNet = true
-				msg.fromNode = src
-			}
-		}
 		n.pes[0].enqueueBatch(b.Items)
 	} else {
 		perPE := make([][]any, len(n.pes))
 		for _, it := range b.Items {
 			msg := it.(*Message)
-			if markNet {
-				msg.viaNet = true
-				msg.fromNode = src
-			}
 			perPE[msg.destLocal] = append(perPE[msg.destLocal], msg)
 		}
 		for w, msgs := range perPE {

@@ -70,6 +70,7 @@ func (n *SMPNode) onBroadcast(pe *PE, bm *bcastMsg) {
 		fwd.destLocal = 0
 		// Straight to the child's first PE, never through the aggregator:
 		// a collective completes when its slowest leg lands.
+		n.charge(child)
 		if err := pe.sendDirect(m.nodes[child].pes[0], fwd); err != nil {
 			panic(fmt.Sprintf("converse: broadcast forward to node %d: %v", child, err))
 		}

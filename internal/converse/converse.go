@@ -106,12 +106,14 @@ type Config struct {
 	// rejected (a unary tree serializes the broadcast on a chain).
 	BroadcastFanout int
 	// FlowControl, when non-nil, arms the end-to-end flow-control and
-	// overload-protection layer: per-(src,dst) eager-send credit windows
-	// on the PAMI channel, hard caps on the lockless overflow queues and
-	// the reliability reorder buffers, mempool pressure watermarks that
-	// shrink granted windows, and best-effort shedding under hard
-	// pressure. Zero-valued fields inside take their defaults. Nil (the
-	// default) leaves every structure unbounded, as before.
+	// overload-protection layer: per-(src,dst node) credit windows — every
+	// remote message is charged one credit when it leaves its PE and
+	// returns it when the destination PE has executed it; traffic sent
+	// straight through PAMI is never credited — hard caps on the lockless
+	// overflow queues and the reliability reorder buffers, mempool
+	// pressure watermarks that shrink granted windows, and best-effort
+	// shedding under hard pressure. Zero-valued fields inside take their
+	// defaults. Nil (the default) leaves every structure unbounded.
 	FlowControl *flowctl.Config
 }
 
@@ -178,10 +180,10 @@ type Message struct {
 	enqNS     int64  // enqueue timestamp for the deliver-latency histogram (0 when obs is off)
 
 	// viaNet/fromNode mark a message that arrived over the network while
-	// flow control was armed: its eager-send credit is released when the
-	// destination PE finishes executing it (deferred release), so the
-	// credit window bounds the consumer's whole backlog, not just the
-	// packets on the wire.
+	// flow control was armed: it holds the credit Send charged on the
+	// (fromNode, this node) window, returned when the destination PE
+	// finishes executing it, so the credit window bounds the consumer's
+	// whole backlog, not just the packets on the wire.
 	viaNet   bool
 	fromNode int
 
@@ -250,38 +252,36 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("converse: transport %s spans %d nodes, need %d", tr, tr.Nodes(), cfg.Nodes)
 	}
 	var fc *flowctl.Controller
+	window := 0
 	if cfg.FlowControl != nil {
 		fc = flowctl.NewController(*cfg.FlowControl, cfg.Nodes)
+		window = fc.Config().Window
 	}
 	m := &Machine{
 		cfg:            cfg,
 		tor:            tr.Torus(),
 		tr:             tr,
 		ownsTr:         ownsTr,
-		client:         pami.NewClientFlow(tr, ctxPerNode, fc),
+		client:         pami.NewClientWindow(tr, ctxPerNode, window),
 		fc:             fc,
 		dispConverse:   1,
 		dispRendezvous: 2,
 		dispRzvAck:     3,
 		dispAggBatch:   4,
 	}
-	if fc != nil {
-		// Rendezvous acks complete transfers that free receiver memory;
-		// gating them on the credits they replenish would be a priority
-		// inversion, so they ride outside the windows. Converse message
-		// credits release at execution (see Message.viaNet), not at PAMI
-		// dispatch.
-		fc.ExemptDispatch(m.dispRzvAck)
-		fc.DeferRelease(m.dispConverse)
-		// Aggregated batches are credit-exempt at inject: each inner
-		// message already charged its own credit when it was appended to
-		// the batch (sendAggregated), released when the destination PE
-		// executes it. Charging the envelope too would double-bill.
-		fc.ExemptDispatch(m.dispAggBatch)
-	}
 	m.envPool = mempool.NewEnvPool[Message](cfg.Nodes*cfg.WorkersPerNode, mempool.DefaultEnvPoolThreshold)
 	for r := 0; r < cfg.Nodes; r++ {
 		node := &SMPNode{machine: m, rank: r, halted: make(chan struct{})}
+		node.progress = func() {
+			if node.agg != nil {
+				node.agg.FlushAll(aggregate.FlushExplicit)
+			}
+			for _, nd := range m.nodes {
+				for _, ctx := range nd.contexts {
+					ctx.Advance()
+				}
+			}
+		}
 		alloc := mempool.NewPoolAllocator(cfg.WorkersPerNode+cfg.CommThreads, 0)
 		node.alloc = alloc
 		if fc != nil {
@@ -494,8 +494,8 @@ func (m *Machine) NodeHalted(rank int) <-chan struct{} { return m.nodes[rank].ha
 func (m *Machine) PAMIClient() *pami.Client { return m.client }
 
 // FlowController returns the flow-control controller, nil when
-// Config.FlowControl was not set. Layers above use it to exempt their
-// control-plane dispatch ids and to read the degradation-ladder state.
+// Config.FlowControl was not set. Layers above read the degradation-ladder
+// state and the burst limits from it.
 func (m *Machine) FlowController() *flowctl.Controller { return m.fc }
 
 // QueueResidency returns the number of messages currently enqueued to PE
@@ -540,12 +540,13 @@ type SMPNode struct {
 
 	// agg is the node's outgoing aggregation layer, nil unless
 	// Config.Aggregation was set (and the machine spans >1 node).
-	// aggProgress is the closure a sender parked on a credit runs: it
-	// flushes this node's buffers (buffered messages hold credits, so a
-	// full window must be able to drain itself) and advances every
-	// context so deliveries and releases happen even single-threaded.
-	agg         *aggregate.Aggregator
-	aggProgress func()
+	// progress is the closure a sender parked on a credit runs, built once
+	// so sends stay allocation-free: it flushes this node's buffers
+	// (buffered messages hold credits, so a full window must be able to
+	// drain itself) and advances every context so the messages holding
+	// credits arrive even when one thread runs the whole machine.
+	agg      *aggregate.Aggregator
+	progress func()
 
 	// fail-stop state: dead stops the node's PE run loops; halted closes
 	// (via haltOnce) when the last of them has exited.
@@ -608,11 +609,31 @@ func (n *SMPNode) stopCommThreads() {
 // enqueues the message on the destination PE's scheduler queue.
 func (n *SMPNode) onNetworkMessage(src int, data any, bytes int) {
 	msg := data.(*Message)
-	if n.machine.fc != nil && src != n.rank {
-		msg.viaNet = true
-		msg.fromNode = src
-	}
+	n.machine.fromNetwork(msg, src)
 	n.pes[msg.destLocal].enqueue(msg)
+}
+
+// charge takes the credit a message bound for node dst holds from the
+// moment it leaves this node until the destination PE has executed it
+// (invoke returns it). Every remote send pays it here exactly once — direct,
+// rendezvous, aggregated, broadcast forward; traffic sent straight through
+// PAMI (heartbeats, probes, gossip, rendezvous acks, batch envelopes) holds
+// none. No-op with flow control off.
+func (n *SMPNode) charge(dst int) {
+	if fc := n.machine.fc; fc != nil {
+		// Proceed regardless of the return: false means the MaxBlock
+		// overdraft fired, and the window already accounts for us.
+		fc.Window(n.rank, dst).Acquire(n.progress)
+	}
+}
+
+// fromNetwork marks a message that arrived from node src while flow
+// control is armed: it holds the credit src charged, which invoke returns
+// once the message has executed.
+func (m *Machine) fromNetwork(msg *Message, src int) {
+	if m.fc != nil {
+		msg.viaNet, msg.fromNode = true, src
+	}
 }
 
 // PE is a Converse processing element: a worker thread with a
@@ -726,6 +747,7 @@ func (pe *PE) Send(dst int, msg *Message) error {
 		mSendRemote.Inc(pe.id)
 		mSendBytes.Add(pe.id, int64(msg.Bytes))
 	}
+	pe.node.charge(target.node.rank)
 	if agg := pe.node.agg; agg != nil && !msg.NoAgg && agg.Eligible(msg.Bytes) {
 		return pe.sendAggregated(target, msg)
 	}
@@ -739,7 +761,8 @@ func (pe *PE) Send(dst int, msg *Message) error {
 }
 
 // sendDirect injects one message on its own: the pre-aggregation eager
-// path, also the fallback when the aggregator has closed.
+// path, also the fallback when the aggregator has closed. The caller has
+// charged the message's credit.
 func (pe *PE) sendDirect(target *PE, msg *Message) error {
 	m := pe.node.machine
 	ctx := pe.node.contexts[pe.local%len(pe.node.contexts)]
@@ -877,20 +900,20 @@ func (pe *PE) invoke(msg *Message) {
 			mDeliverNS.Observe(pe.id, time.Now().UnixNano()-msg.enqNS)
 		}
 	}
-	// Capture the deferred-credit routing before the handler runs: a
-	// handler that Retains and Releases on another goroutine could recycle
-	// the envelope the instant it returns, and credit accounting must not
-	// read scrubbed fields.
+	// Capture the credit routing before the handler runs: a handler that
+	// Retains and Releases on another goroutine could recycle the envelope
+	// the instant it returns, and credit accounting must not read scrubbed
+	// fields.
 	viaNet, fromNode := msg.viaNet, msg.fromNode
 	m.handlers[msg.Handler](pe, msg)
-	if viaNet && m.fc != nil {
-		// Deferred credit release: the message is fully executed, its
+	if viaNet {
+		// The credit's return point: the message is fully executed, its
 		// scheduler-queue slot and buffer are free — now the sender may
 		// put another one in flight.
 		m.fc.Window(fromNode, pe.node.rank).Release(1)
 	}
-	// Release-after-execute, strictly after the deferred credit release:
-	// the envelope must not recycle while its credit is still charged. A
+	// Release-after-execute, strictly after the credit return: the
+	// envelope must not recycle while its credit is still charged. A
 	// release on a non-owning PE is the §III-B lockless remote free.
 	msg.releaseFrom(pe.id)
 }

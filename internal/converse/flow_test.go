@@ -11,19 +11,26 @@ import (
 )
 
 // The cross-layer overload property test: a producer PE floods a consumer
-// that executes ten times slower than the production rate, over a lossy
-// transport, with every flow-control bound set deliberately small. Three
-// properties must hold simultaneously:
+// that executes ten times slower than the production rate, over a
+// lossless and a lossy transport, with every flow-control bound set
+// deliberately small. Four properties must hold simultaneously:
 //
 //  1. no loss — every message executes despite 5% drops (reliable
 //     traffic is parked, never shed);
 //  2. no duplication — retransmissions and transport dups are dedup'd;
 //  3. bounded memory — the resident backlog (scheduler queues + priority
 //     queues) and the reorder buffer never exceed the configured caps
-//     plus the credit window, no matter how far the consumer lags.
+//     plus the credit window, no matter how far the consumer lags;
+//  4. no credit leak — once everything has executed, every credit is home.
 func TestFlowControlSlowConsumerBoundedExactlyOnce(t *testing.T) {
+	for _, spec := range []string{"inproc", "faulty:seed=4242,drop=0.05,dup=0.02"} {
+		t.Run(spec, func(t *testing.T) { slowConsumerFlood(t, spec) })
+	}
+}
+
+func slowConsumerFlood(t *testing.T, spec string) {
 	tightRetries(t)
-	tr, err := transport.New("faulty:seed=4242,drop=0.05,dup=0.02", 2, 1)
+	tr, err := transport.New(spec, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +137,94 @@ func TestFlowControlSlowConsumerBoundedExactlyOnce(t *testing.T) {
 	if p := atomic.LoadInt64(&peakResident); p > residencyBound {
 		t.Fatalf("resident backlog peaked at %d messages, bound is %d", p, residencyBound)
 	}
-	if p := atomic.LoadInt64(&peakReorder); p > int64(m.FlowController().ReorderCap()) {
-		t.Fatalf("reorder buffer peaked at %d, cap is %d", p, m.FlowController().ReorderCap())
+	if p, rcap := atomic.LoadInt64(&peakReorder), m.PAMIClient().ReorderCap(); p > int64(rcap) {
+		t.Fatalf("reorder buffer peaked at %d, cap is %d", p, rcap)
 	}
-	if m.FlowController().BlockedTotal() == 0 {
+	fc := m.FlowController()
+	if fc.BlockedTotal() == 0 {
 		t.Fatal("the flood never hit backpressure — bounds were not exercised")
+	}
+	if n := fc.Window(0, 1).InFlight(); n != 0 {
+		t.Fatalf("InFlight = %d after every message executed, want 0", n)
+	}
+}
+
+// A message over RendezvousThreshold holds its credit until it has
+// executed, like an eager one: the header's dispatch is not the return
+// point.
+func TestRendezvousHoldsCreditUntilExecuted(t *testing.T) {
+	cfg := Config{Nodes: 2, WorkersPerNode: 1, Mode: ModeSMP, FlowControl: &flowctl.Config{}}
+	inHandler, h := int64(-1), 0
+	m := runMachine(t, cfg, func(m *Machine) {
+		h = m.RegisterHandler(func(pe *PE, msg *Message) {
+			inHandler = pe.Machine().FlowController().Window(0, 1).InFlight()
+			pe.Machine().Shutdown()
+		})
+	}, func(pe *PE) {
+		if pe.Id() == 0 {
+			if err := pe.Send(1, &Message{Handler: h, Bytes: RendezvousThreshold + 1}); err != nil {
+				t.Errorf("send: %v", err)
+			}
+		}
+	})
+	if got := m.RendezvousStats().Started.Load(); got != 1 {
+		t.Fatalf("rendezvous started %d times, want 1", got)
+	}
+	if inHandler != 1 {
+		t.Fatalf("InFlight = %d inside the handler, want 1", inHandler)
+	}
+	if n := m.FlowController().Window(0, 1).InFlight(); n != 0 {
+		t.Fatalf("InFlight = %d after the handler returned, want 0", n)
+	}
+}
+
+// Only remote Converse messages hold credits. With the one credit of a
+// node pair taken and nothing consuming, traffic sent straight through
+// PAMI (the heartbeat's shape) does not park, and same-node sends never
+// touch a window.
+func TestUncreditedTrafficBypassesWindow(t *testing.T) {
+	tr, err := transport.New("inproc", 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	m, err := NewMachine(Config{Nodes: 2, WorkersPerNode: 2, Mode: ModeSMP, Transport: tr,
+		FlowControl: &flowctl.Config{Window: 1, MaxBlock: 10 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	fc := m.FlowController()
+	fc.Window(0, 1).Acquire(nil) // the window is exhausted; the machine never runs
+
+	const control = 50
+	var delivered atomic.Int64
+	client := m.PAMIClient()
+	client.Node(1).Context(0).RegisterDispatch(9, func(int, any, int) { delivered.Add(1) })
+	start := time.Now()
+	for i := 0; i < control; i++ {
+		if err := client.Node(0).Context(0).SendImmediate(1, 0, 9, i, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e := time.Since(start); e > time.Second {
+		t.Fatalf("%d PAMI sends took %v — they parked on credits", control, e)
+	}
+	client.Node(1).Context(0).Advance()
+	if got := delivered.Load(); got != control {
+		t.Fatalf("delivered %d/%d PAMI messages", got, control)
+	}
+
+	for _, dst := range []int{0, 1} { // self, then the other PE of node 0
+		if err := m.PE(0).Send(dst, &Message{Bytes: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := fc.Window(0, 0).InFlight(), fc.Window(0, 1).InFlight(); a != 0 || b != 1 {
+		t.Fatalf("InFlight (0,0)=%d (0,1)=%d after same-node sends, want 0 and 1", a, b)
+	}
+	if fc.BlockedTotal() != 0 {
+		t.Fatalf("uncredited traffic parked %d times", fc.BlockedTotal())
 	}
 }
 

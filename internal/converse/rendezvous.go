@@ -97,6 +97,9 @@ func (n *SMPNode) onRendezvousHeader(src int, data any, bytes int) {
 		msg.Payload = buf
 	}
 	m.rzvStats.Pulled.Add(1)
+	// The message holds the credit Send charged until it executes, like
+	// an eager one; the header and the ack hold none.
+	m.fromNetwork(msg, src)
 	n.pes[msg.destLocal].enqueue(msg)
 	// Acknowledge so the source buffer can be freed.
 	if err := ctx.SendImmediate(src, hdr.srcCtx, m.dispRzvAck, rendezvousAck{}, 16); err != nil {

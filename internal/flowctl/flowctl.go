@@ -7,16 +7,18 @@
 // scheduler backlog all grew without limit when a consumer fell behind.
 // This package restores the hardware's discipline in software:
 //
-//   - Per-(src,dst) send credits on the eager PAMI channel, the software
-//     analogue of the BG/Q MU FIFO credits: a sender may hold at most
-//     Window unacknowledged eager packets toward a destination. Credits
-//     replenish on delivery (reliable transports: the receiver's dispatch
-//     returns the credit in-process) or on the cumulative ack the
-//     reliability sublayer already sends (unreliable transports: no new
-//     packet kinds, the grant piggybacks on the ack horizon).
+//   - Per-(src,dst node) send credits, the software analogue of the BG/Q
+//     MU FIFO credits: a node may hold at most Window unexecuted Converse
+//     messages toward a destination node. One rule, kept by Converse
+//     alone: a credit is charged when a message leaves its PE for another
+//     node and returned when the destination PE has executed it, so the
+//     window bounds the consumer's backlog, not just the wire. Traffic
+//     sent straight through PAMI (heartbeats, probes, gossip, protocol
+//     acks) is never credited.
 //   - Hard caps on the spill structures (lockless overflow queue, PAMI
-//     reorder buffer) with sender-side park-and-retry instead of silent
-//     unbounded growth — reliable traffic is never dropped.
+//     reorder buffer, sized from Window) with sender-side park-and-retry
+//     instead of silent unbounded growth — reliable traffic is never
+//     dropped.
 //   - Memory-pressure signaling from the mempool arenas: soft/hard
 //     watermarks shrink the granted window *before* allocation fails.
 //   - Burst admission for many-to-many exchanges, so an all-to-all cannot
@@ -45,13 +47,10 @@ import (
 // the caps are sized so a fully-parked machine holds megabytes, not
 // gigabytes.
 const (
-	// DefaultWindow is the per-(src,dst) eager-send credit window.
+	// DefaultWindow is the per-(src,dst) credit window.
 	DefaultWindow = 256
 	// DefaultOverflowCap bounds the lockless overflow queue per PE.
 	DefaultOverflowCap = 4096
-	// DefaultReorderCap is the floor of the PAMI reorder-buffer bound per
-	// channel (see Controller.ReorderCap).
-	DefaultReorderCap = 512
 	// DefaultBurstLimit bounds in-flight m2m messages per destination PE.
 	DefaultBurstLimit = 64
 	// DefaultSoftWatermark is the mempool live-bytes level that shrinks
@@ -65,14 +64,10 @@ const (
 	DefaultMaxBlock = time.Second
 )
 
-// maxDispatch bounds the exempt-dispatch table. PAMI dispatch ids in this
-// runtime are small integers (converse uses 1-3, ft uses 9).
-const maxDispatch = 64
-
 // Config tunes the flow-control layer. Zero values select the defaults.
 type Config struct {
-	// Window is the per-(src,dst) eager-send credit window: the maximum
-	// number of unacknowledged eager packets a node may hold toward one
+	// Window is the per-(src,dst) credit window: the maximum number of
+	// sent but not yet executed messages a node may hold toward one
 	// destination node.
 	Window int
 	// OverflowCap caps each PE's lockless overflow queue; producers park
@@ -112,14 +107,12 @@ const (
 )
 
 // Controller owns the flow-control state of one machine: an n×n matrix of
-// directed credit windows, the exempt-dispatch table, and the aggregated
-// memory-pressure level feeding the degradation ladder.
+// directed credit windows and the aggregated memory-pressure level feeding
+// the degradation ladder.
 type Controller struct {
-	cfg      Config
-	nodes    int
-	windows  []Window // [src*nodes+dst]
-	exempt   [maxDispatch]atomic.Bool
-	deferred [maxDispatch]atomic.Bool
+	cfg     Config
+	nodes   int
+	windows []Window // [src*nodes+dst]
 
 	// pressure holds each source's reported level; maxPressure caches the
 	// max so the Acquire fast path reads one atomic.
@@ -154,50 +147,9 @@ func NewController(cfg Config, nodes int) *Controller {
 // Config returns the normalized configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// ReorderCap is the bound on the PAMI reliability reorder buffer per
-// channel: out-of-order arrivals beyond it are refused (the sender's
-// retransmission timer re-offers them once in-order space frees). It
-// admits at least a full credit window, or a burst of in-flight packets
-// arriving fully reversed could live-lock on retransmissions.
-func (c *Controller) ReorderCap() int { return max(DefaultReorderCap, c.cfg.Window) }
-
-// Window returns the directed credit window for eager sends src→dst.
+// Window returns the directed credit window for sends src→dst.
 func (c *Controller) Window(src, dst int) *Window {
 	return &c.windows[src*c.nodes+dst]
-}
-
-// ExemptDispatch marks a PAMI dispatch id as control-plane traffic that
-// bypasses credit accounting (heartbeats, protocol acks): gating the
-// packets that *replenish* credits on the credits themselves would be a
-// priority inversion. Call before traffic flows.
-func (c *Controller) ExemptDispatch(id int) {
-	if id >= 0 && id < maxDispatch {
-		c.exempt[id].Store(true)
-	}
-}
-
-// Exempt reports whether the dispatch id bypasses credit accounting.
-func (c *Controller) Exempt(id int) bool {
-	return id >= 0 && id < maxDispatch && c.exempt[id].Load()
-}
-
-// DeferRelease marks a dispatch id whose credits return when the layer
-// above finishes *executing* the message, not when the PAMI layer
-// dispatches it into a scheduler queue. Releasing at dispatch would let a
-// sender refill a slow consumer's queue as fast as the queue absorbs —
-// the credit window would bound only the wire, not the backlog. The
-// deferring layer owns the matching Release call. Call before traffic
-// flows.
-func (c *Controller) DeferRelease(id int) {
-	if id >= 0 && id < maxDispatch {
-		c.deferred[id].Store(true)
-	}
-}
-
-// Deferred reports whether the dispatch id's credits are released by the
-// layer above rather than at PAMI dispatch.
-func (c *Controller) Deferred(id int) bool {
-	return id >= 0 && id < maxDispatch && c.deferred[id].Load()
 }
 
 // SetPressure records a source's memory-pressure level (0, 1, or 2, from

@@ -15,18 +15,6 @@ func TestConfigNormalize(t *testing.T) {
 	}
 }
 
-// The reorder cap is max(DefaultReorderCap, Window): it must admit a full
-// credit window.
-func TestReorderCapAdmitsWindow(t *testing.T) {
-	for _, c := range []struct{ window, want int }{
-		{0, DefaultReorderCap}, {16, DefaultReorderCap}, {1024, 1024},
-	} {
-		if got := NewController(Config{Window: c.window}, 2).ReorderCap(); got != c.want {
-			t.Errorf("Window %d: ReorderCap = %d, want %d", c.window, got, c.want)
-		}
-	}
-}
-
 // A sender parked on an exhausted window resumes once at most half the
 // (effective) window is in flight, not at the first returned credit.
 func TestWindowAcquireRelease(t *testing.T) {
@@ -169,22 +157,6 @@ func TestDropPeerReleasesParkedSenders(t *testing.T) {
 	// Future acquires toward the dead peer pass without accounting.
 	if !w.Acquire(nil) || w.InFlight() != 0 {
 		t.Fatalf("dead window should grant without accounting (inflight=%d)", w.InFlight())
-	}
-}
-
-func TestExemptDispatch(t *testing.T) {
-	ctl := NewController(Config{}, 2)
-	if ctl.Exempt(9) {
-		t.Fatal("dispatch 9 exempt before registration")
-	}
-	ctl.ExemptDispatch(9)
-	if !ctl.Exempt(9) {
-		t.Fatal("dispatch 9 not exempt after registration")
-	}
-	ctl.ExemptDispatch(-1)  // out of range: ignored
-	ctl.ExemptDispatch(999) // out of range: ignored
-	if ctl.Exempt(-1) || ctl.Exempt(999) {
-		t.Fatal("out-of-range dispatch ids reported exempt")
 	}
 }
 

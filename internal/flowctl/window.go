@@ -11,7 +11,7 @@ import (
 // atomic budget as an obs counter — so an uncontended sender pays almost
 // nothing. When the window is exhausted the sender parks: it spins
 // briefly, runs the caller-supplied progress closure (advancing PAMI
-// contexts so the acks that replenish credits can land), and sleeps with
+// contexts so the messages holding credits arrive and execute), and sleeps with
 // exponential backoff, up to MaxBlock before proceeding on overdraft.
 type Window struct {
 	ctl      *Controller
@@ -80,8 +80,8 @@ func (w *Window) acquireSlow(progress func()) bool {
 	return resumed
 }
 
-// Release returns n credits (delivery confirmed by receiver dispatch or
-// by the reliability sublayer's cumulative ack).
+// Release returns n credits (the destination PE has executed the messages
+// that held them).
 func (w *Window) Release(n int) {
 	if n <= 0 || w.dead.Load() {
 		return

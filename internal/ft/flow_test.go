@@ -14,8 +14,8 @@ import (
 // Failure handling must release those senders immediately — via
 // Controller.DropPeer on the kill path — rather than leaving them to wait
 // out MaxBlock, and the detector must still confirm the death even though
-// the data plane toward the victim was saturated (heartbeats are exempt
-// from credit accounting, so flow control cannot starve them).
+// the data plane toward the victim was saturated (heartbeats go straight
+// through PAMI and hold no credit, so flow control cannot starve them).
 func TestKillWhileThrottledUnblocksParkedSenders(t *testing.T) {
 	const (
 		nodes    = 3

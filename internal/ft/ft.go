@@ -207,13 +207,6 @@ func New(rt *charm.Runtime, cfg Config) *Manager {
 	for r := range mgr.stores {
 		mgr.stores[r] = newNodeStore()
 	}
-	// Heartbeats are the packets failure detection rides on; gating them
-	// behind send credits would let an overloaded (but alive) node look
-	// dead, and a dead node's exhausted window would stop the very traffic
-	// that confirms it died. Control plane bypasses flow control.
-	if fc := m.FlowController(); fc != nil {
-		fc.ExemptDispatch(heartbeatDispatch)
-	}
 	mgr.initDetector()
 	mgr.initProber()
 	// The reliability sublayer's per-channel retry streaks are the earliest

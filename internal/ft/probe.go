@@ -50,9 +50,6 @@ type probeEcho struct {
 func (mgr *Manager) initProber() {
 	nodes := mgr.m.NumNodes()
 	client := mgr.m.PAMIClient()
-	if fc := mgr.m.FlowController(); fc != nil {
-		fc.ExemptDispatch(probeDispatch)
-	}
 	for r := 0; r < nodes; r++ {
 		responder := r
 		handler := func(src int, data any, _ int) {

@@ -31,19 +31,16 @@ type gossipMsg struct {
 }
 
 // registerGossip sets up the per-node load views and the gossip dispatch
-// on every context of every node, and exempts the dispatch from
-// flow-control credits: load reports are control plane — they must keep
-// flowing exactly when the data-plane windows are full, or a saturated
-// machine could never rebalance its way out.
+// on every context of every node. Gossip goes straight through PAMI, so
+// it holds no flow-control credit: load reports keep flowing exactly when
+// the data-plane windows are full, or a saturated machine could never
+// rebalance its way out.
 func (mgr *Manager) registerGossip() {
 	nodes := mgr.m.NumNodes()
 	npes := mgr.m.NumPEs()
 	mgr.views = make([][]atomic.Int64, nodes)
 	for r := range mgr.views {
 		mgr.views[r] = make([]atomic.Int64, npes)
-	}
-	if fc := mgr.m.FlowController(); fc != nil {
-		fc.ExemptDispatch(gossipDispatch)
 	}
 	client := mgr.m.PAMIClient()
 	for r := 0; r < nodes; r++ {

@@ -10,8 +10,8 @@
 // Layering mirrors internal/ft: the manager sits above the charm runtime,
 // is attached between charm.NewRuntime and Runtime.Run, owns one chare
 // group for its migration commands, and exchanges its control-plane load
-// gossip on a dedicated PAMI dispatch id exempted from flow-control
-// credits — decisions must keep flowing when the data plane is
+// gossip on a dedicated PAMI dispatch id, which holds no flow-control
+// credit — decisions must keep flowing when the data plane is
 // saturated, which is exactly when rebalancing matters. Migration blobs
 // themselves are ordinary charm messages: windowed, sequenced, dedup'd.
 package lb

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"blueq/internal/flowctl"
 	"blueq/internal/lockless"
 	"blueq/internal/torus"
 	"blueq/internal/transport"
@@ -41,8 +40,8 @@ type DispatchFn func(src int, data any, bytes int)
 type Client struct {
 	tr       transport.Transport
 	nodes    []*Node
-	fc       *flowctl.Controller // nil: flow control disabled
-	crc      bool                // wire CRC32C armed (unreliable transport + CRCEnabled)
+	rcap     int  // reorder-buffer cap per receive channel (ReorderCap)
+	crc      bool // wire CRC32C armed (unreliable transport + CRCEnabled)
 	crcFails atomic.Int64
 	// streakObs, when set, is notified of sustained retransmission streaks
 	// on any node's send channels (see RetryStreakObserver). Atomic so the
@@ -68,31 +67,30 @@ func (c *Client) SetRetryStreakObserver(f RetryStreakObserver) {
 // sequence numbers, receivers deliver in order exactly once and
 // acknowledge, and senders retransmit unacknowledged packets with
 // exponential backoff.
+//
+// PAMI never charges a flow-control credit: credits belong to the Converse
+// layer above, which charges one when a message leaves for another node
+// and returns it when the destination PE has executed the message.
+// Traffic sent straight through a context holds no credit.
 func NewClient(tr transport.Transport, ctxPerNode int) *Client {
-	return NewClientFlow(tr, ctxPerNode, nil)
+	return NewClientWindow(tr, ctxPerNode, 0)
 }
 
-// NewClientFlow is NewClient with a flow-control controller attached.
-// Every non-exempt eager send then acquires a credit on the (src, dst)
-// window before injecting; the credit returns when the receiver dispatches
-// the message (reliable transports) or when the sender's reliability
-// sublayer sees it cumulatively acknowledged (unreliable transports), so
-// a node can never bury a slow peer under an unbounded backlog. fc == nil
-// disables flow control entirely (zero overhead on the send path).
-func NewClientFlow(tr transport.Transport, ctxPerNode int, fc *flowctl.Controller) *Client {
+// NewClientWindow is NewClient under a layer that keeps at most window
+// messages in flight per node pair (0: no flow control). The window only
+// sizes the reorder buffer: each receive channel holds
+// max(DefaultReorderCap, window) out-of-order packets, so a full window
+// arriving reversed cannot live-lock on retransmissions.
+func NewClientWindow(tr transport.Transport, ctxPerNode, window int) *Client {
 	if ctxPerNode < 1 {
 		ctxPerNode = 1
 	}
 	reliable := tr.Reliable()
-	rcap := DefaultReorderCap
-	if fc != nil {
-		rcap = fc.ReorderCap()
-	}
-	c := &Client{tr: tr, nodes: make([]*Node, tr.Nodes()), fc: fc, crc: !reliable && CRCEnabled}
+	c := &Client{tr: tr, nodes: make([]*Node, tr.Nodes()), rcap: max(DefaultReorderCap, window), crc: !reliable && CRCEnabled}
 	for r := range c.nodes {
 		n := &Node{client: c, rank: r, ep: tr.Endpoint(r)}
 		if !reliable {
-			n.rel = newReliator(n, rcap)
+			n.rel = newReliator(n, c.rcap)
 		}
 		for i := 0; i < ctxPerNode; i++ {
 			ctx := &Context{
@@ -110,28 +108,13 @@ func NewClientFlow(tr transport.Transport, ctxPerNode int, fc *flowctl.Controlle
 		}
 		c.nodes[r] = n
 	}
-	if fc != nil {
-		// A sender parked on an empty credit window must not depend on
-		// other threads for progress: while parked it advances every
-		// context (trylock — a context busy elsewhere is skipped) so
-		// deliveries and acks that return credits still happen even in
-		// single-threaded drivers.
-		for _, n := range c.nodes {
-			n.progress = func() {
-				for _, m := range c.nodes {
-					for _, ctx := range m.contexts {
-						ctx.Advance()
-					}
-				}
-			}
-		}
-	}
 	return c
 }
 
-// FlowController returns the attached flow-control controller (nil when
-// flow control is disabled).
-func (c *Client) FlowController() *flowctl.Controller { return c.fc }
+// ReorderCap is the bound on each receive channel's out-of-order buffer
+// over an unreliable transport: arrivals beyond it are refused, and the
+// sender's retransmission re-offers them once the gap closes.
+func (c *Client) ReorderCap() int { return c.rcap }
 
 // Transport returns the messaging substrate this client runs over.
 func (c *Client) Transport() transport.Transport { return c.tr }
@@ -149,7 +132,6 @@ type Node struct {
 	ep       transport.Endpoint
 	contexts []*Context
 	rel      *reliator // non-nil when the transport is unreliable
-	progress func()    // credit-park progress closure (flow control only)
 }
 
 // Rank returns the node rank.
@@ -220,25 +202,9 @@ func (c *Client) route(dstNode, dstCtx int) (int, error) {
 // inject pushes an eager active-message packet into the transport,
 // detouring through the reliability sublayer when the transport may lose,
 // duplicate, or reorder packets.
-//
-// With flow control attached, a credit on the (src, dst) window is
-// acquired first — one atomic add when credits are available, a bounded
-// park otherwise. Exempt dispatch ids (control-plane traffic: heartbeats,
-// rendezvous acks) and self-sends bypass credits; the receive side skips
-// the matching release by the same predicate, keeping the ledger balanced.
 func (n *Node) inject(dstNode, fifo, bytes int, am amPacket) error {
-	fc := n.client.fc
-	credited := fc != nil && dstNode != n.rank && !fc.Exempt(am.dispatch)
-	if credited {
-		// Proceed regardless of the return: false means the MaxBlock
-		// overdraft fired, and the window already accounts for us.
-		fc.Window(n.rank, dstNode).Acquire(n.progress)
-	}
 	if n.rel != nil {
-		// Deferred dispatch ids are released by the layer above when it
-		// executes the message, so the cumulative ack must not release
-		// them a second time.
-		return n.rel.sendEager(dstNode, fifo, bytes, am, credited && !fc.Deferred(am.dispatch))
+		return n.rel.sendEager(dstNode, fifo, bytes, am)
 	}
 	p := torus.Packet{
 		Type:    torus.MemoryFIFO,
@@ -349,14 +315,6 @@ func (ctx *Context) advanceLocked() int {
 			case amPacket:
 				if fn := ctx.dispatch[pl.dispatch]; fn != nil {
 					fn(p.Src, pl.data, pl.bytes)
-				}
-				// Reliable transport: delivery is the credit return point —
-				// unless the dispatch id defers release to the layer above
-				// (it releases when the message executes, bounding the
-				// consumer's backlog, not just the wire).
-				if fc := ctx.node.client.fc; fc != nil && p.Src != ctx.node.rank &&
-					!fc.Exempt(pl.dispatch) && !fc.Deferred(pl.dispatch) {
-					fc.Window(p.Src, ctx.node.rank).Release(1)
 				}
 			case relPacket:
 				// Reliability sublayer: reorder into sequence, dedup, then

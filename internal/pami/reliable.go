@@ -50,8 +50,8 @@ var (
 	// An out-of-order arrival finding the buffer full is refused — neither
 	// buffered nor acknowledged — so the sender's retransmission timer
 	// re-offers it once the gap closes: exactly-once delivery with bounded
-	// receiver memory. With flow control attached the bound is the
-	// controller's ReorderCap instead (NewClientFlow).
+	// receiver memory. A client built for a larger credit window raises
+	// the bound to the window (NewClientWindow, Client.ReorderCap).
 	DefaultReorderCap = 512
 	// RetryStreakThreshold is how many consecutive retransmission rounds a
 	// channel endures without an intervening ack before the retry-streak
@@ -82,16 +82,10 @@ type relAck struct {
 	cum uint64
 }
 
-// relSlot is one unacknowledged packet in a channel's retransmission
-// window, stamped and ready to re-inject as is.
-type relSlot struct {
-	packet   torus.Packet
-	credited bool // holds a flow-control credit, returned when acked
-}
-
 // relSendState is the sender half of one directed node-pair channel.
 // window is the retransmission window: the unacknowledged packets, oldest
-// first — sequence numbers nextSeq-len(window)+1 through nextSeq.
+// first — sequence numbers nextSeq-len(window)+1 through nextSeq — each
+// stamped and ready to re-inject as is.
 // timer is the channel's one retransmission timer for its whole life; no
 // ack stops or resets it. gen bumps on every arm, fire and cancel and
 // armedGen is the gen of the last arm, so the timer is pending while they
@@ -99,7 +93,7 @@ type relSlot struct {
 // window base at the last arm.
 type relSendState struct {
 	nextSeq   uint64 // last sequence number assigned
-	window    []relSlot
+	window    []torus.Packet
 	timer     *time.Timer
 	gen       uint64
 	armedGen  uint64
@@ -146,9 +140,6 @@ type reliator struct {
 }
 
 func newReliator(n *Node, reorderCap int) *reliator {
-	if reorderCap <= 0 {
-		reorderCap = DefaultReorderCap
-	}
 	return &reliator{
 		node:      n,
 		base:      RetryBase,
@@ -172,9 +163,8 @@ func (n *Node) ReliabilityStats() ReliabilityStats {
 }
 
 // sendEager assigns the next channel sequence number, records the packet
-// for retransmission, and injects it. credited marks packets holding a
-// flow-control credit, returned when the cumulative ack covers them.
-func (r *reliator) sendEager(dstNode, fifo, bytes int, am amPacket, credited bool) error {
+// for retransmission, and injects it.
+func (r *reliator) sendEager(dstNode, fifo, bytes int, am amPacket) error {
 	r.mu.Lock()
 	st := r.send[dstNode]
 	if st == nil {
@@ -192,7 +182,7 @@ func (r *reliator) sendEager(dstNode, fifo, bytes int, am amPacket, credited boo
 	// Stamp before recording: retransmissions reuse the stored packet, so
 	// they carry the identical checksum.
 	r.node.stamp(&p)
-	st.window = append(st.window, relSlot{packet: p, credited: credited})
+	st.window = append(st.window, p)
 	r.armLocked(st, dstNode)
 	r.mu.Unlock()
 	return r.node.ep.Inject(p)
@@ -259,10 +249,7 @@ func (r *reliator) retry(dstNode int) {
 	// Retransmit in sequence order (the window's own) so a lossless window
 	// is rebuilt with minimal receiver buffering. Copied out: the injects
 	// run outside the lock, where an ack may shift the window.
-	packets := make([]torus.Packet, len(st.window))
-	for i := range st.window {
-		packets[i] = st.window[i].packet
-	}
+	packets := slices.Clone(st.window)
 	r.stats.Retries += int64(len(packets))
 	st.streak++
 	streak := st.streak
@@ -378,16 +365,13 @@ func (r *reliator) sendAck(src int) {
 const ackBytes = 16
 
 // onAck runs on the sending node: every packet at or below cum is
-// delivered, so drop it from the retransmission window — and return the
-// flow-control credits those packets held (unreliable transports release
-// at the cumulative ack, not at receiver dispatch, because only the ack
-// proves the receiver's reorder buffer is clear of them).
+// delivered, so drop it from the retransmission window.
 func (r *reliator) onAck(from int, cum uint64) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.stats.AcksReceived++
 	st := r.send[from]
 	if st == nil {
-		r.mu.Unlock()
 		return
 	}
 	// Any ack arriving proves the round trip works right now, whatever
@@ -398,21 +382,8 @@ func (r *reliator) onAck(from int, cum uint64) {
 	// for a window DropPeer cleared), and at most all of them — an ack
 	// from beyond nextSeq (a misrouted one, possible with the CRC
 	// disarmed) is clamped to the window.
-	released := 0
 	if base := st.base(); cum > base {
-		n := int(min(cum-base, uint64(len(st.window))))
-		for i := range st.window[:n] {
-			if st.window[i].credited {
-				released++
-			}
-		}
-		st.window = slices.Delete(st.window, 0, n)
-	}
-	r.mu.Unlock()
-	if released > 0 {
-		if fc := r.node.client.fc; fc != nil {
-			fc.Window(r.node.rank, from).Release(released)
-		}
+		st.window = slices.Delete(st.window, 0, int(min(cum-base, uint64(len(st.window)))))
 	}
 }
 
@@ -427,9 +398,6 @@ func (r *reliator) dropPeer(dstNode int) {
 	if st == nil {
 		return
 	}
-	// Credits held by the cleared window die with the peer; the
-	// flow-control layer's DropPeer resets its window wholesale, so no
-	// per-packet release is needed — just forget them.
 	st.window = slices.Delete(st.window, 0, len(st.window))
 	st.backoff = 0
 	st.streak = 0
@@ -467,16 +435,13 @@ func (n *Node) KickRetransmit(dstNode int) {
 }
 
 // DropPeer abandons reliable delivery to a failed peer (no-op when the
-// transport is reliable) and tears down the flow-control windows touching
-// it, releasing any senders parked on credits the dead peer will never
-// return. The fault-tolerance layer calls it on every survivor once a
-// failure is confirmed; the flowctl side is idempotent.
+// transport is reliable). The fault-tolerance layer calls it on every
+// survivor once a failure is confirmed; idempotent. The credit windows
+// touching the peer were already torn down when the node was halted
+// (converse.Machine.HaltNode).
 func (n *Node) DropPeer(dstNode int) {
 	if n.rel != nil {
 		n.rel.dropPeer(dstNode)
-	}
-	if fc := n.client.fc; fc != nil {
-		fc.DropPeer(dstNode)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"blueq/internal/flowctl"
 	"blueq/internal/transport"
 )
 
@@ -242,35 +241,26 @@ func TestNodeShutdownStopsRetries(t *testing.T) {
 // the public path, acks and retry rounds are applied directly to node 0's
 // reliator (node 1 is never advanced, so it acknowledges nothing, and the
 // retry timers are parked an hour out), and the result is read off the
-// credit window and the packets landing in node 1's reception FIFO. Only
-// behaviour is asserted, never the window's representation.
+// packets landing in node 1's reception FIFO. Only behaviour is asserted,
+// never the window's representation.
 func TestSendWindowAcksAndRetransmitOrder(t *testing.T) {
 	base, max := RetryBase, RetryMax
 	RetryBase, RetryMax = time.Hour, time.Hour
 	t.Cleanup(func() { RetryBase, RetryMax = base, max })
 
-	const credited, exempt = 1, 9 // dispatch ids
-	T, F := true, false
 	cases := []struct {
-		name     string
-		sends    []bool   // one send each, sequence 1..n: does it hold a credit?
-		drop     bool     // dropPeer before the acks
-		acks     []uint64 // cumulative acks, applied in order
-		inFlight []int    // credits still out after each ack
-		retry    []uint64 // what a retry round then re-injects, in order
+		name  string
+		sends int      // packets sent first, sequence 1..sends
+		drop  bool     // dropPeer before the acks
+		acks  []uint64 // cumulative acks, applied in order
+		retry []uint64 // what a retry round then re-injects, in order
 	}{
-		{name: "prefix ack releases exactly the credited slots it covers",
-			sends: []bool{T, F, T, T, F, T}, acks: []uint64{3}, inFlight: []int{2}, retry: []uint64{4, 5, 6}},
-		{name: "acks advance one slot at a time",
-			sends: []bool{T, T, F, T}, acks: []uint64{1, 2, 3}, inFlight: []int{2, 1, 1}, retry: []uint64{4}},
-		{name: "duplicate and stale acks release nothing",
-			sends: []bool{T, F, T, T, F, T}, acks: []uint64{3, 3, 1, 0}, inFlight: []int{2, 2, 2, 2}, retry: []uint64{4, 5, 6}},
-		{name: "an ack for the whole window drains it",
-			sends: []bool{T, T, F}, acks: []uint64{3}, inFlight: []int{0}},
-		{name: "an ack beyond nextSeq releases the window and no more",
-			sends: []bool{T, F, T}, acks: []uint64{1 << 40, 1 << 40}, inFlight: []int{0, 0}},
-		{name: "a straggler ack after dropPeer is a no-op",
-			sends: []bool{T, T, F, T, T}, drop: true, acks: []uint64{2, 5, 1 << 40}, inFlight: []int{4, 4, 4}},
+		{name: "prefix ack trims the slots it covers", sends: 6, acks: []uint64{3}, retry: []uint64{4, 5, 6}},
+		{name: "acks advance one slot at a time", sends: 4, acks: []uint64{1, 2, 3}, retry: []uint64{4}},
+		{name: "duplicate and stale acks release nothing", sends: 6, acks: []uint64{3, 3, 1, 0}, retry: []uint64{4, 5, 6}},
+		{name: "an ack for the whole window drains it", sends: 3, acks: []uint64{3}},
+		{name: "an ack beyond nextSeq releases the window and no more", sends: 3, acks: []uint64{1 << 40, 1 << 40}},
+		{name: "a straggler ack after dropPeer is a no-op", sends: 5, drop: true, acks: []uint64{2, 5, 1 << 40}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -279,19 +269,13 @@ func TestSendWindowAcksAndRetransmitOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tr.Close()
-			fc := flowctl.NewController(flowctl.Config{Window: 64, MaxBlock: 10 * time.Second}, 2)
-			fc.ExemptDispatch(exempt)
-			c := NewClientFlow(tr, 1, fc)
+			c := NewClient(tr, 1)
 			defer c.Node(0).Shutdown()
-			rel, win := c.Node(0).rel, fc.Window(0, 1)
+			rel := c.Node(0).rel
 
-			send := func(holdsCredit bool) {
+			send := func() {
 				t.Helper()
-				disp := exempt
-				if holdsCredit {
-					disp = credited
-				}
-				if err := c.Node(0).Context(0).SendImmediate(1, 0, disp, nil, 8); err != nil {
+				if err := c.Node(0).Context(0).SendImmediate(1, 0, 1, nil, 8); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -309,32 +293,22 @@ func TestSendWindowAcksAndRetransmitOrder(t *testing.T) {
 				}
 			}
 
-			out := 0
-			for _, holdsCredit := range tc.sends {
-				send(holdsCredit)
-				if holdsCredit {
-					out++
-				}
-			}
-			if got := win.InFlight(); got != int64(out) {
-				t.Fatalf("InFlight = %d after the sends, want %d", got, out)
+			for range tc.sends {
+				send()
 			}
 			if tc.drop {
 				rel.dropPeer(1)
 			}
-			for i, cum := range tc.acks {
+			for _, cum := range tc.acks {
 				rel.onAck(1, cum)
-				if got := win.InFlight(); got != int64(tc.inFlight[i]) {
-					t.Fatalf("InFlight = %d after ack %d (cum=%d), want %d", got, i, cum, tc.inFlight[i])
-				}
 			}
 
 			// The channel keeps working whatever the acks were: the next
 			// send takes the next sequence number, a retry round re-injects
 			// the survivors and it, oldest first, and acking it drains the
-			// window and returns every credit the window still held.
-			next := uint64(len(tc.sends) + 1)
-			send(true)
+			// window.
+			next := uint64(tc.sends + 1)
+			send()
 			arrived()
 			retries := c.Node(0).ReliabilityStats().Retries
 			rel.retry(1)
@@ -346,18 +320,104 @@ func TestSendWindowAcksAndRetransmitOrder(t *testing.T) {
 				t.Fatalf("Retries moved by %d, want %d", got, len(want))
 			}
 			rel.onAck(1, next)
-			stranded := 0 // credits dropPeer forgot: flowctl's DropPeer returns those
-			if tc.drop {
-				stranded = out
-			}
-			if got := win.InFlight(); got != int64(stranded) {
-				t.Fatalf("InFlight = %d after the final ack, want %d", got, stranded)
-			}
 			retries = c.Node(0).ReliabilityStats().Retries
 			rel.retry(1)
 			if got := c.Node(0).ReliabilityStats().Retries; got != retries || len(arrived()) != 0 {
 				t.Fatalf("retry on a drained window re-injected packets (Retries %d -> %d)", retries, got)
 			}
 		})
+	}
+}
+
+// The out-of-order flood regression test: a lossy, delaying transport
+// floods the receiver with gapped sequences while the reorder buffer is
+// capped at 2 entries. Arrivals past the cap are refused and repaired by
+// retransmission; the buffer never exceeds its cap and every message
+// still arrives exactly once, in order.
+func TestReorderBufferCapBoundsFlood(t *testing.T) {
+	tightRetries(t)
+	old := DefaultReorderCap
+	DefaultReorderCap = 2
+	t.Cleanup(func() { DefaultReorderCap = old })
+
+	tr, err := transport.New("faulty:seed=99,drop=0.2,dup=0.05,delayrate=0.3,delaymax=1ms", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := NewClient(tr, 1)
+	defer c.Node(0).Shutdown()
+	defer c.Node(1).Shutdown()
+
+	const msgs = 300
+	var mu sync.Mutex
+	counts := make(map[int]int, msgs)
+	order := make([]int, 0, msgs)
+	c.Node(1).Context(0).RegisterDispatch(1, func(src int, data any, bytes int) {
+		mu.Lock()
+		counts[data.(int)]++
+		order = append(order, data.(int))
+		mu.Unlock()
+	})
+	for i := 0; i < msgs; i++ {
+		if err := c.Node(0).Context(0).SendImmediate(1, 0, 1, i, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	peakBuffered := 0
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		c.Node(1).Context(0).Advance()
+		c.Node(0).Context(0).Advance()
+		tr.Advance()
+		if b := c.Node(1).ReorderBuffered(); b > peakBuffered {
+			peakBuffered = b
+		}
+		mu.Lock()
+		n := len(counts)
+		mu.Unlock()
+		if n == msgs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d/%d under the capped reorder buffer", n, msgs)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if peakBuffered > 2 {
+		t.Fatalf("reorder buffer peaked at %d entries, cap is 2", peakBuffered)
+	}
+	st := c.Node(1).ReliabilityStats()
+	if st.Parked == 0 {
+		t.Fatal("flood never hit the reorder cap — test is not exercising refusal")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < msgs; i++ {
+		if counts[i] != 1 {
+			t.Fatalf("message %d dispatched %d times, want exactly once", i, counts[i])
+		}
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("order[%d] = %d: FIFO order violated", i, v)
+		}
+	}
+}
+
+// The reorder cap is max(DefaultReorderCap, window): it admits a full
+// credit window of the layer above, and no window lowers it.
+func TestReorderCapAdmitsWindow(t *testing.T) {
+	tr, err := transport.New("inproc", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for _, c := range []struct{ window, want int }{
+		{0, DefaultReorderCap}, {16, DefaultReorderCap}, {1024, 1024},
+	} {
+		if got := NewClientWindow(tr, 1, c.window).ReorderCap(); got != c.want {
+			t.Errorf("window %d: ReorderCap = %d, want %d", c.window, got, c.want)
+		}
 	}
 }

@@ -50,7 +50,7 @@ func WatchResidency(m *converse.Machine, consumers int) (finish func() Residency
 			ring = lockless.DefaultRingSize
 		}
 		r.ResidentBound = int64(consumers) * int64(ring+c.OverflowCap+64+c.Window+8)
-		r.ReorderCap = int64(fc.ReorderCap())
+		r.ReorderCap = int64(m.PAMIClient().ReorderCap())
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
