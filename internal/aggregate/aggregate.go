@@ -142,15 +142,18 @@ func (b *Batch) WireBytes() int { return batchHeaderBytes + b.wire }
 // Len returns the number of messages in the batch.
 func (b *Batch) Len() int { return len(b.Items) }
 
-// dstBuf is the open buffer toward one destination node. The MaxDelay
-// timer is created once and re-armed per batch with Reset; the generation
-// pair makes a stale fire (one that raced a full/idle flush) a no-op.
+// dstBuf is the open buffer toward one destination node. Its MaxDelay
+// timer is created once and armed lazily: a batch opening while a fire is
+// pending adds no timer operation, and no flush stops the timer. The fire
+// flushes a batch that has waited MaxDelay and re-arms for the remainder
+// of a younger one, so MaxDelay still bounds every wait; a fire finding
+// no batch lets the timer idle until the next open arms it.
 type dstBuf struct {
-	mu       sync.Mutex
-	cur      *Batch
-	timer    *time.Timer
-	gen      uint64 // increments on every open and every take
-	armedGen uint64 // gen value the timer was last armed for
+	mu     sync.Mutex
+	cur    *Batch
+	opened time.Duration // cur's open time, on the aggregator's clock
+	timer  *time.Timer
+	armed  bool // a fire is due
 }
 
 // Stats is a snapshot of the aggregator's counters.
@@ -174,6 +177,7 @@ type Aggregator struct {
 	bufs    []dstBuf
 	pending atomic.Int64 // open batches across all destinations
 	closed  atomic.Bool
+	epoch   time.Time // origin of dstBuf.opened: a monotonic read per open
 
 	freeMu   sync.Mutex
 	freeList []*Batch
@@ -203,6 +207,7 @@ func New(cfg Config, self, nodes int, alloc mempool.Allocator, flush func(dst in
 		alloc: alloc,
 		flush: flush,
 		bufs:  make([]dstBuf, nodes),
+		epoch: time.Now(),
 	}
 }
 
@@ -247,13 +252,15 @@ func (a *Aggregator) Append(dst, tid int, data any, bytes int) bool {
 	if b == nil {
 		b = a.getBatch(tid)
 		d.cur = b
-		d.gen++
-		d.armedGen = d.gen
+		d.opened = time.Since(a.epoch)
 		a.pending.Add(1)
-		if d.timer == nil {
-			d.timer = time.AfterFunc(a.cfg.MaxDelay, func() { a.flushTimer(dst) })
-		} else {
-			d.timer.Reset(a.cfg.MaxDelay)
+		if !d.armed {
+			d.armed = true
+			if d.timer == nil {
+				d.timer = time.AfterFunc(a.cfg.MaxDelay, func() { a.flushTimer(dst) })
+			} else {
+				d.timer.Reset(a.cfg.MaxDelay)
+			}
 		}
 	}
 	b.Items = append(b.Items, data)
@@ -268,23 +275,28 @@ func (a *Aggregator) Append(dst, tid int, data any, bytes int) bool {
 	return true
 }
 
-// takeLocked detaches the open batch and cancels its timer. Caller holds
-// d.mu and owns the returned state via d.cur having been read first.
+// takeLocked detaches the open batch; a pending fire stays armed and
+// finds the buffer empty or a younger batch. Caller holds d.mu and owns
+// the returned state via d.cur having been read first.
 func (a *Aggregator) takeLocked(d *dstBuf) {
 	d.cur = nil
-	d.gen++ // invalidate the armed timer
-	if d.timer != nil {
-		d.timer.Stop()
-	}
 	a.pending.Add(-1)
 }
 
-// flushTimer is the MaxDelay backstop. The generation check makes a timer
-// that raced a full/idle flush (and a subsequently reopened batch) no-op.
+// flushTimer is the MaxDelay backstop. A fire finding no batch idles the
+// timer; one finding a batch younger than MaxDelay (opened after the arm)
+// re-arms for the batch's remaining wait.
 func (a *Aggregator) flushTimer(dst int) {
 	d := &a.bufs[dst]
 	d.mu.Lock()
-	if d.cur == nil || d.gen != d.armedGen {
+	d.armed = false
+	if d.cur == nil {
+		d.mu.Unlock()
+		return
+	}
+	if wait := a.cfg.MaxDelay - (time.Since(a.epoch) - d.opened); wait > 0 {
+		d.armed = true
+		d.timer.Reset(wait)
 		d.mu.Unlock()
 		return
 	}

@@ -199,7 +199,7 @@ func TestEligible(t *testing.T) {
 }
 
 func TestTimerRaceWithFullFlush(t *testing.T) {
-	// A timer armed for batch generation g must not flush generation g+1.
+	// A fire armed for one batch must not flush a younger one early.
 	c := &collector{}
 	a := newTestAgg(Config{MaxBatchMsgs: 2, MaxDelay: 2 * time.Millisecond}, 2, c)
 	for round := 0; round < 50; round++ {
@@ -211,6 +211,35 @@ func TestTimerRaceWithFullFlush(t *testing.T) {
 		if b.Len() != 2 {
 			t.Fatalf("stale timer flushed a partial batch of %d", b.Len())
 		}
+	}
+}
+
+// A busy sender's batches leave full or flushed explicitly while a fire is
+// pending, so the lazy timer's fire usually finds a batch younger than the
+// one it was armed for. That batch still leaves on the timer MaxDelay after
+// it opened: not at the stale fire, and not a whole MaxDelay after it.
+func TestBusySenderFlushesWithinMaxDelay(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	c := &collector{}
+	a := newTestAgg(Config{MaxBatchMsgs: 1 << 20, MaxDelay: delay}, 2, c)
+	a.Append(1, 0, "old", 8) // arms the timer
+	time.Sleep(delay / 10)
+	a.FlushDst(1, FlushExplicit) // the batch leaves before its fire ...
+	opened := time.Now()
+	a.Append(1, 0, "young", 8) // ... and a younger one opens under it
+	deadline := time.Now().Add(5 * time.Second)
+	for a.Stats().Flushes[FlushTimer] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the younger batch never left on the timer")
+		}
+		time.Sleep(time.Millisecond / 4)
+	}
+	waited := time.Since(opened)
+	if waited < delay || waited >= delay*3/2 {
+		t.Fatalf("batch left on the timer %v after opening, want within [MaxDelay, 1.5 MaxDelay) of %v", waited, delay)
+	}
+	if got := c.take(); len(got) != 2 || got[1].Items[0] != "young" {
+		t.Fatalf("flushed %d batches, want the explicit one then the young one", len(got))
 	}
 }
 

@@ -824,6 +824,7 @@ func (pe *PE) run(initPE func(pe *PE)) {
 			}
 			pe.sched.push(v.(*Message))
 		}
+		drained := pe.sched.len() < schedPullBound // the pull emptied the queue
 		// Invoke a short burst between network advances: one Advance per
 		// message (a context TryLock plus an empty poll, usually) costs more
 		// than the dispatch it's amortizing once batches land 64 messages at
@@ -835,6 +836,15 @@ func (pe *PE) run(initPE func(pe *PE)) {
 			}
 			pe.invoke(pe.sched.pop())
 			progressed = true
+		}
+		// A burst that ran the scheduler dry flushes the replies it
+		// buffered before the network advance, not after it: a reply that
+		// leaves now carries pami's ack for the message it answers, which
+		// an Advance polling nothing new would otherwise send on its own.
+		if progressed && drained && pe.sched.len() == 0 {
+			if agg := pe.node.agg; agg != nil && agg.Pending() > 0 {
+				agg.FlushAll(aggregate.FlushIdle)
+			}
 		}
 		if selfAdvance {
 			if myCtx.Advance() > 0 {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"blueq/internal/obs"
+	"blueq/internal/pami"
 )
 
 // Link/node disambiguation. Heartbeat silence has two causes that demand
@@ -268,9 +269,16 @@ func (mgr *Manager) onRetryStreak(src, dst, streak int) {
 	if obs.On() {
 		obsLinkSuspect.Inc(src)
 	}
+	// The starved sender cannot tell a lost packet from a lost ack, so
+	// both directions' routes are suspect. Salting both on every report
+	// moves them in step: when exactly one of them crosses the bad link,
+	// one always would. Salting the reverse route on every other report
+	// walks every combination of the two.
 	tor := mgr.m.Torus()
 	tor.BumpPathSalt(src, dst)
-	tor.BumpPathSalt(dst, src)
+	if (streak/pami.RetryStreakThreshold)%2 == 1 {
+		tor.BumpPathSalt(dst, src)
+	}
 	select {
 	case mgr.kickQ <- [2]int{src, dst}:
 	default:

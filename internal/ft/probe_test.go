@@ -6,6 +6,7 @@ import (
 
 	"blueq/internal/charm"
 	"blueq/internal/converse"
+	"blueq/internal/pami"
 )
 
 // A majority vote against a node that is actually alive (its heartbeats
@@ -73,5 +74,32 @@ func TestProbeExoneratesAliveNode(t *testing.T) {
 	}
 	if mgr.confirmed[3].Load() {
 		t.Fatal("alive node ended up confirmed dead")
+	}
+}
+
+// A retry-streak report salts the starved channel's route every time and
+// the reverse route every other time, so four reports walk all four
+// combinations of the two routes' parities: a pair whose forward and
+// reverse detours cross the bad link in turn still finds a round trip.
+func TestRetryStreakSaltsBothDirectionsInTurn(t *testing.T) {
+	conv := converse.Config{Nodes: 4, WorkersPerNode: 1, Mode: converse.ModeSMP}
+	rt, err := charm.NewRuntime(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	mgr := New(rt, Config{HeartbeatInterval: time.Hour, SuspectAfter: time.Hour})
+	defer mgr.Stop()
+	tor := mgr.m.Torus()
+	seen := map[[2]uint32]bool{}
+	for k := 1; k <= 4; k++ {
+		mgr.onRetryStreak(0, 3, k*pami.RetryStreakThreshold)
+		seen[[2]uint32{tor.PathSalt(0, 3) % 2, tor.PathSalt(3, 0) % 2}] = true
+	}
+	if fwd, rev := tor.PathSalt(0, 3), tor.PathSalt(3, 0); fwd != 4 || rev != 2 {
+		t.Fatalf("four reports salted the forward route %d times and the reverse %d, want 4 and 2", fwd, rev)
+	}
+	if len(seen) != 4 {
+		t.Fatalf("route parities visited %v, want all four combinations", seen)
 	}
 }

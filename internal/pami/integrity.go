@@ -1,6 +1,7 @@
 package pami
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 
 	"blueq/internal/obs"
@@ -30,7 +31,7 @@ var CRCEnabled = true
 // castagnoli is the CRC32C table (shared, read-only after init).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Wire-image kind tags folded into the checksum so a payload replaced in
+// Wire-image kind tags hashed into the checksum so a payload replaced in
 // flight (or a relPacket damaged into looking like an ack) can never
 // verify.
 const (
@@ -39,68 +40,69 @@ const (
 	sumKindAck
 )
 
-// crcFold advances a raw (pre-inverted) CRC32C by one byte via the
-// Castagnoli table. The header fields fold through this rather than a
-// serialization buffer: a stack array handed to crc32.Update escapes (the
-// accelerated update is opaque to escape analysis), and the stamp path
-// must stay allocation-free.
-func crcFold(crc uint32, b byte) uint32 { return castagnoli[byte(crc)^b] ^ (crc >> 8) }
-
-// crcFold64 folds a 64-bit field, little-endian.
-func crcFold64(crc uint32, v uint64) uint32 {
-	for i := 0; i < 8; i++ {
-		crc = crcFold(crc, byte(v))
-		v >>= 8
-	}
-	return crc
-}
+// sumScratch is the buffer packetSum serialises a packet's header into
+// before one accelerated crc32.Update over it. It lives in state the
+// caller already keeps on the heap — the send channel for stamps, the
+// polling context for verifies and acks — because a stack array handed to
+// crc32.Update escapes (the accelerated update is opaque to escape
+// analysis), and stamping and verifying must stay allocation-free.
+type sumScratch [58]byte // the longest image: a relPacket carrying an ack
 
 // packetSum computes the CRC32C over a packet's wire image: the routed
 // header fields, the payload descriptor, and — for []byte payloads — the
-// payload bytes themselves. ok is false for payload kinds pami never
+// payload bytes themselves. The header image is little-endian words in a
+// fixed order: destination and FIFO, size, packet type, kind tag, then the
+// payload kind's fields; a relPacket carrying a piggybacked ack appends
+// the ack's FIFO and horizon. ok is false for payload kinds pami never
 // injects (a garbled packet fails verification without being hashed).
-func packetSum(p *torus.Packet) (sum uint32, ok bool) {
-	crc := ^uint32(0)
-	crc = crcFold64(crc, uint64(uint32(p.Dst))|uint64(uint32(p.FIFO))<<32)
-	crc = crcFold64(crc, uint64(p.Bytes))
-	crc = crcFold(crc, uint8(p.Type))
+func packetSum(p *torus.Packet, b *sumScratch) (sum uint32, ok bool) {
+	le := binary.LittleEndian
+	le.PutUint64(b[0:], uint64(uint32(p.Dst))|uint64(uint32(p.FIFO))<<32)
+	le.PutUint64(b[8:], uint64(p.Bytes))
+	b[16] = uint8(p.Type)
+	var n int
 	var data any
 	switch pl := p.Payload.(type) {
 	case amPacket:
-		crc = crcFold(crc, sumKindAM)
-		crc = crcFold64(crc, uint64(pl.dispatch))
-		crc = crcFold64(crc, uint64(pl.bytes))
-		data = pl.data
+		b[17] = sumKindAM
+		le.PutUint64(b[18:], uint64(pl.dispatch))
+		le.PutUint64(b[26:], uint64(pl.bytes))
+		n, data = 34, pl.data
 	case relPacket:
-		crc = crcFold(crc, sumKindRel)
-		crc = crcFold64(crc, pl.seq)
-		crc = crcFold64(crc, uint64(pl.am.dispatch))
-		crc = crcFold64(crc, uint64(pl.am.bytes))
-		data = pl.am.data
+		b[17] = sumKindRel
+		le.PutUint64(b[18:], pl.seq)
+		le.PutUint64(b[26:], uint64(pl.am.dispatch))
+		le.PutUint64(b[34:], uint64(pl.am.bytes))
+		n, data = 42, pl.am.data
+		if pl.ack != 0 {
+			le.PutUint64(b[42:], uint64(pl.ackFIFO))
+			le.PutUint64(b[50:], pl.ack)
+			n = 58
+		}
 	case relAck:
-		crc = crcFold(crc, sumKindAck)
-		crc = crcFold64(crc, pl.cum)
+		b[17] = sumKindAck
+		le.PutUint64(b[18:], pl.cum)
+		n = 26
 	default:
 		return 0, false
 	}
-	sum = ^crc
+	sum = crc32.Update(0, castagnoli, b[:n])
 	// In-process payloads travel by reference, so only []byte payloads have
-	// bits the model can hash (through the accelerated bulk update —
-	// they're heap-resident already); reference payloads are covered by the
+	// bits the model can hash; reference payloads are covered by the
 	// descriptor fields above plus the Garbled-wrapper corruption model.
-	if b, isBytes := data.([]byte); isBytes {
-		sum = crc32.Update(sum, castagnoli, b)
+	if bs, isBytes := data.([]byte); isBytes {
+		sum = crc32.Update(sum, castagnoli, bs)
 	}
 	return sum, true
 }
 
 // stamp writes the wire checksum into the packet when the client has the
-// CRC armed.
-func (n *Node) stamp(p *torus.Packet) {
+// CRC armed, serialising through the caller's scratch.
+func (n *Node) stamp(p *torus.Packet, scratch *sumScratch) {
 	if !n.client.crc {
 		return
 	}
-	if sum, ok := packetSum(p); ok {
+	if sum, ok := packetSum(p, scratch); ok {
 		p.Sum = sum
 	}
 }
@@ -109,11 +111,11 @@ func (n *Node) stamp(p *torus.Packet) {
 // payload kind pami never sent — a garbled wire image) is counted and the
 // packet is dropped by the caller; the sender's retransmission timer
 // re-offers the data. Always true when the CRC is disarmed.
-func (n *Node) verify(p *torus.Packet) bool {
+func (n *Node) verify(p *torus.Packet, scratch *sumScratch) bool {
 	if !n.client.crc {
 		return true
 	}
-	sum, ok := packetSum(p)
+	sum, ok := packetSum(p, scratch)
 	if ok && sum == p.Sum {
 		return true
 	}

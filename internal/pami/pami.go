@@ -90,7 +90,7 @@ func NewClientWindow(tr transport.Transport, ctxPerNode, window int) *Client {
 	for r := range c.nodes {
 		n := &Node{client: c, rank: r, ep: tr.Endpoint(r)}
 		if !reliable {
-			n.rel = newReliator(n, c.rcap)
+			n.rel = newReliator(n, c.rcap, ctxPerNode)
 		}
 		for i := 0; i < ctxPerNode; i++ {
 			ctx := &Context{
@@ -159,6 +159,12 @@ type Context struct {
 	work     *lockless.WorkQueue
 	waker    atomic.Pointer[wakeup.Unit]
 
+	// Reliability state the polling thread owns, under lock: the receive
+	// channels of this context's FIFO whose acks are unsettled, and the
+	// checksum scratch for verifies and standalone acks.
+	owing   []*recvChan
+	scratch sumScratch
+
 	sendsImmediate atomic.Int64
 	sends          atomic.Int64
 	rgets          atomic.Int64
@@ -206,15 +212,14 @@ func (n *Node) inject(dstNode, fifo, bytes int, am amPacket) error {
 	if n.rel != nil {
 		return n.rel.sendEager(dstNode, fifo, bytes, am)
 	}
-	p := torus.Packet{
+	// A reliable transport never arms the CRC, so there is nothing to stamp.
+	return n.ep.Inject(torus.Packet{
 		Type:    torus.MemoryFIFO,
 		Dst:     dstNode,
 		Bytes:   bytes,
 		FIFO:    fifo,
 		Payload: am,
-	}
-	n.stamp(&p)
-	return n.ep.Inject(p)
+	})
 }
 
 // SendImmediate sends a short active message. The payload must not exceed
@@ -308,25 +313,19 @@ func (ctx *Context) advanceLocked() int {
 			// image (or whose payload was garbled beyond parsing) is dropped
 			// here, before any dispatch — unacknowledged, so the sender's
 			// retransmission repairs it.
-			if !ctx.node.verify(&p) {
+			if !ctx.node.verify(&p, &ctx.scratch) {
 				continue
 			}
 			switch pl := p.Payload.(type) {
 			case amPacket:
-				if fn := ctx.dispatch[pl.dispatch]; fn != nil {
-					fn(p.Src, pl.data, pl.bytes)
-				}
+				ctx.dispatchAM(p.Src, pl)
 			case relPacket:
-				// Reliability sublayer: reorder into sequence, dedup, then
-				// dispatch whatever became deliverable, and acknowledge.
-				for _, am := range ctx.node.rel.onPacket(p.Src, pl) {
-					if fn := ctx.dispatch[am.dispatch]; fn != nil {
-						fn(p.Src, am.data, am.bytes)
-					}
-				}
-				ctx.node.rel.sendAck(p.Src)
+				// Reliability sublayer: reorder into sequence, dedup, and
+				// dispatch whatever became deliverable; the ack is owed.
+				ctx.node.rel.onPacket(ctx, p.Src, p.FIFO, &pl)
 			case relAck:
-				ctx.node.rel.onAck(p.Src, pl.cum)
+				ctx.node.rel.acksReceived.Add(1)
+				ctx.node.rel.onAck(p.Src, p.FIFO, pl.cum)
 			default:
 				// Unknown packet kinds (including payloads the faulty
 				// transport garbled, with the CRC disarmed) are dropped, as
@@ -334,10 +333,20 @@ func (ctx *Context) advanceLocked() int {
 			}
 		}
 	}
+	if len(ctx.owing) > 0 {
+		ctx.node.rel.settleAcks(ctx)
+	}
 	if n > 0 {
 		ctx.advances.Add(int64(n))
 	}
 	return n
+}
+
+// dispatchAM runs an active message's handler, if one is registered.
+func (ctx *Context) dispatchAM(src int, am amPacket) {
+	if fn := ctx.dispatch[am.dispatch]; fn != nil {
+		fn(src, am.data, am.bytes)
+	}
 }
 
 // Stats returns (sendImmediates, sends, rgets, advancedItems).

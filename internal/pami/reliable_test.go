@@ -118,10 +118,11 @@ func TestOneRetransmitTimerPerChannel(t *testing.T) {
 	c.Node(1).Context(0).RegisterDispatch(1, func(int, any, int) { got++ })
 
 	// At least 1000 cycles, and on until the timer has fired and re-armed
-	// mid-stream (gen 1 is the first arm, 2 its fire, 3 the re-arm). Each
-	// ack is consumed a cycle late, so every fire finds a packet in flight
-	// and must count the advanced base as progress, not loss.
-	rel := c.Node(0).rel
+	// mid-stream (gen 1 is the first arm, 2 its fire, 3 the re-arm). Node 1
+	// polls new data on every Advance, so it acks once per ackEvery
+	// deliveries and every fire finds packets in flight: it must count the
+	// advanced base as progress, not loss.
+	sc := &c.Node(0).rel.peer(1).send[0]
 	var timer, first *time.Timer
 	var gen uint64
 	cycles := 0
@@ -136,9 +137,9 @@ func TestOneRetransmitTimerPerChannel(t *testing.T) {
 		}
 		c.Node(0).Context(0).Advance() // consume the previous cycle's ack
 		c.Node(1).Context(0).Advance() // deliver + ack
-		rel.mu.Lock()
-		timer, gen = rel.send[1].timer, rel.send[1].gen
-		rel.mu.Unlock()
+		sc.mu.Lock()
+		timer, gen = sc.timer, sc.gen
+		sc.mu.Unlock()
 		if first == nil {
 			first = timer
 		}
@@ -187,7 +188,8 @@ func TestStaleAckDoesNotPostponeRetransmit(t *testing.T) {
 			t.Fatalf("lost packet not retransmitted %v after it left (RetryBase %v)", e, RetryBase)
 		}
 		send()                         // a later packet ...
-		c.Node(1).Context(0).Advance() // ... buffered out of order, answered with cum=0 ...
+		c.Node(1).Context(0).Advance() // ... buffered out of order ...
+		c.Node(1).Context(0).Advance() // ... answered with cum=0 once an Advance polls nothing new ...
 		c.Node(0).Context(0).Advance() // ... which lands and advances nothing
 		time.Sleep(RetryBase / 10)
 	}
@@ -272,6 +274,7 @@ func TestSendWindowAcksAndRetransmitOrder(t *testing.T) {
 			c := NewClient(tr, 1)
 			defer c.Node(0).Shutdown()
 			rel := c.Node(0).rel
+			sc := &rel.peer(1).send[0]
 
 			send := func() {
 				t.Helper()
@@ -300,7 +303,7 @@ func TestSendWindowAcksAndRetransmitOrder(t *testing.T) {
 				rel.dropPeer(1)
 			}
 			for _, cum := range tc.acks {
-				rel.onAck(1, cum)
+				rel.onAck(1, 0, cum)
 			}
 
 			// The channel keeps working whatever the acks were: the next
@@ -311,7 +314,7 @@ func TestSendWindowAcksAndRetransmitOrder(t *testing.T) {
 			send()
 			arrived()
 			retries := c.Node(0).ReliabilityStats().Retries
-			rel.retry(1)
+			rel.retry(sc)
 			want := append(slices.Clone(tc.retry), next)
 			if got := arrived(); !slices.Equal(got, want) {
 				t.Fatalf("retry re-injected %v, want %v", got, want)
@@ -319,9 +322,9 @@ func TestSendWindowAcksAndRetransmitOrder(t *testing.T) {
 			if got := c.Node(0).ReliabilityStats().Retries - retries; got != int64(len(want)) {
 				t.Fatalf("Retries moved by %d, want %d", got, len(want))
 			}
-			rel.onAck(1, next)
+			rel.onAck(1, 0, next)
 			retries = c.Node(0).ReliabilityStats().Retries
-			rel.retry(1)
+			rel.retry(sc)
 			if got := c.Node(0).ReliabilityStats().Retries; got != retries || len(arrived()) != 0 {
 				t.Fatalf("retry on a drained window re-injected packets (Retries %d -> %d)", retries, got)
 			}
@@ -418,6 +421,397 @@ func TestReorderCapAdmitsWindow(t *testing.T) {
 	} {
 		if got := NewClientWindow(tr, 1, c.window).ReorderCap(); got != c.want {
 			t.Errorf("window %d: ReorderCap = %d, want %d", c.window, got, c.want)
+		}
+	}
+}
+
+// The armed hop is one packet: in a ping-pong whose handler replies from
+// dispatch, every ack rides on the reverse data, so each hop injects
+// exactly one packet and no standalone ack leaves in steady state. The
+// last pong has no ping to carry its ack, which goes standalone at the
+// pinger's first Advance that polls nothing new.
+func TestPingPongOnePacketPerHop(t *testing.T) {
+	base := RetryBase
+	RetryBase = time.Hour // a host stall must not pose as a loss
+	t.Cleanup(func() { RetryBase = base })
+	tr, err := transport.New("faulty:seed=1,unreliable=1", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := NewClient(tr, 1)
+	defer c.Node(0).Shutdown()
+	defer c.Node(1).Shutdown()
+	ping, pong := c.Node(0).Context(0), c.Node(1).Context(0)
+	pong.RegisterDispatch(1, func(src int, data any, bytes int) {
+		if err := pong.SendImmediate(src, 0, 2, data, bytes); err != nil {
+			t.Error(err)
+		}
+	})
+	returned := 0
+	ping.RegisterDispatch(2, func(int, any, int) { returned++ })
+
+	const rounds = 500
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < rounds; i++ {
+		if err := ping.SendImmediate(1, 0, 1, i, 8); err != nil {
+			t.Fatal(err)
+		}
+		for returned <= i {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d never returned", i)
+			}
+			pong.Advance()
+			ping.Advance()
+		}
+	}
+	pong.Advance() // quiet: its ack went out on the last pong
+	if got := tr.Stats().Injected; got != 2*rounds {
+		t.Fatalf("%d hops injected %d packets, want one each", 2*rounds, got)
+	}
+	for r := 0; r < 2; r++ {
+		if rs := c.Node(r).ReliabilityStats(); rs.AcksSent != 0 || rs.Retries != 0 {
+			t.Fatalf("node %d sent standalone acks or retried in steady state: %+v", r, rs)
+		}
+	}
+	ping.Advance() // quiet: the last pong's ack leaves on its own
+	pong.Advance()
+	if rs := c.Node(0).ReliabilityStats(); rs.AcksSent != 1 {
+		t.Fatalf("pinger sent %d standalone acks for the last pong, want 1", rs.AcksSent)
+	}
+	for r, peer := range []int{1, 0} {
+		sc := &c.Node(r).rel.peer(peer).send[0]
+		sc.mu.Lock()
+		n := len(sc.window)
+		sc.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("node %d's window holds %d packets after the run, want 0", r, n)
+		}
+	}
+}
+
+// With no reverse traffic the ack goes standalone: a one-way burst shorter
+// than ackEvery is acknowledged once, at the receiver's first Advance that
+// polls nothing new, and a longer stream every ackEvery deliveries even
+// while each Advance polls data. Nothing is retransmitted.
+func TestOneWayFlowAcksAtQuietAdvance(t *testing.T) {
+	base := RetryBase
+	RetryBase = time.Hour
+	t.Cleanup(func() { RetryBase = base })
+	tr, err := transport.New("faulty:seed=1,unreliable=1", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := NewClient(tr, 1)
+	defer c.Node(0).Shutdown()
+	defer c.Node(1).Shutdown()
+	src, dst := c.Node(0).Context(0), c.Node(1).Context(0)
+	got := 0
+	dst.RegisterDispatch(1, func(int, any, int) { got++ })
+	sc := &c.Node(0).rel.peer(1).send[0]
+	window := func() int {
+		sc.mu.Lock()
+		defer sc.mu.Unlock()
+		return len(sc.window)
+	}
+	burst := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := src.SendImmediate(1, 0, 1, i, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	burst(ackEvery - 1)
+	dst.Advance()
+	if acks := c.Node(1).ReliabilityStats().AcksSent; got != ackEvery-1 || acks != 0 {
+		t.Fatalf("after the polling Advance: delivered %d, standalone acks %d; want %d, 0", got, acks, ackEvery-1)
+	}
+	dst.Advance() // polls nothing: the ack leaves
+	src.Advance()
+	if acks := c.Node(1).ReliabilityStats().AcksSent; acks != 1 || window() != 0 {
+		t.Fatalf("after the quiet Advance: %d standalone acks, window %d; want 1, 0", acks, window())
+	}
+
+	burst(3 * ackEvery)
+	dst.Advance() // one Advance polls the whole stream
+	if acks := c.Node(1).ReliabilityStats().AcksSent; acks != 4 {
+		t.Fatalf("a %d-packet stream drew %d acks in its polling Advance, want 3", 3*ackEvery, acks-1)
+	}
+	src.Advance()
+	dst.Advance() // quiet, and nothing left to ack
+	if rs := c.Node(1).ReliabilityStats(); rs.AcksSent != 4 || window() != 0 {
+		t.Fatalf("stream not drained by its acks: %+v, window %d", rs, window())
+	}
+	if rs := c.Node(0).ReliabilityStats(); rs.Retries != 0 || rs.AcksReceived != 4 {
+		t.Fatalf("sender: %+v, want 0 retries and 4 acks received", rs)
+	}
+}
+
+// Channels are per (peer, FIFO): with two contexts per node, each polling
+// its FIFO on its own goroutine, a gap on FIFO 0 holds back FIFO 0 alone
+// while FIFO 1 streams on, and the retransmission that closes it releases
+// FIFO 0's buffered run in its send order.
+func TestTwoFIFOsKeepOrderAcrossGap(t *testing.T) {
+	base := RetryBase
+	RetryBase = time.Hour // the gap closes only when the test kicks it
+	t.Cleanup(func() { RetryBase = base })
+	tr, err := transport.New("faulty:seed=1,unreliable=1", 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := NewClient(tr, 2)
+	defer c.Node(0).Shutdown()
+	defer c.Node(1).Shutdown()
+
+	const msgs = 200
+	var mu sync.Mutex
+	var got [2][]int
+	delivered := func(f int) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got[f])
+	}
+	for f := 0; f < 2; f++ {
+		c.Node(1).Context(f).RegisterDispatch(1, func(_ int, data any, _ int) {
+			mu.Lock()
+			got[f] = append(got[f], data.(int))
+			mu.Unlock()
+		})
+	}
+	send := func(fifo, i int) {
+		t.Helper()
+		if err := c.Node(0).Context(i%2).SendImmediate(1, fifo, 1, i, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(0, 0)
+	if _, ok := c.Node(1).ep.Poll(0); !ok { // lose FIFO 0's sequence 1
+		t.Fatal("first packet not pollable as soon as it was sent")
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for n := 0; n < 2; n++ {
+		for f := 0; f < 2; f++ {
+			wg.Add(1)
+			go func(ctx *Context) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if ctx.Advance() == 0 {
+						runtime.Gosched()
+					}
+				}
+			}(c.Node(n).Context(f))
+		}
+	}
+	defer func() { close(stop); wg.Wait() }()
+
+	for i := 0; i < msgs; i++ {
+		if i > 0 {
+			send(0, i)
+		}
+		send(1, i)
+	}
+	wait := func(what string, done func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: FIFO 0 delivered %d, FIFO 1 %d, %d buffered", what, delivered(0), delivered(1), c.Node(1).ReorderBuffered())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	wait("FIFO 1 streams past FIFO 0's gap", func() bool {
+		return delivered(1) == msgs && c.Node(1).ReorderBuffered() == msgs-1
+	})
+	if delivered(0) != 0 {
+		t.Fatalf("FIFO 0 delivered %d packets across its gap", delivered(0))
+	}
+	c.Node(0).KickRetransmit(1)
+	wait("the kicked retransmission closes the gap", func() bool { return delivered(0) == msgs })
+	mu.Lock()
+	defer mu.Unlock()
+	for f := 0; f < 2; f++ {
+		for i, v := range got[f] {
+			if v != i {
+				t.Fatalf("FIFO %d position %d got message %d: send order broken", f, i, v)
+			}
+		}
+	}
+	if b := c.Node(1).ReorderBuffered(); b != 0 {
+		t.Fatalf("%d packets still buffered after the gap closed", b)
+	}
+}
+
+// A retry round — a timer fire or a kick — re-injects at most retryBudget
+// packets, however large the window: with microsecond timers over a black
+// hole, ten rounds re-inject no more than ten budgets.
+// Over a lossy wire the same timers still drain a 600-packet window
+// exactly once, in order.
+func TestRetryRoundBudget(t *testing.T) {
+	base, max := RetryBase, RetryMax
+	RetryBase, RetryMax = 50*time.Microsecond, 200*time.Microsecond
+	t.Cleanup(func() { RetryBase, RetryMax = base, max })
+	const msgs = 600
+
+	t.Run("black hole", func(t *testing.T) {
+		tr, err := transport.New("faulty:seed=4,drop=1", 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		c := NewClient(tr, 1)
+		defer c.Node(0).Shutdown()
+		for i := 0; i < msgs; i++ {
+			if err := c.Node(0).Context(0).SendImmediate(1, 0, 1, i, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A round counts its retries and its streak step under the channel
+		// lock, so a snapshot taken under it sees whole rounds only.
+		sc := &c.Node(0).rel.peer(1).send[0]
+		deadline := time.Now().Add(10 * time.Second)
+		for rounds := 0; rounds < 10; {
+			sc.mu.Lock()
+			rounds = sc.streak
+			retries := c.Node(0).ReliabilityStats().Retries
+			sc.mu.Unlock()
+			if retries > int64(rounds*retryBudget) {
+				t.Fatalf("%d retries in %d rounds: more than %d a round", retries, rounds, retryBudget)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d retry rounds fired", rounds)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	})
+
+	t.Run("lossy window drains once", func(t *testing.T) {
+		tr, err := transport.New("faulty:seed=5,drop=0.05,dup=0.02", 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		c := NewClient(tr, 1)
+		defer c.Node(0).Shutdown()
+		defer c.Node(1).Shutdown()
+		var order []int
+		c.Node(1).Context(0).RegisterDispatch(1, func(_ int, data any, _ int) { order = append(order, data.(int)) })
+		for i := 0; i < msgs; i++ {
+			if err := c.Node(0).Context(0).SendImmediate(1, 0, 1, i, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for len(order) < msgs {
+			if time.Now().After(deadline) {
+				t.Fatalf("delivered %d/%d", len(order), msgs)
+			}
+			c.Node(1).Context(0).Advance()
+			c.Node(0).Context(0).Advance()
+			tr.Advance()
+			runtime.Gosched()
+		}
+		time.Sleep(5 * time.Millisecond) // trailing retransmissions and dups land
+		c.Node(1).Context(0).Advance()
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("position %d got message %d (of %d delivered): not exactly once in order", i, v, len(order))
+			}
+		}
+		if len(order) != msgs {
+			t.Fatalf("delivered %d, want exactly %d", len(order), msgs)
+		}
+		if rs := c.Node(0).ReliabilityStats(); rs.Retries == 0 {
+			t.Fatalf("a lossy wire drew no retransmissions: %+v", rs)
+		}
+	})
+}
+
+// After a retry round, acks pace the rest of the stalled window: an ack
+// covering the round re-injects twice as many of the suspects, one short
+// of it (or a stale one) re-offers the hole the receiver is stuck at, and
+// the recovery ends at the window's end as of the retry round — later
+// sends are never re-injected by it. Driven by hand, as
+// TestSendWindowAcksAndRetransmitOrder is.
+func TestRecoveryPacedByAcks(t *testing.T) {
+	base, max := RetryBase, RetryMax
+	RetryBase, RetryMax = time.Hour, time.Hour
+	t.Cleanup(func() { RetryBase, RetryMax = base, max })
+	tr, err := transport.New("faulty:seed=1,unreliable=1", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := NewClient(tr, 1)
+	defer c.Node(0).Shutdown()
+	rel := c.Node(0).rel
+	sc := &rel.peer(1).send[0]
+	send := func() {
+		t.Helper()
+		if err := c.Node(0).Context(0).SendImmediate(1, 0, 1, nil, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arrived := func() []uint64 { // node 1 is never advanced: read its FIFO
+		tr.Advance()
+		var seqs []uint64
+		for {
+			p, ok := c.Node(1).ep.Poll(0)
+			if !ok {
+				return seqs
+			}
+			seqs = append(seqs, p.Payload.(relPacket).seq)
+		}
+	}
+	span := func(from, to uint64) []uint64 {
+		var s []uint64
+		for q := from; q <= to; q++ {
+			s = append(s, q)
+		}
+		return s
+	}
+
+	const stalled = 40
+	for range stalled {
+		send()
+	}
+	arrived() // all lost
+	steps := []struct {
+		name    string
+		ack     uint64 // 0: the retry round itself
+		sendNew bool   // send one more packet first
+		want    []uint64
+	}{
+		{"the retry round re-injects one budget", 0, false, span(1, retryBudget)},
+		{"an ack covering it doubles the round", retryBudget, false, span(retryBudget+1, 3*retryBudget)},
+		{"a partial ack re-offers the hole", 2*retryBudget + 4, false, span(2*retryBudget+5, 2*retryBudget+5)},
+		{"so does a stale one", 2*retryBudget + 4, false, span(2*retryBudget+5, 2*retryBudget+5)},
+		{"the last round ends at the window as of the retry", 3 * retryBudget, true, span(3*retryBudget+1, stalled)},
+		{"the ack ending the recovery leaves the later send alone", stalled, false, nil},
+	}
+	for _, st := range steps {
+		if st.sendNew {
+			send()
+			arrived()
+		}
+		if st.ack == 0 {
+			rel.retry(sc)
+		} else {
+			rel.onAck(1, 0, st.ack)
+		}
+		if got := arrived(); !slices.Equal(got, st.want) {
+			t.Fatalf("%s: re-injected %v, want %v", st.name, got, st.want)
 		}
 	}
 }

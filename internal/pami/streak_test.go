@@ -79,15 +79,10 @@ func TestAckClearsRetryStreak(t *testing.T) {
 	for {
 		c.Node(1).Context(0).Advance()
 		c.Node(0).Context(0).Advance()
-		rel := c.Node(0).rel
-		rel.mu.Lock()
-		st := rel.send[1]
-		drained := st != nil && len(st.window) == 0
-		streak := 0
-		if st != nil {
-			streak = st.streak
-		}
-		rel.mu.Unlock()
+		sc := &c.Node(0).rel.peer(1).send[0]
+		sc.mu.Lock()
+		drained, streak := len(sc.window) == 0, sc.streak
+		sc.mu.Unlock()
 		if drained {
 			if streak != 0 {
 				t.Fatalf("channel drained but streak = %d, want 0", streak)

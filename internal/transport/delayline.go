@@ -74,17 +74,38 @@ func newDelayLine(deliver func(src int, p torus.Packet)) *delayLine {
 // before schedule returns when nothing is queued and no delivery batch is
 // running; otherwise it is queued, never waiting for another batch.
 func (dl *delayLine) schedule(due time.Time, src int, p torus.Packet) {
-	inline := !due.After(time.Now()) && dl.deliverMu.TryLock()
-	dl.mu.Lock()
-	if inline {
-		if !dl.closed && len(dl.flights) == 0 {
-			dl.mu.Unlock()
-			dl.deliver(src, p)
-			dl.deliverMu.Unlock()
-			return
-		}
-		dl.deliverMu.Unlock()
+	if due.After(time.Now()) || !dl.deliverInline(src, p) {
+		dl.queue(due, src, p)
 	}
+}
+
+// scheduleDue is schedule for a packet due now. It reads the clock only
+// when the packet has to queue.
+func (dl *delayLine) scheduleDue(src int, p torus.Packet) {
+	if !dl.deliverInline(src, p) {
+		dl.queue(time.Now(), src, p)
+	}
+}
+
+// deliverInline delivers p on the calling thread if nothing is queued and
+// no delivery batch is running, and reports whether it did.
+func (dl *delayLine) deliverInline(src int, p torus.Packet) bool {
+	if !dl.deliverMu.TryLock() {
+		return false
+	}
+	dl.mu.Lock()
+	idle := !dl.closed && len(dl.flights) == 0
+	dl.mu.Unlock()
+	if idle {
+		dl.deliver(src, p)
+	}
+	dl.deliverMu.Unlock()
+	return idle
+}
+
+// queue books p on the heap for the delivery goroutine or Advance.
+func (dl *delayLine) queue(due time.Time, src int, p torus.Packet) {
+	dl.mu.Lock()
 	if dl.closed {
 		dl.mu.Unlock()
 		return

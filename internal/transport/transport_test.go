@@ -422,3 +422,76 @@ func TestWithSeed(t *testing.T) {
 		tr.Close()
 	}
 }
+
+// With every rate at zero a packet on a clean route skips the fault dice
+// and the clock, and nothing else changes: kills and failed links still
+// drop, the injected count still counts, and a due packet still queues
+// behind a flight already waiting in the delay line instead of overtaking
+// it.
+func TestZeroRateFaultyKeepsKillsLinksAndOrder(t *testing.T) {
+	tr, err := New("faulty:seed=5", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	f := tr.(*Faulty)
+	if !f.zero {
+		t.Fatal("a spec with no rates did not take the zero-rate path")
+	}
+	inject := func(src, dst int, payload string) {
+		t.Helper()
+		if err := tr.Endpoint(src).Inject(torus.Packet{Type: torus.MemoryFIFO, Dst: dst, Bytes: 4096, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	f.KillNode(2)
+	inject(0, 2, "to the dead")
+	inject(2, 0, "from the dead")
+	// Node 1's only links are 0-1 and 1-3; failing both isolates it.
+	if err := tr.Torus().FailLink(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Torus().FailLink(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	inject(0, 1, "across the partition")
+	drain(t, tr)
+	for _, r := range []int{0, 1, 2} {
+		if got := pollAll(tr.Endpoint(r)); len(got) != 0 {
+			t.Fatalf("node %d received %+v", r, got)
+		}
+	}
+	if s := tr.Stats(); s.KilledDrops != 2 || s.LinkDrops != 1 || s.Injected != 1 {
+		t.Fatalf("stats %+v, want 2 kill drops, 1 link drop, 1 injected", s)
+	}
+
+	// A slow link delays "first" on 0→1; "second" leaves on a clean route
+	// after "first" is due but while delivery is held, so it must queue
+	// behind it.
+	if err := tr.Torus().HealLink(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Torus().HealLink(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Torus().DegradeLink(0, 1, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	f.dl.deliverMu.Lock() // hold delivery: the goroutine and inline alike
+	inject(0, 1, "first")
+	time.Sleep(time.Millisecond) // "first" is due
+	if err := tr.Torus().HealLink(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	inject(0, 1, "second")
+	f.dl.deliverMu.Unlock()
+	drain(t, tr)
+	got := pollAll(tr.Endpoint(1))
+	if len(got) != 2 || got[0].Payload != "first" || got[1].Payload != "second" {
+		t.Fatalf("delivered %+v, want first then second", got)
+	}
+	if s := tr.Stats(); s.Delayed != 1 {
+		t.Fatalf("%d packets delayed, want only the slow link's", s.Delayed)
+	}
+}
