@@ -384,7 +384,7 @@ func runSweep(spec string, slow time.Duration, fcc flowctl.Config, agc *aggregat
 	}
 	fmt.Fprintf(out, "saturation sweep over %s: consumer capacity ≈ %.0f msg/s (nominal delay %v), window %d, overflow cap %d\n",
 		spec, capacity, slow, fcc.Window, fcc.OverflowCap)
-	fmt.Fprintf(out, "%14s %14s %14s %14s %10s\n", "offered msg/s", "achieved msg/s", "utilization", "peak resident", "parked")
+	fmt.Fprintf(out, "%14s %14s %14s %14s %10s %10s\n", "offered msg/s", "achieved msg/s", "utilization", "peak resident", "parked", "retries")
 	for _, mult := range multipliers {
 		offered := capacity * mult
 		// What the slowed consumer executed inside the send window is the
@@ -398,7 +398,7 @@ func runSweep(spec string, slow time.Duration, fcc flowctl.Config, agc *aggregat
 			os.Exit(1)
 		}
 		achieved := float64(res.InWindow) / res.Send.Seconds()
-		fmt.Fprintf(out, "%14.0f %14.0f %13.0f%% %14d %10d\n",
-			offered, achieved, 100*achieved/offered, res.PeakResident, res.Parked)
+		fmt.Fprintf(out, "%14.0f %14.0f %13.0f%% %14d %10d %10d\n",
+			offered, achieved, 100*achieved/offered, res.PeakResident, res.Parked, res.Retries)
 	}
 }

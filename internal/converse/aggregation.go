@@ -112,8 +112,6 @@ func (m *Machine) AggregationOn() bool {
 // they can trust in-flight accounting. No-op when aggregation is off.
 func (m *Machine) FlushAggregation() {
 	for _, node := range m.nodes {
-		if node.agg != nil {
-			node.agg.FlushAll(aggregate.FlushExplicit)
-		}
+		node.FlushAggregation()
 	}
 }

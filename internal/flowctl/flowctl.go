@@ -16,9 +16,9 @@
 //     sent straight through PAMI (heartbeats, probes, gossip, protocol
 //     acks) is never credited.
 //   - Hard caps on the spill structures (lockless overflow queue, PAMI
-//     reorder buffer, sized from Window) with sender-side park-and-retry
-//     instead of silent unbounded growth — reliable traffic is never
-//     dropped.
+//     reorder buffer, sized from Window) with the sender parked on a
+//     wakeup unit instead of silent unbounded growth — reliable traffic
+//     is never dropped.
 //   - Memory-pressure signaling from the mempool arenas: soft/hard
 //     watermarks shrink the granted window *before* allocation fails.
 //   - Burst admission for many-to-many exchanges, so an all-to-all cannot
@@ -33,9 +33,9 @@
 //	3 blocked      — at least one sender is parked on an empty window
 //	                 (backpressure has reached the source)
 //
-// Parking is bounded: a sender parked longer than MaxBlock proceeds on
-// overdraft (counted) so a pathological cycle degrades to slow progress,
-// never deadlock — graceful degradation, not collapse.
+// Parking is a wakeup.Park, bounded: a sender parked longer than MaxBlock
+// proceeds on overdraft (counted) so a pathological cycle degrades to slow
+// progress, never deadlock — graceful degradation, not collapse.
 package flowctl
 
 import (
@@ -216,6 +216,12 @@ func (c *Controller) DropPeer(rank int) {
 		c.Window(rank, other).markDead()
 		c.Window(other, rank).markDead()
 	}
+}
+
+// resumeAt is the in-flight count a parked sender waits for (RFC 813).
+func (c *Controller) resumeAt() int64 {
+	limit := c.effectiveWindow()
+	return limit - (limit+1)/2
 }
 
 // effectiveWindow is the granted window after pressure shrinking: full at

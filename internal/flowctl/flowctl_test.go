@@ -1,6 +1,7 @@
 package flowctl
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +66,35 @@ func TestWindowAcquireRelease(t *testing.T) {
 				t.Fatalf("InFlight = %d after resuming, want %d", got, want)
 			}
 		})
+	}
+}
+
+// A parked sender sleeps until something it watches changes: with no
+// credit returned, progress runs before the park's first wait and then
+// not again until the MaxBlock deadline wakes it. The credit-park
+// counterpart of pami's TestCommThreadSleepsWhenIdle.
+func TestParkedSenderSleepsWithoutCredit(t *testing.T) {
+	const maxBlock = 50 * time.Millisecond
+	ctl := NewController(Config{Window: 1, MaxBlock: maxBlock}, 2)
+	w := ctl.Window(0, 1)
+	w.Acquire(nil)
+	var start time.Time
+	runs, mid := 0, 0
+	progress := func() {
+		runs++
+		if e := time.Since(start); e >= 5*time.Millisecond && e < maxBlock {
+			mid++
+		}
+	}
+	start = time.Now()
+	if w.Acquire(progress) {
+		t.Fatal("acquire with no credit returned should end on overdraft")
+	}
+	if runs == 0 {
+		t.Fatal("progress never ran while parked")
+	}
+	if mid != 0 {
+		t.Fatalf("progress ran %d times between 5 ms and MaxBlock with nothing to wake the sender (%d in all)", mid, runs)
 	}
 }
 
@@ -141,7 +171,12 @@ func TestDropPeerReleasesParkedSenders(t *testing.T) {
 		w.Acquire(nil)
 		close(done)
 	}()
-	time.Sleep(2 * time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); ctl.BlockedSenders() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the second acquire never parked")
+		}
+		runtime.Gosched()
+	}
 	ctl.DropPeer(2)
 	select {
 	case <-done:
@@ -189,21 +224,5 @@ func TestWindowConcurrentAcquireRelease(t *testing.T) {
 	wg.Wait()
 	if got := w.InFlight(); got < 0 || got > 16 {
 		t.Fatalf("InFlight = %d after balanced acquire/release, want within [0,16]", got)
-	}
-}
-
-func TestParkUntil(t *testing.T) {
-	n := 0
-	ok := ParkUntil(func() bool { n++; return n >= 3 }, nil, time.Second)
-	if !ok || n != 3 {
-		t.Fatalf("ParkUntil ok=%v n=%d, want success on third try", ok, n)
-	}
-	progressed := 0
-	ok = ParkUntil(func() bool { return false }, func() { progressed++ }, 5*time.Millisecond)
-	if ok {
-		t.Fatal("ParkUntil succeeded on always-false condition")
-	}
-	if progressed == 0 {
-		t.Fatal("progress closure never ran while parked")
 	}
 }

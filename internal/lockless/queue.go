@@ -21,13 +21,13 @@
 package lockless
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"blueq/internal/l2atomic"
 	"blueq/internal/obs"
+	"blueq/internal/wakeup"
 )
 
 // DefaultRingSize is the number of slots in an L2Queue ring when the caller
@@ -77,11 +77,12 @@ type L2Queue struct {
 	olen     atomic.Int64
 
 	// Overflow cap (flow control): when ocap > 0, producers finding the
-	// overflow queue at the cap park-and-retry for up to omaxBlock before
+	// overflow queue at the cap park on ogate for up to omaxBlock before
 	// spilling anyway — bounded memory under a slow consumer without ever
 	// dropping a message. Set before traffic flows.
 	ocap      int64
 	omaxBlock time.Duration
+	ogate     wakeup.Gate
 }
 
 // slot boxes a message so the ring can distinguish "published" from "empty"
@@ -142,15 +143,6 @@ func (d *anyDeque) pushN(msgs []any) {
 	}
 }
 
-func (d *anyDeque) push(m any) {
-	n := len(d.chunks)
-	if n == 0 || len(d.chunks[n-1]) == dequeChunk {
-		d.chunks = append(d.chunks, d.grab())
-		n++
-	}
-	d.chunks[n-1] = append(d.chunks[n-1], m)
-}
-
 func (d *anyDeque) pop() (any, bool) {
 	if len(d.chunks) == 0 || d.head >= len(d.chunks[0]) {
 		return nil, false
@@ -190,11 +182,11 @@ func NewL2Queue(size int) *L2Queue {
 }
 
 // SetOverflowCap bounds the overflow queue at cap messages: a producer
-// finding it full parks (yield, then sleep with backoff) until the
-// consumer drains below the cap or maxBlock elapses, after which it
-// spills anyway — backpressure with a liveness escape, never a drop.
-// cap <= 0 restores the unbounded behaviour. Call before traffic flows;
-// the cap is read without synchronization on the producer slow path.
+// finding it full parks until the consumer drains below the cap or
+// maxBlock elapses, after which it spills anyway — backpressure with a
+// liveness escape, never a drop. cap <= 0 restores the unbounded
+// behaviour. Call before traffic flows; the cap is read without
+// synchronization on the producer slow path.
 func (q *L2Queue) SetOverflowCap(cap int, maxBlock time.Duration) {
 	q.ocap = int64(cap)
 	q.omaxBlock = maxBlock
@@ -218,25 +210,15 @@ func (q *L2Queue) Enqueue(msg any) {
 		}
 		return
 	}
-	if q.ocap > 0 && q.olen.Load() >= q.ocap {
-		q.parkOnCap()
-	}
-	q.omu.Lock()
-	q.overflow.push(msg)
-	q.omu.Unlock()
-	q.olen.Add(1)
-	if obs.On() {
-		mEnqueue.Inc(q.id)
-		mSpill.Inc(q.id)
-	}
+	q.spill([]any{msg})
 }
 
 // EnqueueBatch publishes msgs with one bounded load-add per contiguous run
 // of free slots — the aggregation layer's receive path lands a whole
 // unpacked batch with a single serialization on the producer counter,
 // mirroring how the BG/Q MU reserves a descriptor chain per injection
-// burst. Messages that do not fit the ring take the per-message slow path,
-// preserving the overflow cap's parking semantics exactly.
+// burst. Messages that do not fit the ring spill as Enqueue's do,
+// parking at the overflow cap.
 func (q *L2Queue) EnqueueBatch(msgs []any) {
 	for len(msgs) > 0 {
 		base, got := q.pc.BoundedLoadAdd(uint64(len(msgs)))
@@ -257,17 +239,30 @@ func (q *L2Queue) EnqueueBatch(msgs []any) {
 		}
 		msgs = msgs[got:]
 	}
-	// Ring full: spill the remainder to the overflow queue in chunks, one
-	// lock per chunk instead of one per message. Each chunk is bounded by
-	// the headroom under the overflow cap (everything at once when
-	// uncapped), so producers still park at the cap between chunks and the
-	// backlog bound grows by at most one chunk, same softness class as the
-	// per-message path's one-per-racing-producer overshoot.
+	q.spill(msgs)
+}
+
+// spill appends what did not fit the ring to the overflow queue in
+// chunks, one lock per chunk instead of one per message. Each chunk is
+// bounded by the headroom under the overflow cap (everything at once when
+// uncapped), so producers still park at the cap between chunks and the
+// backlog bound grows by at most one chunk per racing producer.
+func (q *L2Queue) spill(msgs []any) {
 	for len(msgs) > 0 {
 		n := len(msgs)
 		if q.ocap > 0 {
+			// Park at the cap. It is soft by one chunk per racing producer
+			// (check and append are not atomic together, so the ring stays
+			// lock-free), which changes the bound, not the boundedness.
 			if q.olen.Load() >= q.ocap {
-				q.parkOnCap()
+				mCapHit.Inc(q.id)
+				if !wakeup.Park(func() bool { return q.olen.Load() < q.ocap }, nil, q.omaxBlock, &q.ogate) {
+					// Escape hatch: a producer that is itself the queue's
+					// consumer (a PE sending to itself) would otherwise
+					// deadlock. Spill and count it; the cap re-binds as soon
+					// as the consumer drains.
+					mCapOverrun.Inc(q.id)
+				}
 			}
 			if room := q.ocap - q.olen.Load(); room > 0 && room < int64(n) {
 				n = int(room)
@@ -282,33 +277,6 @@ func (q *L2Queue) EnqueueBatch(msgs []any) {
 			mSpill.Add(q.id, int64(n))
 		}
 		msgs = msgs[n:]
-	}
-}
-
-// parkOnCap blocks the producer while the overflow queue sits at its cap.
-// The cap is soft by one message per racing producer — the check and the
-// append are deliberately not atomic together, so the fast path stays
-// lock-free — which changes the bound, not the boundedness.
-func (q *L2Queue) parkOnCap() {
-	mCapHit.Inc(q.id)
-	deadline := time.Now().Add(q.omaxBlock)
-	sleep := 20 * time.Microsecond
-	for spins := 0; q.olen.Load() >= q.ocap; spins++ {
-		if spins < 32 {
-			runtime.Gosched()
-			continue
-		}
-		if time.Now().After(deadline) {
-			// Escape hatch: a producer that is itself the queue's consumer
-			// (a PE sending to itself) would otherwise deadlock. Spill and
-			// count it; the cap re-binds as soon as the consumer drains.
-			mCapOverrun.Inc(q.id)
-			return
-		}
-		time.Sleep(sleep)
-		if sleep < time.Millisecond {
-			sleep *= 2
-		}
 	}
 }
 
@@ -332,19 +300,28 @@ func (q *L2Queue) Dequeue() (any, bool) {
 		return msg, true
 	}
 	if q.olen.Load() > 0 {
-		q.omu.Lock()
-		msg, ok := q.overflow.pop()
-		q.omu.Unlock()
-		if ok {
-			q.olen.Add(-1)
-			if obs.On() {
-				mDequeue.Inc(q.id)
-				mDrain.Inc(q.id)
-			}
-			return msg, true
-		}
+		return q.popOverflow()
 	}
 	return nil, false
+}
+
+// popOverflow takes the overflow queue's head, opening the cap's gate when
+// the pop leaves the queue below the cap.
+func (q *L2Queue) popOverflow() (any, bool) {
+	q.omu.Lock()
+	msg, ok := q.overflow.pop()
+	q.omu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	if q.olen.Add(-1) < q.ocap {
+		q.ogate.Open()
+	}
+	if obs.On() {
+		mDequeue.Inc(q.id)
+		mDrain.Inc(q.id)
+	}
+	return msg, true
 }
 
 // Empty reports whether both the ring and the overflow queue appear empty.

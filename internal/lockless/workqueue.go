@@ -42,16 +42,10 @@ func (wq *WorkQueue) RunOne() bool {
 		hasOverflow := wq.q.olen.Load() > 0
 		wq.q.omu.Unlock()
 		if hasOverflow {
-			wq.q.omu.Lock()
-			if w, ok = wq.q.overflow.pop(); ok {
-				wq.q.olen.Add(-1)
-			}
-			wq.q.omu.Unlock()
+			w, ok = wq.q.popOverflow()
 		}
-		if !ok {
-			w, ok = wq.q.Dequeue()
-		}
-	} else {
+	}
+	if !ok {
 		w, ok = wq.q.Dequeue()
 	}
 	if !ok {

@@ -29,6 +29,7 @@ import (
 
 	"blueq/internal/converse"
 	"blueq/internal/flowctl"
+	"blueq/internal/wakeup"
 )
 
 // Manager owns the m2m handler on a Converse machine. Create it (and all
@@ -76,9 +77,11 @@ type Handle struct {
 	// messages sent toward destination PE dst and not yet delivered.
 	// When the machine has flow control armed, a sender whose burst would
 	// push a destination past BurstLimit parks — an all-to-all cannot
-	// land its entire fan-in on one receiver at once. Nil when flow
+	// land its entire fan-in on one receiver at once; deliver opens
+	// gates[dst] when inflight[dst] drops below the limit. Nil when flow
 	// control is off.
 	inflight   []atomic.Int64
+	gates      []wakeup.Gate
 	burstLimit int64
 	parked     atomic.Int64
 }
@@ -108,6 +111,7 @@ func (mgr *Manager) NewHandle() *Handle {
 	}
 	if fc := mgr.machine.FlowController(); fc != nil {
 		h.inflight = make([]atomic.Int64, mgr.machine.NumPEs())
+		h.gates = make([]wakeup.Gate, mgr.machine.NumPEs())
 		h.burstLimit = int64(fc.Config().BurstLimit)
 	}
 	mgr.mu.Lock()
@@ -121,56 +125,34 @@ func (mgr *Manager) NewHandle() *Handle {
 // per-destination admission limit.
 func (h *Handle) BurstParked() int64 { return h.parked.Load() }
 
-// admit reserves one in-flight slot toward dst, parking (bounded by the
-// flow-control MaxBlock) while the destination is at its burst limit.
-// Proceeds on overdraft after MaxBlock — liveness over the bound.
-func (h *Handle) admit(dst int) {
-	if n := h.inflight[dst].Add(1); n <= h.burstLimit {
+// admitN reserves n ≤ BurstLimit in-flight slots toward dst, parking
+// (bounded by the flow-control MaxBlock) while they would push the
+// destination past its limit. Proceeds on overdraft after MaxBlock —
+// liveness over the bound.
+func (h *Handle) admitN(dst int, n int64) {
+	if h.tryAdmit(dst, n) {
 		return
 	}
-	h.inflight[dst].Add(-1)
 	h.parked.Add(1)
 	flowctl.CountBurstParked(dst)
-	fc := h.mgr.machine.FlowController()
-	if !flowctl.ParkUntil(func() bool {
-		if n := h.inflight[dst].Add(1); n <= h.burstLimit {
-			return true
-		}
-		h.inflight[dst].Add(-1)
-		return false
-	}, nil, fc.Config().MaxBlock) {
-		h.inflight[dst].Add(1) // overdraft: still accounted
+	maxBlock := h.mgr.machine.FlowController().Config().MaxBlock
+	if !wakeup.Park(func() bool { return h.tryAdmit(dst, n) }, nil, maxBlock, &h.gates[dst]) {
+		h.inflight[dst].Add(n) // overdraft: still accounted
 	}
 }
 
-// admitN reserves n in-flight slots toward dst at once, in chunks of at
-// most the burst limit — the batch-aware form of admit used when the
-// aggregation layer groups a burst by destination. Same liveness rule:
-// a chunk parked past MaxBlock proceeds on overdraft.
-func (h *Handle) admitN(dst int, n int64) {
-	for n > 0 {
-		chunk := n
-		if chunk > h.burstLimit {
-			chunk = h.burstLimit
-		}
-		if got := h.inflight[dst].Add(chunk); got <= h.burstLimit {
-			n -= chunk
-			continue
-		}
-		h.inflight[dst].Add(-chunk)
-		h.parked.Add(1)
-		flowctl.CountBurstParked(dst)
-		fc := h.mgr.machine.FlowController()
-		if !flowctl.ParkUntil(func() bool {
-			if got := h.inflight[dst].Add(chunk); got <= h.burstLimit {
-				return true
-			}
-			h.inflight[dst].Add(-chunk)
+// tryAdmit reserves n slots toward dst if they fit under the limit, by
+// compare-and-swap: an add-and-undo's undo is a drop below the limit that
+// deliver never sees, and a parked sender would miss it.
+func (h *Handle) tryAdmit(dst int, n int64) bool {
+	for {
+		cur := h.inflight[dst].Load()
+		if cur+n > h.burstLimit {
 			return false
-		}, nil, fc.Config().MaxBlock) {
-			h.inflight[dst].Add(chunk) // overdraft: still accounted
 		}
-		n -= chunk
+		if h.inflight[dst].CompareAndSwap(cur, cur+n) {
+			return true
+		}
 	}
 }
 
@@ -233,19 +215,9 @@ func (h *Handle) Start(pe *converse.PE) {
 	}
 	node := pe.Node()
 	if node.HasCommThreads() && len(ops) > 1 {
-		nctx := node.NumContexts()
-		chunks := nctx
-		if chunks > len(ops) {
-			chunks = len(ops)
-		}
-		per := (len(ops) + chunks - 1) / chunks
-		for c := 0; c < chunks; c++ {
-			lo := c * per
-			hi := lo + per
-			if hi > len(ops) {
-				hi = len(ops)
-			}
-			batch := ops[lo:hi]
+		per := (len(ops) + node.NumContexts() - 1) / node.NumContexts()
+		for c, lo := 0, 0; lo < len(ops); c, lo = c+1, lo+per {
+			batch := ops[lo:min(lo+per, len(ops))]
 			// Posted work runs on a comm thread (or whichever worker next
 			// advances the context), not on pe's scheduler goroutine, so it
 			// must not touch pe's single-consumer envelope pool.
@@ -258,37 +230,31 @@ func (h *Handle) Start(pe *converse.PE) {
 
 func (h *Handle) sendBatch(pe *converse.PE, ops []sendOp, onPE bool) {
 	if h.mgr.machine.AggregationOn() && len(ops) > 1 {
-		// Batch-aware admission: with the aggregation layer armed, the
-		// burst is grouped by destination so each same-destination run
-		// reserves all its slots in one admission (chunked by the burst
-		// limit) and its messages append back-to-back into one batch
-		// buffer, instead of paying an admission check per message and
-		// interleaving destinations across buffers.
+		// With the aggregation layer armed, the burst is grouped by
+		// destination so each same-destination run is admitted at once and
+		// its messages append back-to-back into one batch buffer, instead
+		// of interleaving destinations across buffers.
 		grouped := make([]sendOp, len(ops))
 		copy(grouped, ops)
 		sort.SliceStable(grouped, func(i, j int) bool { return grouped[i].dst < grouped[j].dst })
-		for lo := 0; lo < len(grouped); {
-			hi := lo + 1
-			for hi < len(grouped) && grouped[hi].dst == grouped[lo].dst {
-				hi++
-			}
-			if h.inflight != nil && grouped[lo].dst != pe.Id() {
-				h.admitN(grouped[lo].dst, int64(hi-lo))
-			}
-			for _, op := range grouped[lo:hi] {
-				h.send(pe, op, onPE)
-			}
-			lo = hi
-		}
-		return
+		ops = grouped
 	}
-	for _, op := range ops {
-		// Self-sends bypass admission: the sender is the only PE that can
-		// drain them, so parking on them would be a self-deadlock.
-		if h.inflight != nil && op.dst != pe.Id() {
-			h.admit(op.dst)
+	// Each run of sends to one destination, cut at the burst limit, takes
+	// one admission and goes out before the next run is admitted.
+	// Self-sends bypass admission: the sender is the only PE that can
+	// drain them, so parking on them would be a self-deadlock.
+	for lo := 0; lo < len(ops); {
+		dst, hi := ops[lo].dst, lo+1
+		for hi < len(ops) && ops[hi].dst == dst && int64(hi-lo) < h.burstLimit {
+			hi++
 		}
-		h.send(pe, op, onPE)
+		if h.inflight != nil && dst != pe.Id() {
+			h.admitN(dst, int64(hi-lo))
+		}
+		for _, op := range ops[lo:hi] {
+			h.send(pe, op, onPE)
+		}
+		lo = hi
 	}
 }
 
@@ -314,7 +280,9 @@ func (h *Handle) send(pe *converse.PE, op sendOp, onPE bool) {
 // deliver runs on the destination PE's scheduler.
 func (h *Handle) deliver(pe *converse.PE, mm m2mMsg) {
 	if h.inflight != nil && mm.src != pe.Id() {
-		h.inflight[pe.Id()].Add(-1)
+		if h.inflight[pe.Id()].Add(-1) < h.burstLimit {
+			h.gates[pe.Id()].Open()
+		}
 	}
 	h.mu.Lock()
 	rs := h.recvs[pe.Id()]

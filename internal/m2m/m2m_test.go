@@ -1,11 +1,13 @@
 package m2m
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"blueq/internal/aggregate"
 	"blueq/internal/converse"
 	"blueq/internal/flowctl"
 	"blueq/internal/pami"
@@ -197,10 +199,18 @@ func TestSendCount(t *testing.T) {
 }
 
 // The comm-thread path splits a burst across contexts; all messages must
-// still arrive exactly once.
+// still arrive exactly once, also when the burst does not divide evenly
+// over the 4 contexts.
 func TestBurstSplitAcrossCommThreads(t *testing.T) {
+	for _, fanout := range []int{64, 5} { // messages from PE 0
+		t.Run(fmt.Sprintf("fanout=%d", fanout), func(t *testing.T) {
+			testBurstSplit(t, fanout)
+		})
+	}
+}
+
+func testBurstSplit(t *testing.T, fanout int) {
 	cfg := converse.Config{Nodes: 2, WorkersPerNode: 4, Mode: converse.ModeSMPComm, CommThreads: 2}
-	const fanout = 64 // messages from PE 0, split across 4 contexts
 	var h *Handle
 	var seen sync.Map
 	var count atomic.Int64
@@ -225,7 +235,7 @@ func TestBurstSplitAcrossCommThreads(t *testing.T) {
 						if _, dup := seen.LoadOrStore(slot, true); dup {
 							t.Errorf("slot %d delivered twice", slot)
 						}
-						if count.Add(1) == fanout {
+						if count.Add(1) == int64(fanout) {
 							pe.Machine().Shutdown()
 						}
 					}, nil)
@@ -239,7 +249,7 @@ func TestBurstSplitAcrossCommThreads(t *testing.T) {
 				h.Start(pe)
 			}
 		})
-	if count.Load() != fanout {
+	if count.Load() != int64(fanout) {
 		t.Fatalf("delivered %d, want %d", count.Load(), fanout)
 	}
 }
@@ -343,5 +353,51 @@ func TestBurstAdmissionThrottlesFanIn(t *testing.T) {
 	}
 	if h.BurstParked() == 0 {
 		t.Fatal("the fan-in never parked on burst admission")
+	}
+}
+
+// With aggregation armed a burst is grouped by destination, and a run
+// longer than BurstLimit goes out one limit-sized run at a time: each run
+// is sent before the next is admitted, so its deliveries free the slots
+// the next one parks on. Reserving every chunk before sending any would
+// leave the later chunks nothing to wait for but MaxBlock.
+func TestAggregatedRunLongerThanBurstLimit(t *testing.T) {
+	const maxBlock = 5 * time.Second
+	cfg := converse.Config{
+		Nodes:          2,
+		WorkersPerNode: 1,
+		Mode:           converse.ModeSMP,
+		FlowControl:    &flowctl.Config{BurstLimit: 2, MaxBlock: maxBlock},
+		Aggregation:    &aggregate.Config{},
+	}
+	const burst = 6 // three limit-sized runs to PE 1
+	var h *Handle
+	var msgs atomic.Int64
+	start := time.Now()
+	runMachine(t, cfg,
+		func(m *converse.Machine, mgr *Manager) {
+			h = mgr.NewHandle()
+			for i := 0; i < burst; i++ {
+				if err := h.RegisterSend(0, 1, i, 32, func() any { return nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := h.RegisterRecv(1, burst,
+				func(pe *converse.PE, slot, srcPE int, data any) { msgs.Add(1) },
+				func(pe *converse.PE) { pe.Machine().Shutdown() })
+			if err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(pe *converse.PE) {
+			if pe.Id() == 0 {
+				h.Start(pe)
+			}
+		})
+	if got := msgs.Load(); got != burst {
+		t.Fatalf("delivered %d/%d burst messages", got, burst)
+	}
+	if e := time.Since(start); e >= maxBlock {
+		t.Fatalf("burst took %v: a run waited out MaxBlock (%v)", e, maxBlock)
 	}
 }
