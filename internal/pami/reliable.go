@@ -487,7 +487,9 @@ func (r *reliator) deliver(ctx *Context, rc *recvChan, am amPacket) {
 
 // settleAcks runs at the end of an Advance while the context has channels
 // owing acks: a channel that polled no new data this Advance sends its ack
-// standalone, unless reverse data has carried it, and leaves the list.
+// standalone, unless reverse data has carried it, and leaves the list. One
+// still listed opens the node's Arrivals gate: a sender parked watching the
+// node then runs the quiet Advance that settles it.
 func (r *reliator) settleAcks(ctx *Context) {
 	kept := ctx.owing[:0]
 	for _, rc := range ctx.owing {
@@ -502,7 +504,9 @@ func (r *reliator) settleAcks(ctx *Context) {
 		}
 	}
 	clear(ctx.owing[len(kept):])
-	ctx.owing = kept
+	if ctx.owing = kept; len(kept) > 0 {
+		r.node.arrivals.Open()
+	}
 }
 
 // sendAck sends the channel's cumulative acknowledgement on its own.

@@ -4,10 +4,12 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"blueq/internal/transport"
+	"blueq/internal/wakeup"
 )
 
 // tightRetries shrinks the retransmission timers for the duration of a
@@ -547,6 +549,52 @@ func TestOneWayFlowAcksAtQuietAdvance(t *testing.T) {
 	}
 	if rs := c.Node(0).ReliabilityStats(); rs.Retries != 0 || rs.AcksReceived != 4 {
 		t.Fatalf("sender: %+v, want 0 retries and 4 acks received", rs)
+	}
+}
+
+// An Advance that leaves an ack owed opens its node's Arrivals gate. A
+// sender parked on credits watches its destination's gate, so when the
+// destination's own thread polls the data and goes back to work, the
+// sender's progress still runs the quiet Advance that sends the ack.
+func TestOwedAckOpensArrivals(t *testing.T) {
+	base := RetryBase
+	RetryBase = time.Hour // no retransmission lands on the watched node
+	t.Cleanup(func() { RetryBase = base })
+	tr, err := transport.New("faulty:seed=1,unreliable=1", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := NewClient(tr, 1)
+	defer c.Node(0).Shutdown()
+	defer c.Node(1).Shutdown()
+	src, dst := c.Node(0).Context(0), c.Node(1).Context(0)
+	dst.RegisterDispatch(1, func(int, any, int) {})
+	if err := src.SendImmediate(1, 0, 1, 0, 8); err != nil { // lands before anyone watches
+		t.Fatal(err)
+	}
+
+	const maxBlock = 5 * time.Second
+	var tries atomic.Int64
+	start, woke := time.Now(), make(chan time.Duration, 1)
+	go func() {
+		// Three tries precede the first wait; the first after a wake succeeds.
+		wakeup.Park(func() bool { return tries.Add(1) > 3 }, nil, maxBlock, c.Node(1).Arrivals())
+		woke <- time.Since(start)
+	}()
+	for !c.Node(1).Arrivals().Waiting() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	dst.Advance() // polls the packet; its ack stays owed
+	if e := <-woke; e >= maxBlock/2 {
+		t.Fatalf("waiter on the destination's gate woke after %v: the owed ack did not open it", e)
+	}
+	if acks := c.Node(1).ReliabilityStats().AcksSent; acks != 0 {
+		t.Fatalf("%d standalone acks after the polling Advance, want 0", acks)
+	}
+	dst.Advance() // polls nothing: the ack leaves
+	if acks := c.Node(1).ReliabilityStats().AcksSent; acks != 1 {
+		t.Fatalf("%d standalone acks after the quiet Advance, want 1", acks)
 	}
 }
 
