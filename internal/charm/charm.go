@@ -37,6 +37,10 @@ type Runtime struct {
 	// load balancer) reset state keyed to now-dropped messages.
 	onRecovery []func()
 
+	// reductions[pe] holds the reduction partials open on that PE
+	// (reduction.go).
+	reductions []peReductions
+
 	// message accounting for quiescence detection
 	sent atomic.Int64
 	done atomic.Int64
@@ -71,6 +75,7 @@ const (
 	kindGroup
 	kindReduction
 	kindMigrate
+	kindArrayBcast
 )
 
 // NewRuntime creates a runtime over a fresh Converse machine with the given
@@ -81,8 +86,9 @@ func NewRuntime(cfg converse.Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{machine: m}
+	rt := &Runtime{machine: m, reductions: make([]peReductions, m.NumPEs())}
 	rt.handler = m.RegisterHandler(rt.dispatch)
+	m.OnDrain(rt.flushPartials)
 	return rt, nil
 }
 
@@ -139,6 +145,8 @@ func (rt *Runtime) dispatch(pe *converse.PE, msg *converse.Message) {
 			mArrayMsgs.Inc(pe.Id())
 		}
 		rt.arrays[cm.array].deliver(pe, cm, msg.Bytes)
+	case kindArrayBcast:
+		rt.arrays[cm.array].deliverBroadcast(pe, cm, msg.Bytes)
 	case kindGroup:
 		if obs.On() {
 			mGroupMsgs.Inc(pe.Id())
@@ -149,23 +157,43 @@ func (rt *Runtime) dispatch(pe *converse.PE, msg *converse.Message) {
 		if obs.On() {
 			mReductionMsg.Inc(pe.Id())
 		}
-		rt.arrays[cm.array].reduceArrive(pe, cm.data.(*reductionContribution))
+		rt.arrays[cm.array].reduceArrive(pe, cm.data.(*partial))
 	case kindMigrate:
 		rt.arrays[cm.array].installMigrated(pe, cm)
 	}
 	rt.done.Add(1)
 }
 
-func (rt *Runtime) send(pe *converse.PE, dstPE int, cm charmMsg, bytes, prio int) error {
+// send stamps cm with the current epoch, counts it for quiescence
+// detection and posts it.
+func (rt *Runtime) send(pe *converse.PE, dstPE int, cm charmMsg, bytes int) error {
 	cm.epoch = rt.epoch.Load()
 	rt.sent.Add(1)
+	return rt.post(pe, dstPE, cm, bytes)
+}
+
+// broadcast stamps cm and sends it to every PE down the Converse spanning
+// tree. It counts one logical send per PE for quiescence detection; each
+// PE's delivery counts one execution.
+func (rt *Runtime) broadcast(pe *converse.PE, cm charmMsg, bytes int) error {
+	cm.epoch = rt.epoch.Load()
+	rt.sent.Add(int64(rt.machine.NumPEs()))
+	msg := pe.NewMessage()
+	msg.Handler = rt.handler
+	msg.Bytes = bytes
+	msg.Payload = cm
+	return pe.Broadcast(msg)
+}
+
+// post hands cm, already stamped and counted, to converse.
+func (rt *Runtime) post(pe *converse.PE, dstPE int, cm charmMsg, bytes int) error {
 	if obs.On() {
 		mMsgsSent.Inc(pe.Id())
 		mBytesSent.Add(pe.Id(), int64(bytes))
 	}
-	// Reduction contributions sit on a collective's critical path: the
-	// root cannot fold until the last contribution lands, so batching any
-	// of them for company stretches the whole reduction. They bypass the
+	// Reduction partials sit on a collective's critical path: the root
+	// cannot fold until the last partial lands, so batching any of them
+	// for company stretches the whole reduction. They bypass the
 	// aggregation layer.
 	//
 	// The envelope comes from pe's §III-B pool and recycles on its home
@@ -174,7 +202,6 @@ func (rt *Runtime) send(pe *converse.PE, dstPE int, cm charmMsg, bytes, prio int
 	msg := pe.NewMessage()
 	msg.Handler = rt.handler
 	msg.Bytes = bytes
-	msg.Prio = prio
 	msg.Payload = cm
 	msg.NoAgg = cm.kind == kindReduction
 	return pe.Send(dstPE, msg)
@@ -203,8 +230,12 @@ type Array struct {
 	entries []EntryFn
 
 	// home[i] is the PE owning element i; guarded by homeMu for migration.
-	homeMu sync.RWMutex
-	home   []int32
+	// homeGen counts changes to home (migration, restore), also under
+	// homeMu; plan caches the broadcast plan of one generation.
+	homeMu  sync.RWMutex
+	home    []int32
+	homeGen uint64
+	plan    atomic.Pointer[bcastPlan]
 
 	// elems[i] is non-nil on the home PE (single address space: the slice
 	// is global, ownership is logical). Written under homeMu once the
@@ -359,17 +390,62 @@ func (a *Array) Send(pe *converse.PE, idx, entry int, payload any, bytes int) er
 	if entry < 0 || entry >= len(a.entries) {
 		return fmt.Errorf("charm: array %q entry %d unknown", a.name, entry)
 	}
-	return a.rt.send(pe, a.HomePE(idx), charmMsg{kind: kindArray, array: a.id, idx: idx, entry: entry, data: payload}, bytes, 0)
+	return a.rt.send(pe, a.HomePE(idx), charmMsg{kind: kindArray, array: a.id, idx: idx, entry: entry, data: payload}, bytes)
 }
 
-// Broadcast invokes entry on every element of the array.
+// bcastPlan is one snapshot of an array's home table grouped by PE:
+// byPE[p] lists the elements homed on PE p when the snapshot was taken.
+type bcastPlan struct {
+	gen  uint64
+	byPE [][]int32
+}
+
+// arrayBcast is the payload of a kindArrayBcast message.
+type arrayBcast struct {
+	plan *bcastPlan
+	data any
+}
+
+// Broadcast invokes entry on every element of the array. It is one message
+// down the Converse spanning tree, not one per element: the message carries
+// the per-PE element lists of one home-table snapshot, and every PE runs
+// the entry for its own list. An element that migrated since the snapshot
+// is forwarded or parked exactly like a point-to-point message, so each
+// element's entry runs exactly once. The payload is shared across
+// elements and must be treated as read-only.
 func (a *Array) Broadcast(pe *converse.PE, entry int, payload any, bytes int) error {
-	for i := 0; i < a.n; i++ {
-		if err := a.Send(pe, i, entry, payload, bytes); err != nil {
-			return err
-		}
+	if entry < 0 || entry >= len(a.entries) {
+		return fmt.Errorf("charm: array %q entry %d unknown", a.name, entry)
 	}
-	return nil
+	return a.rt.broadcast(pe, charmMsg{kind: kindArrayBcast, array: a.id, entry: entry,
+		data: &arrayBcast{plan: a.broadcastPlan(), data: payload}}, bytes)
+}
+
+// broadcastPlan returns the plan for the current home table, rebuilding
+// the cached one only after the table changed.
+func (a *Array) broadcastPlan() *bcastPlan {
+	a.homeMu.RLock()
+	defer a.homeMu.RUnlock()
+	if p := a.plan.Load(); p != nil && p.gen == a.homeGen {
+		return p
+	}
+	p := &bcastPlan{gen: a.homeGen, byPE: make([][]int32, a.rt.machine.NumPEs())}
+	for i, h := range a.home {
+		p.byPE[h] = append(p.byPE[h], int32(i))
+	}
+	a.plan.Store(p)
+	return p
+}
+
+// deliverBroadcast runs a broadcast's entry for every element the plan
+// homes on pe.
+func (a *Array) deliverBroadcast(pe *converse.PE, cm charmMsg, bytes int) {
+	b := cm.data.(*arrayBcast)
+	cm.kind, cm.data = kindArray, b.data
+	for _, idx := range b.plan.byPE[pe.Id()] {
+		cm.idx = int(idx)
+		a.deliver(pe, cm, bytes)
+	}
 }
 
 // deliver runs the entry method on the element's home PE. A message that
@@ -404,7 +480,7 @@ func (a *Array) deliver(pe *converse.PE, cm charmMsg, bytes int) {
 		if obs.On() {
 			mForwarded.Inc(pe.Id())
 		}
-		if err := a.rt.send(pe, home, cm, bytes, 0); err != nil {
+		if err := a.rt.send(pe, home, cm, bytes); err != nil {
 			panic(fmt.Sprintf("charm: forwarding to migrated element failed: %v", err))
 		}
 		return
@@ -484,7 +560,7 @@ func (g *Group) Send(pe *converse.PE, dstPE, entry int, payload any, bytes int) 
 	if entry < 0 || entry >= len(g.entries) {
 		return fmt.Errorf("charm: group %q entry %d unknown", g.name, entry)
 	}
-	return g.rt.send(pe, dstPE, charmMsg{kind: kindGroup, array: g.id, entry: entry, data: payload}, bytes, 0)
+	return g.rt.send(pe, dstPE, charmMsg{kind: kindGroup, array: g.id, entry: entry, data: payload}, bytes)
 }
 
 // Broadcast invokes entry on every PE's element, travelling the Converse
@@ -494,14 +570,7 @@ func (g *Group) Broadcast(pe *converse.PE, entry int, payload any, bytes int) er
 	if entry < 0 || entry >= len(g.entries) {
 		return fmt.Errorf("charm: group %q entry %d unknown", g.name, entry)
 	}
-	// One logical send per PE for quiescence accounting; each tree
-	// delivery increments the executed counter once.
-	g.rt.sent.Add(int64(g.rt.machine.NumPEs()))
-	msg := pe.NewMessage()
-	msg.Handler = g.rt.handler
-	msg.Bytes = bytes
-	msg.Payload = charmMsg{kind: kindGroup, array: g.id, entry: entry, epoch: g.rt.epoch.Load(), data: payload}
-	return pe.Broadcast(msg)
+	return g.rt.broadcast(pe, charmMsg{kind: kindGroup, array: g.id, entry: entry, data: payload}, bytes)
 }
 
 func (g *Group) deliver(pe *converse.PE, cm charmMsg) {

@@ -106,6 +106,7 @@ func (a *Array) MigrateElement(pe *converse.PE, idx, dstPE int) error {
 	a.elems[idx] = nil
 	a.transit[idx] = true
 	a.home[idx] = int32(dstPE)
+	a.homeGen++
 	a.homeMu.Unlock()
 
 	a.rt.migrating.Add(1)
@@ -113,7 +114,7 @@ func (a *Array) MigrateElement(pe *converse.PE, idx, dstPE int) error {
 		mMigSent.Inc(pe.Id())
 		mMigBytes.Add(pe.Id(), int64(len(blob)))
 	}
-	return a.rt.send(pe, dstPE, charmMsg{kind: kindMigrate, array: a.id, idx: idx, data: mb}, len(blob)+32, 0)
+	return a.rt.send(pe, dstPE, charmMsg{kind: kindMigrate, array: a.id, idx: idx, data: mb}, len(blob)+32)
 }
 
 // installMigrated runs on the destination PE when the packed state
@@ -152,7 +153,7 @@ func (a *Array) installMigrated(pe *converse.PE, cm charmMsg) {
 	delete(a.pending, cm.idx)
 	a.pendMu.Unlock()
 	for _, p := range parked {
-		if err := a.rt.send(pe, pe.Id(), p.cm, p.bytes, 0); err != nil {
+		if err := a.rt.send(pe, pe.Id(), p.cm, p.bytes); err != nil {
 			panic(fmt.Sprintf("charm: redelivering buffered message to migrated element failed: %v", err))
 		}
 	}

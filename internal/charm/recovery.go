@@ -71,15 +71,28 @@ func (rt *Runtime) BeginRecovery() uint32 {
 	return e
 }
 
-// resetReductions discards in-flight reduction generations: contributions
-// folded in before the failure came from pre-rollback element states.
+// resetReductions discards in-flight reduction generations, the root's
+// totals and every PE's open partials alike: contributions folded in
+// before the failure came from pre-rollback element states.
 func (a *Array) resetReductions() {
 	st := &a.red
 	st.mu.Lock()
-	for seq := range st.pending {
-		delete(st.pending, seq)
-	}
+	clear(st.pending)
 	st.mu.Unlock()
+	for pe := range a.rt.reductions {
+		s := &a.rt.reductions[pe]
+		s.mu.Lock()
+		kept := s.open[:0]
+		for _, p := range s.open {
+			if p.a != a {
+				kept = append(kept, p)
+			}
+		}
+		clear(s.open[len(kept):])
+		s.open = kept
+		s.nOpen.Store(int32(len(kept)))
+		s.mu.Unlock()
+	}
 }
 
 // RestoreElement rebuilds element idx from a checkpoint blob and homes it
@@ -104,6 +117,7 @@ func (a *Array) RestoreElement(idx, newHome int, blob []byte) error {
 	a.homeMu.Lock()
 	a.elems[idx] = el
 	a.home[idx] = int32(newHome)
+	a.homeGen++
 	a.transit[idx] = false
 	a.homeMu.Unlock()
 	if obs.On() {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"blueq/internal/converse"
 )
@@ -44,95 +45,161 @@ func (op ReduceOp) combine(a, b float64) float64 {
 // ReductionTarget receives the final reduced vector on PE 0.
 type ReductionTarget func(pe *converse.PE, result []float64)
 
-// reductionContribution travels from contributing PEs to the root.
-type reductionContribution struct {
-	seq   uint64
-	op    ReduceOp
-	value []float64
-	count int // number of element contributions folded in
+// partial is one PE's fold of its elements' contributions to one
+// reduction generation of one array. It opens at the PE's first
+// contribution to the generation, leaves for the root at the PE's next
+// drain (converse.Machine.OnDrain), and folds there into the generation's
+// total. For quiescence detection an open or travelling partial is one
+// message in flight: sent counts it when it opens, done when the root
+// folds it.
+type partial struct {
+	a      *Array
+	seq    uint64
+	epoch  uint32 // recovery epoch of its contributions; it travels with it
+	op     ReduceOp
+	value  []float64
+	count  int             // element contributions folded in
+	target ReductionTarget // first non-nil target contributed
 }
 
-// reductionState tracks in-flight reductions for one array. Charm++
-// reductions are streaming: elements contribute in any order, across
-// several concurrent reduction generations distinguished by sequence
-// number.
+// peReductions holds one PE's open partials. Contribute and the drain run
+// on the PE's own goroutine; the lock is for BeginRecovery, which clears
+// them from another.
+type peReductions struct {
+	mu    sync.Mutex
+	open  []*partial
+	nOpen atomic.Int32 // len(open), so an idle drain reads one word
+	out   []*partial   // the drain's scratch, owner goroutine only
+	_     [64]byte     // keep neighbouring PEs off one cache line
+}
+
+// reductionState is the root's view of one array's in-flight reductions.
+// Charm++ reductions are streaming: elements contribute in any order,
+// across several concurrent generations distinguished by sequence number.
 type reductionState struct {
 	mu      sync.Mutex
-	targets map[uint64]ReductionTarget
-	pending map[uint64]*reductionContribution
+	pending map[uint64]*partial
 }
 
 // Contribute folds this element's vector into reduction generation seq of
 // the array using op. When all Len() elements of the array have contributed
 // to generation seq, target fires on PE 0. All elements must pass the same
-// op and a target for the same seq (targets from non-root PEs are ignored,
-// so passing the same closure everywhere is idiomatic).
+// op; at least one must pass a non-nil target for seq (passing the same
+// closure everywhere is idiomatic). Call it from an entry method running
+// on pe.
 //
-// The implementation reduces locally per message and forwards partials to
-// PE 0, mirroring Charm++'s reduction tree (depth 1 here: with tens of PEs
-// the tree fan-in cost is modelled by the DES instead).
+// Contributions combine per PE first: the first contribution of a PE to a
+// generation opens the PE's partial (one copy of value), later ones fold
+// into it in place, and the PE sends the partial to PE 0 when its scheduler
+// next runs dry, carrying the first non-nil target it saw. PE 0 completes
+// the generation when the partials' counts sum to Len(), so the root folds
+// at most one message per PE per drain instead of one per element.
 func (a *Array) Contribute(pe *converse.PE, seq uint64, value []float64, op ReduceOp, target ReductionTarget) error {
-	st := &a.red
-	st.mu.Lock()
-	if st.targets == nil {
-		st.targets = make(map[uint64]ReductionTarget)
-		st.pending = make(map[uint64]*reductionContribution)
+	rt := a.rt
+	s := &rt.reductions[pe.Id()]
+	epoch := rt.epoch.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.open {
+		if p.a == a && p.seq == seq && p.epoch == epoch {
+			if len(p.value) != len(value) {
+				panic(fmt.Sprintf("charm: reduction %d of array %q: vector length %d vs %d",
+					seq, a.name, len(p.value), len(value)))
+			}
+			for i, v := range value {
+				p.value[i] = p.op.combine(p.value[i], v)
+			}
+			p.count++
+			if p.target == nil {
+				p.target = target
+			}
+			return nil
+		}
 	}
-	if target != nil {
-		st.targets[seq] = target
-	}
-	st.mu.Unlock()
-	contrib := &reductionContribution{seq: seq, op: op, value: append([]float64(nil), value...), count: 1}
-	if pe.Id() == a.rt.rootPE() {
-		a.reduceArrive(pe, contrib)
-		return nil
-	}
-	return a.rt.send(pe, a.rt.rootPE(),
-		charmMsg{kind: kindReduction, array: a.id, data: contrib}, 8*len(value), 0)
+	s.open = append(s.open, &partial{
+		a: a, seq: seq, epoch: epoch, op: op,
+		value: append([]float64(nil), value...), count: 1, target: target,
+	})
+	s.nOpen.Store(int32(len(s.open)))
+	rt.sent.Add(1)
+	return nil
 }
 
 func (rt *Runtime) rootPE() int { return 0 }
 
-// reduceArrive folds one contribution at the root; on completion the target
-// fires there.
-func (a *Array) reduceArrive(pe *converse.PE, c *reductionContribution) {
+// flushPartials is the runtime's OnDrain hook: every partial open on pe
+// leaves for the root, so none outlives the PE's next drain. Partials fold
+// on PE 0 directly; from anywhere else they travel as one kindReduction
+// message each, stamped with their own epoch so one opened before a
+// recovery drops at dispatch.
+func (rt *Runtime) flushPartials(pe *converse.PE) {
+	s := &rt.reductions[pe.Id()]
+	if s.nOpen.Load() == 0 {
+		return
+	}
+	s.mu.Lock()
+	s.out = append(s.out[:0], s.open...)
+	clear(s.open)
+	s.open = s.open[:0]
+	s.nOpen.Store(0)
+	s.mu.Unlock()
+	for i, p := range s.out {
+		s.out[i] = nil
+		if pe.Id() != rt.rootPE() {
+			// Post fails only once this node's endpoints are shut down
+			// (shutdown or fail-stop); the partial is then lost like any
+			// other message in flight.
+			_ = rt.post(pe, rt.rootPE(), charmMsg{kind: kindReduction, array: p.a.id, epoch: p.epoch, data: p}, 8*len(p.value))
+			continue
+		}
+		if p.epoch == rt.epoch.Load() {
+			p.a.reduceArrive(pe, p)
+			rt.done.Add(1)
+		}
+	}
+}
+
+// reduceArrive folds one partial at the root; on completion the target
+// fires there. The first partial of a generation becomes its running total.
+func (a *Array) reduceArrive(pe *converse.PE, p *partial) {
 	st := &a.red
 	st.mu.Lock()
-	cur, ok := st.pending[c.seq]
+	if st.pending == nil {
+		st.pending = make(map[uint64]*partial)
+	}
+	cur, ok := st.pending[p.seq]
 	if !ok {
-		cur = &reductionContribution{seq: c.seq, op: c.op, value: append([]float64(nil), c.value...), count: c.count}
-		st.pending[c.seq] = cur
+		cur = p
+		st.pending[p.seq] = cur
 	} else {
-		if len(cur.value) != len(c.value) {
+		if len(cur.value) != len(p.value) {
 			st.mu.Unlock()
 			panic(fmt.Sprintf("charm: reduction %d of array %q: vector length %d vs %d",
-				c.seq, a.name, len(cur.value), len(c.value)))
+				p.seq, a.name, len(cur.value), len(p.value)))
 		}
 		for i := range cur.value {
-			cur.value[i] = c.op.combine(cur.value[i], c.value[i])
+			cur.value[i] = cur.op.combine(cur.value[i], p.value[i])
 		}
-		cur.count += c.count
+		cur.count += p.count
+		if cur.target == nil {
+			cur.target = p.target
+		}
 	}
-	doneNow := cur.count == a.n
 	if cur.count > a.n {
 		st.mu.Unlock()
 		panic(fmt.Sprintf("charm: reduction %d of array %q received %d contributions for %d elements",
-			c.seq, a.name, cur.count, a.n))
+			p.seq, a.name, cur.count, a.n))
 	}
-	var target ReductionTarget
-	var result []float64
+	doneNow := cur.count == a.n
 	if doneNow {
-		target = st.targets[c.seq]
-		result = cur.value
-		delete(st.pending, c.seq)
-		delete(st.targets, c.seq)
+		delete(st.pending, p.seq)
 	}
 	st.mu.Unlock()
 	if doneNow {
-		if target == nil {
-			panic(fmt.Sprintf("charm: reduction %d of array %q completed with no target", c.seq, a.name))
+		if cur.target == nil {
+			panic(fmt.Sprintf("charm: reduction %d of array %q completed with no target", p.seq, a.name))
 		}
-		target(pe, result)
+		cur.target(pe, cur.value)
 	}
 }
 

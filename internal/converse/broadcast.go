@@ -54,15 +54,40 @@ func (pe *PE) Broadcast(msg *Message) error {
 // subtree still needs it.
 func (n *SMPNode) onBroadcast(pe *PE, bm *bcastMsg) {
 	m := n.machine
+	n.forwardBroadcast(pe, bm, (n.rank-bm.root+len(m.nodes))%len(m.nodes))
+	// Local fan-out: one pooled clone per worker PE on this node, sharing
+	// inner's payload. CopyFrom leaves the clone's seq/enqNS bookkeeping
+	// zeroed — the old wholesale struct copy inherited the parent's
+	// enqueue timestamp and skewed the deliver-latency histogram.
+	for _, local := range n.pes {
+		clone := pe.NewMessage()
+		clone.CopyFrom(bm.inner)
+		clone.destLocal = local.local
+		local.enqueue(clone)
+	}
+	if obs.On() {
+		mBcastDeliver.Add(pe.id, int64(len(n.pes)))
+	}
+	bm.inner.releaseFrom(pe.id)
+}
+
+// forwardBroadcast sends bm to the tree children of the node at relative
+// position rel. A halted child cannot forward, so its parent adopts the
+// child's subtree: the broadcast still reaches every live node.
+func (n *SMPNode) forwardBroadcast(pe *PE, bm *bcastMsg, rel int) {
+	m := n.machine
 	nodes := len(m.nodes)
 	fanout := m.cfg.BroadcastFanout
-	rel := (n.rank - bm.root + nodes) % nodes
 	for k := 1; k <= fanout; k++ {
 		childRel := rel*fanout + k
 		if childRel >= nodes {
 			break
 		}
 		child := (bm.root + childRel) % nodes
+		if m.nodes[child].dead.Load() {
+			n.forwardBroadcast(pe, bm, childRel)
+			continue
+		}
 		fwd := pe.NewMessage()
 		fwd.CopyFrom(bm.inner)
 		fwd.Handler = m.bcastHandler
@@ -78,18 +103,4 @@ func (n *SMPNode) onBroadcast(pe *PE, bm *bcastMsg) {
 			mBcastForward.Inc(pe.id)
 		}
 	}
-	// Local fan-out: one pooled clone per worker PE on this node, sharing
-	// inner's payload. CopyFrom leaves the clone's seq/enqNS bookkeeping
-	// zeroed — the old wholesale struct copy inherited the parent's
-	// enqueue timestamp and skewed the deliver-latency histogram.
-	for _, local := range n.pes {
-		clone := pe.NewMessage()
-		clone.CopyFrom(bm.inner)
-		clone.destLocal = local.local
-		local.enqueue(clone)
-	}
-	if obs.On() {
-		mBcastDeliver.Add(pe.id, int64(len(n.pes)))
-	}
-	bm.inner.releaseFrom(pe.id)
 }

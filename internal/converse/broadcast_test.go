@@ -70,3 +70,40 @@ func TestTreeBroadcastLargePayload(t *testing.T) {
 		t.Fatalf("reached %d PEs", count.Load())
 	}
 }
+
+// A halted interior node does not cut its subtree off: its parent adopts
+// the children, so every live PE still gets exactly one copy.
+func TestTreeBroadcastRoutesAroundHaltedNode(t *testing.T) {
+	// Seven nodes at fanout 2: node 1 is the parent of nodes 3 and 4.
+	cfg := Config{Nodes: 7, WorkersPerNode: 2, Mode: ModeSMP, BroadcastFanout: 2}
+	var got sync.Map
+	var count atomic.Int64
+	var h int
+	runMachine(t, cfg,
+		func(m *Machine) {
+			h = m.RegisterHandler(func(pe *PE, msg *Message) {
+				if pe.Node().rank == 1 {
+					t.Errorf("halted node's PE %d ran the broadcast", pe.Id())
+				}
+				if _, dup := got.LoadOrStore(pe.Id(), true); dup {
+					t.Errorf("PE %d received broadcast twice", pe.Id())
+				}
+				if count.Add(1) == 12 {
+					pe.Machine().Shutdown()
+				}
+			})
+		},
+		func(pe *PE) {
+			if pe.Id() == 0 {
+				m := pe.Machine()
+				m.HaltNode(1)
+				<-m.NodeHalted(1)
+				if err := pe.Broadcast(&Message{Handler: h, Bytes: 8}); err != nil {
+					t.Errorf("broadcast: %v", err)
+				}
+			}
+		})
+	if count.Load() != 12 {
+		t.Fatalf("broadcast reached %d live PEs, want 12", count.Load())
+	}
+}

@@ -170,9 +170,11 @@ type Message struct {
 	BestEffort bool
 	// NoAgg opts the message out of the aggregation layer even when it is
 	// armed and the message is small enough: it is injected individually.
-	// Broadcast tree traffic and reduction contributions set it — their
-	// latency is on the critical path of a collective, and a broadcast
-	// payload shared across clones must not be batched per-destination.
+	// Broadcast tree traffic and reduction partials (one per PE per
+	// generation, charm's per-PE fold of its elements' contributions) set
+	// it — their latency is on the critical path of a collective, and a
+	// broadcast payload shared across clones must not be batched
+	// per-destination.
 	NoAgg bool
 
 	seq       uint64 // FIFO tie-break within equal priorities
@@ -235,6 +237,11 @@ type Machine struct {
 	// down with the same discipline as the reliability timers.
 	hooksMu       sync.Mutex
 	shutdownHooks []func()
+
+	// drainHooks (OnDrain) run on a PE's own scheduler goroutine each time
+	// it runs dry: the aggregator's idle flush and charm's reduction
+	// partials leave there. Fixed before Start, so the loop reads it bare.
+	drainHooks []func(pe *PE)
 }
 
 // NewMachine builds a machine; handlers must be registered before Start.
@@ -328,6 +335,17 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	m.registerRendezvous()
 	m.registerBroadcast()
+	if cfg.Aggregation != nil && cfg.Nodes > 1 {
+		// Adaptive flush: a scheduler that ran dry has nothing to gain from
+		// waiting out MaxDelay, so latency-sensitive request/response
+		// traffic (ping-pong) pays no batching penalty. Pending()==0 makes
+		// this one atomic load on the common empty path.
+		m.OnDrain(func(pe *PE) {
+			if agg := pe.node.agg; agg.Pending() > 0 {
+				agg.FlushAll(aggregate.FlushIdle)
+			}
+		})
+	}
 	// A transport with fail-stop injection halts the dying node's
 	// schedulers the moment its endpoints go silent, so the simulated node
 	// stops computing exactly when it stops communicating.
@@ -388,6 +406,26 @@ func (m *Machine) Start(initPE func(pe *PE)) {
 	for _, pe := range m.pes {
 		m.wg.Add(1)
 		go pe.run(initPE)
+	}
+}
+
+// OnDrain registers fn to run on a PE's own scheduler goroutine each time
+// the PE runs dry: after a burst that emptied its queues, and on every idle
+// poll. Work a layer buffers per PE for company (aggregation batches,
+// reduction partials) leaves here, so it never waits on a timer while the
+// PE has nothing else to do. fn must be cheap when it has nothing to send.
+// Must be called before Start.
+func (m *Machine) OnDrain(fn func(pe *PE)) {
+	if m.started.Load() {
+		panic("converse: OnDrain after Start")
+	}
+	m.drainHooks = append(m.drainHooks, fn)
+}
+
+// drain runs the OnDrain hooks.
+func (pe *PE) drain() {
+	for _, fn := range pe.node.machine.drainHooks {
+		fn(pe)
 	}
 }
 
@@ -838,14 +876,13 @@ func (pe *PE) run(initPE func(pe *PE)) {
 			pe.invoke(pe.sched.pop())
 			progressed = true
 		}
-		// A burst that ran the scheduler dry flushes the replies it
-		// buffered before the network advance, not after it: a reply that
-		// leaves now carries pami's ack for the message it answers, which
-		// an Advance polling nothing new would otherwise send on its own.
-		if progressed && drained && pe.sched.len() == 0 {
-			if agg := pe.node.agg; agg != nil && agg.Pending() > 0 {
-				agg.FlushAll(aggregate.FlushIdle)
-			}
+		// A scheduler that ran dry — a burst emptied it, or there was
+		// nothing to run — drains before the network advance, not after
+		// it: a reply that leaves now carries pami's ack for the message it
+		// answers, which an Advance polling nothing new would otherwise
+		// send on its own.
+		if drained && pe.sched.len() == 0 {
+			pe.drain()
 		}
 		if selfAdvance {
 			if myCtx.Advance() > 0 {
@@ -855,14 +892,6 @@ func (pe *PE) run(initPE func(pe *PE)) {
 		if progressed {
 			spins = 0
 			continue
-		}
-		// Adaptive flush: an idle scheduler has nothing to gain from
-		// waiting out MaxDelay — tighten the effective delay to zero so
-		// latency-sensitive request/response traffic (ping-pong) pays no
-		// batching penalty. Pending()==0 makes this one atomic load on the
-		// common empty path.
-		if agg := pe.node.agg; agg != nil && agg.Pending() > 0 {
-			agg.FlushAll(aggregate.FlushIdle)
 		}
 		pe.idles.Add(1)
 		if obs.On() {
