@@ -16,6 +16,7 @@ import (
 	"strings"
 	"time"
 
+	"blueq/internal/aggregate"
 	"blueq/internal/converse"
 	"blueq/internal/flowctl"
 	"blueq/internal/ft"
@@ -23,9 +24,51 @@ import (
 	"blueq/internal/transport"
 )
 
+// runtimeFlags are the runtime settings the native sections share: main
+// fills in the defaults, calls Register, and the sections read the fields
+// back after flag.Parse.
+type runtimeFlags struct {
+	Transport     string        // -transport
+	Seed          int64         // -seed
+	FCWindow      int           // -fc-window
+	FCOverflowCap int           // -fc-overflow-cap
+	Agg           bool          // -agg
+	AggBytes      int           // -agg-bytes
+	AggDelay      time.Duration // -agg-delay
+}
+
+// Register declares the flags on fs with f's current values as defaults.
+func (f *runtimeFlags) Register(fs *flag.FlagSet) {
+	fs.StringVar(&f.Transport, "transport", f.Transport,
+		"transport spec: inproc, contended[:scale=F], faulty[:seed=N,drop=F,dup=F,corrupt=F,truncate=F,delayrate=F,delaymax=D]")
+	fs.Int64Var(&f.Seed, "seed", f.Seed, "seed for faulty transports and kill schedules (non-zero overrides any seed= in -transport)")
+	fs.IntVar(&f.FCWindow, "fc-window", f.FCWindow, "flow-control credit window per (src,dst) node pair (0 = flowctl's default)")
+	fs.IntVar(&f.FCOverflowCap, "fc-overflow-cap", f.FCOverflowCap, "flow-control cap on the lockless overflow queue (0 = flowctl's default)")
+	fs.BoolVar(&f.Agg, "agg", f.Agg, "arm the per-destination message aggregation layer")
+	fs.IntVar(&f.AggBytes, "agg-bytes", f.AggBytes, "aggregation batch size in bytes (0 = aggregate's default; non-zero implies -agg)")
+	fs.DurationVar(&f.AggDelay, "agg-delay", f.AggDelay, "aggregation max flush delay (0 = aggregate's default; non-zero implies -agg)")
+}
+
+// Spec is the -transport spec with a non-zero -seed applied.
+func (f *runtimeFlags) Spec() string {
+	if f.Seed == 0 {
+		return f.Transport
+	}
+	return transport.WithSeed(f.Transport, f.Seed)
+}
+
+// Aggregation is the aggregation config the flags ask for, nil when none
+// of them arms the layer.
+func (f *runtimeFlags) Aggregation() *aggregate.Config {
+	if !f.Agg && f.AggBytes == 0 && f.AggDelay == 0 {
+		return nil
+	}
+	return &aggregate.Config{MaxBatchBytes: f.AggBytes, MaxDelay: f.AggDelay}
+}
+
 // options is what the flags parsed to; the sections read it when they run.
 type options struct {
-	rt      scenario.Flags
+	rt      runtimeFlags
 	metrics string
 	flow    bool
 	det     ft.Config // failure-detector tuning for the ft section
@@ -92,7 +135,7 @@ func keys(secs []section) []string {
 }
 
 func main() {
-	o := options{rt: scenario.Flags{Transport: "inproc"}}
+	o := options{rt: runtimeFlags{Transport: "inproc"}}
 	o.det.HeartbeatInterval = time.Millisecond
 	o.rt.Register(flag.CommandLine)
 	flag.StringVar(&o.metrics, "metrics", "obs_metrics.json", "write the obs section's snapshot here ('' skips the section)")

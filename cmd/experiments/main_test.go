@@ -1,9 +1,11 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"blueq/internal/scenario"
 )
@@ -56,5 +58,32 @@ func TestExactlyOnceVerdict(t *testing.T) {
 		if (err == nil) != ok {
 			t.Errorf("exactlyOnce(executed %d of %d rounds) = %v, want ok=%v", executed, rounds, err, ok)
 		}
+	}
+}
+
+// The runtime flags keep main's defaults, apply a non-zero seed to the
+// transport spec, and arm aggregation from any of its three flags.
+func TestFlags(t *testing.T) {
+	f := runtimeFlags{Transport: "inproc", Seed: 1, FCWindow: 16}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f.Register(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if f.Transport != "inproc" || f.Seed != 1 || f.FCWindow != 16 || f.Aggregation() != nil {
+		t.Fatalf("defaults not kept: %+v", f)
+	}
+	if err := fs.Parse([]string{"-transport=faulty:seed=3,drop=0.1", "-seed=7", "-agg-delay=1ms"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f.Spec(), "faulty:seed=7,drop=0.1"; got != want {
+		t.Errorf("Spec() = %q, want %q", got, want)
+	}
+	if agc := f.Aggregation(); agc == nil || agc.MaxDelay != time.Millisecond {
+		t.Errorf("Aggregation() = %+v, want armed with a 1 ms flush delay", agc)
+	}
+	f.Seed = 0
+	if got, want := f.Spec(), "faulty:seed=3,drop=0.1"; got != want {
+		t.Errorf("Spec() with no seed = %q, want the spec untouched (%q)", got, want)
 	}
 }

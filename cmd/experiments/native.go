@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
 	"os"
@@ -11,17 +12,19 @@ import (
 	"blueq/internal/cluster"
 	"blueq/internal/converse"
 	"blueq/internal/fft3d"
+	"blueq/internal/flowctl"
 	"blueq/internal/m2m"
 	"blueq/internal/mempool"
 	"blueq/internal/obs"
 	"blueq/internal/scenario"
 	"blueq/internal/stats"
+	"blueq/internal/transport"
 )
 
-// The native halves of E2, E3, E4 and E13: wall-clock runs of the real
-// runtime in this process. Absolute numbers reflect the host, not BG/Q;
-// the mechanics (modes, transports, allocators, transposes) execute for
-// real and the guarantees are checked.
+// The native halves of E2, E3, E4 and E13, plus E15: wall-clock runs of
+// the real runtime in this process. Absolute numbers reflect the host, not
+// BG/Q; the mechanics (modes, transports, allocators, transposes) execute
+// for real and the guarantees are checked.
 
 const pingPongRounds = 2000
 
@@ -56,6 +59,61 @@ func (o *options) pingPongSection() {
 	}
 	if !ok {
 		log.Fatal("pingpong: exactly-once delivery violated")
+	}
+}
+
+// E15's fixed setup: a seeded lossy wire, a consumer slowed 50 µs a
+// message behind a 64-slot L2 ring, a 16-credit window over a 64-message
+// overflow cap, and a 9 s budget split across the offered-load steps.
+const (
+	sweepSpec   = "faulty:drop=0.05,dup=0.02"
+	sweepSlow   = 50 * time.Microsecond
+	sweepBudget = 9 * time.Second
+)
+
+// sweepSection steps offered load across the slowed consumer's capacity
+// and tabulates achieved throughput. Below the knee the runtime keeps up;
+// above it, delivery plateaus at the consumer's capacity while the
+// resident backlog stays pinned at the flow-control bound instead of
+// growing with the excess. A cell that loses, duplicates or overruns the
+// bound exits non-zero.
+func (o *options) sweepSection() {
+	spec := transport.WithSeed(sweepSpec, cmp.Or(o.rt.Seed, 1))
+	fcc := flowctl.Config{Window: 16, OverflowCap: 64, MaxBlock: 10 * time.Second}
+	// The consumer's delay is a time.Sleep whose effective cost is
+	// dominated by timer granularity at microsecond settings: calibrate
+	// the real per-message cost instead of trusting 1/slow.
+	const calRounds = 50
+	begin := time.Now()
+	for range calRounds {
+		time.Sleep(sweepSlow)
+	}
+	capacity := calRounds / time.Since(begin).Seconds()
+	multipliers := []float64{0.25, 0.5, 1, 2, 4, 8}
+	cell := sweepBudget / time.Duration(len(multipliers))
+	fmt.Printf("saturation sweep over %s: consumer capacity ≈ %.0f msg/s (nominal delay %v), window %d, overflow cap %d\n",
+		spec, capacity, sweepSlow, fcc.Window, fcc.OverflowCap)
+	fmt.Printf("%14s %14s %14s %14s %10s %10s\n", "offered msg/s", "achieved msg/s", "utilization", "peak resident", "parked", "retries")
+	for _, mult := range multipliers {
+		offered := capacity * mult
+		res, err := scenario.Flood(scenario.FloodConfig{
+			Transport: spec, Duration: cell, Rate: offered, Bytes: 8, Slow: sweepSlow,
+			RingSize: 64, FlowControl: &fcc, Aggregation: o.rt.Aggregation(),
+		})
+		if err == nil {
+			err = res.ExactlyOnce()
+		}
+		if err == nil {
+			err = res.Bounded()
+		}
+		if err != nil {
+			log.Fatalf("E15 cell at %.0f msg/s: %v", offered, err)
+		}
+		// What the slowed consumer executed inside the send window is the
+		// achieved rate; the drain afterwards is not part of it.
+		achieved := float64(res.InWindow) / res.Send.Seconds()
+		fmt.Printf("%14.0f %14.0f %13.0f%% %14d %10d %10d\n",
+			offered, achieved, 100*achieved/offered, res.PeakResident, res.Parked, res.Retries)
 	}
 }
 

@@ -81,6 +81,8 @@ func sections(o *options) []section {
 			o.obsSection},
 		{"ft", "E14: PE failure mid-3D-FFT — detect, restore, replay (internal/ft)",
 			func() { ftRecovery(o.rt.Seed, o.det) }},
+		{"sweep", "E15: saturation sweep — offered load vs a slowed consumer under flow control (internal/flowctl)",
+			o.sweepSection},
 		{"agg", "E16: message aggregation — flood msgs/sec vs payload size (internal/aggregate)",
 			func() { aggSweep(o.aggMsgs, aggregate.Config{MaxBatchBytes: o.rt.AggBytes, MaxDelay: o.rt.AggDelay}) }},
 		{"integrity", "E17: wire+checkpoint integrity and cascading-failure recovery (internal/pami, internal/ft)",

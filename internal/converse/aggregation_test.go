@@ -132,7 +132,7 @@ func TestAggregationFlowControlResidency(t *testing.T) {
 		FlowControl: &fcc,
 	}
 	// Residency bound: ring + overflow cap + scheduler pull bound + credit
-	// window + slack (same formula as the soak harness's floodBound).
+	// window + slack (same formula as internal/scenario's residency bound).
 	bound := int64(256 + fcc.OverflowCap + schedPullBound + fcc.Window + 8)
 	var count atomic.Int64
 	var maxRes atomic.Int64

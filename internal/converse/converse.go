@@ -690,7 +690,7 @@ type PE struct {
 	enqueued atomic.Int64
 
 	// throttleNS, when positive, sleeps the scheduler for that many
-	// nanoseconds before each handler invocation — the soak harness's
+	// nanoseconds before each handler invocation — the chaos rows'
 	// deliberately slowed consumer.
 	throttleNS atomic.Int64
 }
@@ -726,7 +726,7 @@ func (pe *PE) IdleCycles() int64 { return pe.idles.Load() }
 func (pe *PE) Resident() int64 { return pe.enqueued.Load() - pe.executed.Load() }
 
 // SetInvokeDelay makes the PE sleep for d before executing each message —
-// an artificially slowed consumer for overload and soak testing. Zero
+// an artificially slowed consumer for overload and chaos testing. Zero
 // restores full speed. Safe to call while the machine runs.
 func (pe *PE) SetInvokeDelay(d time.Duration) { pe.throttleNS.Store(int64(d)) }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // The FFT-under-faults recovery tests (kill each node, cascades, link
-// faults, aggregation armed) live in internal/scenario, which owns the
-// driver they share with cmd/experiments and cmd/soak; this package keeps
-// the tests that need the manager's internals.
+// faults, aggregation armed, the seeded chaos rows) live in
+// internal/scenario, which owns the driver they share with cmd/experiments;
+// this package keeps the tests that need the manager's internals.
 
 // tight detector settings for fast, deterministic kill tests, stretched by
 // raceScale so the race detector's slowdown cannot starve heartbeats or

@@ -111,7 +111,6 @@ type Simulation struct {
 	evalCount   int
 	patchesDone int
 	recipEvals  int
-	finished    chan struct{}
 
 	// per-evaluation energy accumulation
 	emu         sync.Mutex
@@ -153,7 +152,7 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulation{cfg: cfg, rt: rt, finished: make(chan struct{})}
+	s := &Simulation{cfg: cfg, rt: rt}
 	s.px, s.py, s.pz = s.choosePatchGrid()
 	for d, p := range []int{s.px, s.py, s.pz} {
 		if size := cfg.System.Box.L[d] / float64(p); p > 1 && size < cfg.Nonbonded.Cutoff {
@@ -244,7 +243,9 @@ func wrapFreq(m, k int) int {
 }
 
 // Run executes the configured number of steps and returns the report of
-// the final force evaluation. It may be called once.
+// the final force evaluation. It may be called once. A runtime shut down
+// from outside (a watchdog) ends it early, with the report as far as the
+// run got.
 func (s *Simulation) Run() Report {
 	s.rt.Run(func(pe *converse.PE) {
 		// Prime: force evaluation 0 on every patch.
@@ -252,7 +253,6 @@ func (s *Simulation) Run() Report {
 			panic(fmt.Sprintf("mdsim: prime broadcast: %v", err))
 		}
 	})
-	<-s.finished
 	return s.report()
 }
 
@@ -275,7 +275,6 @@ func (s *Simulation) driverPatchDone(pe *converse.PE) {
 	}
 	if s.stepsDone >= s.cfg.Steps {
 		s.rt.Shutdown()
-		close(s.finished)
 		return
 	}
 	s.evalCount++

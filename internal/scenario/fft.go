@@ -9,6 +9,7 @@ import (
 	"blueq/internal/aggregate"
 	"blueq/internal/converse"
 	"blueq/internal/fft3d"
+	"blueq/internal/flowctl"
 	"blueq/internal/ft"
 )
 
@@ -23,7 +24,9 @@ type FFTConfig struct {
 	// heartbeats ride the same lossy transport as the data, and the floor
 	// must absorb a run of dropped ones without a false confirmation.
 	Detector    ft.Config
+	FlowControl *flowctl.Config
 	Aggregation *aggregate.Config
+	Slow        time.Duration // PE 1's delay per execution (a slowed consumer)
 	// Every checkpoints when the completed-iteration count is a multiple
 	// of it (0 or 1: before the first iteration and after each). Negative
 	// never checkpoints — the epoch stays 0.
@@ -49,11 +52,13 @@ func FFT(cfg FFTConfig) (Result, error) {
 		cfg.Detector.SuspectAfter = 60 * time.Millisecond
 	}
 	h, err := newHarness(cfg.Transport, converse.Config{
-		Nodes: cfg.Nodes, WorkersPerNode: 1, Mode: converse.ModeSMP, Aggregation: cfg.Aggregation,
+		Nodes: cfg.Nodes, WorkersPerNode: 1, Mode: converse.ModeSMP,
+		FlowControl: cfg.FlowControl, Aggregation: cfg.Aggregation,
 	}, cfg.Faults)
 	if err != nil {
 		return Result{}, err
 	}
+	h.rt.Machine().PE(1).SetInvokeDelay(cfg.Slow)
 	eng, err := fft3d.New(h.rt, nil, fft3d.Config{
 		NX: cfg.N, NY: cfg.N, NZ: cfg.N, Transport: fft3d.P2P,
 		Input: func(x, y, z int) complex128 {
@@ -112,7 +117,7 @@ func FFT(cfg FFTConfig) (Result, error) {
 		launch(pe, iter+1)
 	})
 
-	res, err := h.run(cfg.Timeout, func(pe *converse.PE) { launch(pe, 1) })
+	res, err := h.run(cfg.Timeout, func() { h.rt.Run(func(pe *converse.PE) { launch(pe, 1) }) })
 	if at := restartIter.Load(); at >= 0 {
 		res.Replayed = cfg.Faults.AtIter - int(at)
 	}

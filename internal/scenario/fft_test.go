@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -45,14 +46,18 @@ func failLinks(t *testing.T, links ...[2]int) func(*charm.Runtime, *ft.Manager) 
 	}
 }
 
-// fftCase is one 8³-FFT run on the 4-node cell, 6 iterations, schedule
-// fired as iteration 3 launches unless faults says otherwise. A case that
-// must succeed is compared bitwise against the fault-free run over the same
-// transport (and aggregation setting).
+// fftCase is one 8³-FFT run on the 4-node cell, 6 iterations unless iters
+// says otherwise, schedule fired as iteration 3 launches unless faults
+// says otherwise. A case that must succeed is compared bitwise against the
+// fault-free run over the same transport (and aggregation setting); a
+// chaos row, against the fault-free in-process run.
 type fftCase struct {
 	name      string
 	spec      string // default faulty:seed=1 with the tight detector
 	agg       bool
+	iters     int   // iterations to complete (default 6)
+	slowed    bool  // PE 1 slowed 50 µs a message
+	seed      int64 // a chaos row's seed: tight flow-control caps, the harness's detector
 	every     int
 	faults    Faults
 	recovs    [2]int64 // inclusive range of Stats.Recoveries
@@ -88,7 +93,7 @@ func TestFFTUnderFaults(t *testing.T) {
 		// unhandled kill; its own confirmation may or may not land in time.
 		{name: "cascade-mid-recovery-under-corruption", spec: lossy,
 			faults: Faults{Kill: []int{1}, Cascade: []int{3}}, recovs: [2]int64{1, 2}, confirms: [2]int64{1, 2}},
-		// soak's -kills shape: the second death a spread after recovery begins.
+		// The second death a spread after recovery begins.
 		{name: "cascade-spread-under-corruption", spec: lossy,
 			faults: Faults{Kill: []int{1}, Cascade: []int{3}, Spread: 20 * time.Millisecond},
 			recovs: [2]int64{1, 2}, confirms: [2]int64{1, 2}},
@@ -120,7 +125,7 @@ func TestFFTUnderFaults(t *testing.T) {
 					t.Error("run completed without the router ever rerouting")
 				}
 			}},
-		{name: "link-flaps-reroute", spec: linky, faults: Faults{Flaps: 4, Hold: 5 * time.Millisecond},
+		{name: "link-flaps-reroute", spec: linky, iters: 64, faults: Faults{Flaps: 4, Hold: 5 * time.Millisecond},
 			recovs: none, confirms: none,
 			more: func(t *testing.T, got Result) {
 				if got.Reroutes == 0 {
@@ -190,6 +195,33 @@ func TestFFTUnderFaults(t *testing.T) {
 				}
 			}})
 	}
+	// The chaos rows, all behind a 16-credit window, so each must also end
+	// Bounded. slowed: PE 1 executes every message 50 µs late over each
+	// hostile wire; ft must see no failure. kills: PE 1 dies, and PE 3
+	// 20 ms into the recovery (1 and 3 are non-adjacent in the buddy ring,
+	// so a verified copy of everything survives), on a corrupting wire.
+	// links: the cell's four links fail and heal one after another, each
+	// down for 10 ms; the router must absorb every flap with no rollback.
+	// Both run 64 iterations, so the schedule lands inside the run: a
+	// reroute is only counted when traffic asks for a route.
+	for _, r := range chaosRows(hostile...) {
+		cases = append(cases, fftCase{name: "slowed/" + r.name, spec: r.spec, agg: r.agg, seed: r.seed,
+			slowed: true, recovs: none, confirms: none})
+	}
+	for _, r := range chaosRows(wire{"corrupt", "faulty:drop=0.02,corrupt=0.02,truncate=0.01"}) {
+		cases = append(cases, fftCase{name: "kills/" + r.name, spec: r.spec, agg: r.agg, seed: r.seed, iters: 64,
+			faults: Faults{Kill: []int{1}, Cascade: []int{3}, Spread: 20 * time.Millisecond},
+			recovs: [2]int64{1, 2}, confirms: [2]int64{1, 2}})
+	}
+	for _, r := range chaosRows(wire{"unreliable", "faulty:unreliable=1"}) {
+		cases = append(cases, fftCase{name: "links/" + r.name, spec: r.spec, agg: r.agg, seed: r.seed, iters: 64,
+			faults: Faults{Flaps: 4, Hold: 10 * time.Millisecond}, recovs: none, confirms: none,
+			more: func(t *testing.T, got Result) {
+				if got.Reroutes == 0 {
+					t.Error("four links flapped without the router ever rerouting")
+				}
+			}})
+	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -199,7 +231,13 @@ func TestFFTUnderFaults(t *testing.T) {
 				pami.RetryBase, pami.RetryMax = s*tc.retryBase, 10*s*tc.retryBase
 				defer func() { pami.RetryBase, pami.RetryMax = base, max }()
 			}
-			ref := reference(t, tc)
+			var ref Result
+			if tc.seed != 0 {
+				replayHint(t, tc.seed)
+				ref = reference(t, fftCase{spec: "inproc", iters: tc.iters})
+			} else {
+				ref = reference(t, tc)
+			}
 			got, err := FFT(tc.config())
 			switch {
 			case tc.wantErr == "" && err != nil:
@@ -221,6 +259,9 @@ func TestFFTUnderFaults(t *testing.T) {
 					t.Errorf("vs fault-free run: %v", err)
 				}
 			}
+			if err := got.Bounded(); err != nil {
+				t.Error(err)
+			}
 			if tc.more != nil {
 				tc.more(t, got)
 			}
@@ -229,15 +270,21 @@ func TestFFTUnderFaults(t *testing.T) {
 }
 
 func (tc fftCase) config() FFTConfig {
-	cfg := FFTConfig{N: 8, Iters: 6, Transport: tc.spec, Every: tc.every, Faults: tc.faults}
+	cfg := FFTConfig{N: 8, Iters: cmp.Or(tc.iters, 6), Transport: tc.spec, Every: tc.every, Faults: tc.faults}
 	if cfg.Transport == "" {
 		cfg.Transport = "faulty:seed=1"
 	}
-	if cfg.Transport != lossy {
+	if cfg.Transport != lossy && tc.seed == 0 {
 		cfg.Detector = tight()
 	}
 	if tc.agg {
 		cfg.Aggregation = &aggregate.Config{}
+	}
+	if tc.seed != 0 {
+		cfg.FlowControl = slowFC()
+	}
+	if tc.slowed {
+		cfg.Slow = slow
 	}
 	if cfg.Faults.AtIter == 0 {
 		cfg.Faults.AtIter = 3
@@ -251,12 +298,12 @@ var (
 )
 
 // reference returns the vetted fault-free run tc is compared against, run
-// once per (transport, aggregation) pair.
+// once per (transport, aggregation, iterations).
 func reference(t *testing.T, tc fftCase) Result {
 	t.Helper()
 	cfg := tc.config()
 	cfg.Faults, cfg.Every = Faults{}, 0
-	key := fmt.Sprint(cfg.Transport, tc.agg)
+	key := fmt.Sprint(cfg.Transport, tc.agg, cfg.Iters)
 	refMu.Lock()
 	defer refMu.Unlock()
 	if ref, ok := refs[key]; ok {

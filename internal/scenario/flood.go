@@ -20,9 +20,14 @@ import (
 type Residency struct {
 	PeakResident, ResidentBound int64
 	PeakReorder, ReorderCap     int64
+	// Charged is what the finished run left charged across its credit
+	// windows. Every executed message returns its credit, so anything
+	// else is a leak that shrinks a window the bound assumes, for good.
+	Charged int64
 }
 
-// Bounded is the bounded-memory verdict: neither peak above its bound.
+// Bounded is the bounded-memory verdict: neither peak above its bound,
+// and no credit left charged.
 func (r Residency) Bounded() error {
 	if r.ResidentBound == 0 {
 		return nil
@@ -33,15 +38,19 @@ func (r Residency) Bounded() error {
 	if r.PeakReorder > r.ReorderCap {
 		return fmt.Errorf("reorder buffer exceeded cap: %d > %d", r.PeakReorder, r.ReorderCap)
 	}
+	if r.Charged != 0 {
+		return fmt.Errorf("credit ledger unbalanced: %d credits still charged when the run ended", r.Charged)
+	}
 	return nil
 }
 
-// WatchResidency starts polling m's scheduler backlog and reorder buffers
-// and returns the function that stops the poll and reports the peaks. The
+// watchResidency starts polling m's scheduler backlog and reorder buffers
+// and returns the function that stops the poll and reports the peaks and
+// the credits left charged; call it once the machine has stopped. The
 // resident bound covers consumers slowed PEs, each holding at most its L2
 // ring, its overflow cap, the scheduler pull bound and the credit window
 // still in flight, plus slack for the poll racing enqueues.
-func WatchResidency(m *converse.Machine, consumers int) (finish func() Residency) {
+func watchResidency(m *converse.Machine, consumers int) (finish func() Residency) {
 	var r Residency
 	if fc := m.FlowController(); fc != nil {
 		c := fc.Config()
@@ -77,6 +86,13 @@ func WatchResidency(m *converse.Machine, consumers int) (finish func() Residency
 	return func() Residency {
 		close(stop)
 		wg.Wait()
+		if fc := m.FlowController(); fc != nil {
+			for src := 0; src < m.NumNodes(); src++ {
+				for dst := 0; dst < m.NumNodes(); dst++ {
+					r.Charged += fc.Window(src, dst).InFlight()
+				}
+			}
+		}
 		return r
 	}
 }
@@ -149,9 +165,9 @@ func (l *ledger) tally() (distinct, duplicated int64) {
 	return distinct, duplicated
 }
 
-// Flood is the one flood driver outside bench/: the soak flood and
-// saturation-sweep cells and the E16 / E17 rate tables are a FloodConfig
-// plus what they print. It returns when the consumer has executed
+// Flood is the one flood driver outside bench/: the flood chaos rows, the
+// E15 saturation sweep and the E16 / E17 rate tables are a FloodConfig
+// plus what they print or assert. It returns when the consumer has executed
 // everything sent; a lost message leaves that waiting, and the watchdog
 // turns it into ErrWedged beside the counts as far as they got.
 func Flood(cfg FloodConfig) (FloodResult, error) {
@@ -202,7 +218,7 @@ func Flood(cfg FloodConfig) (FloodResult, error) {
 
 	watchdog := armWatchdog(cfg.Duration+120*time.Second, fail)
 	defer watchdog.Stop()
-	watch := WatchResidency(m, 1)
+	watch := watchResidency(m, 1)
 	m.Run(func(pe *converse.PE) {
 		if pe.Id() != 0 {
 			return

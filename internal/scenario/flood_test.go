@@ -12,19 +12,18 @@ import (
 
 // Flood holds both verdicts over a clean, a lossy and a corrupting
 // transport; bare, with flow control plus aggregation armed, and with a
-// slowed consumer behind tight flow-control caps (the soak cell); bounded
-// by a message count and by a duration.
+// slowed consumer behind tight flow-control caps; bounded by a message
+// count and by a duration. The chaos rows run the slowed shape over every
+// hostile wire, aggregation off and on, per seed.
 func TestFloodVerdicts(t *testing.T) {
+	slowed := FloodConfig{Slow: slow, RingSize: 64, FlowControl: slowFC()}
 	shapes := []struct {
 		name string
 		cfg  FloodConfig
 	}{
 		{"bare", FloodConfig{}},
 		{"flow+agg", FloodConfig{FlowControl: &flowctl.Config{}, Aggregation: &aggregate.Config{}}},
-		{"slowed", FloodConfig{
-			Slow: 50 * time.Microsecond, RingSize: 64,
-			FlowControl: &flowctl.Config{Window: 16, OverflowCap: 64},
-		}},
+		{"slowed", slowed},
 	}
 	for _, spec := range []string{
 		"inproc",
@@ -35,34 +34,50 @@ func TestFloodVerdicts(t *testing.T) {
 			for _, bound := range []string{"count", "time"} {
 				t.Run(spec+"/"+shape.name+"/"+bound, func(t *testing.T) {
 					cfg := shape.cfg
-					cfg.Transport, cfg.Bytes = spec, 8
+					cfg.Transport = spec
 					if bound == "count" {
 						cfg.Count = 400
 					} else {
 						cfg.Duration = 20 * time.Millisecond
 					}
-					res, err := Flood(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := res.ExactlyOnce(); err != nil {
-						t.Error(err)
-					}
-					if err := res.Bounded(); err != nil {
-						t.Error(err)
-					}
-					if res.Sent == 0 || (cfg.Count > 0 && res.Sent != int64(cfg.Count)) {
-						t.Errorf("sent %d messages of Count %d", res.Sent, cfg.Count)
-					}
-					if res.Send <= 0 || res.InWindow > res.Sent || res.Stats.Injected < res.Sent/128 {
-						t.Errorf("implausible result: %+v", res)
-					}
-					if shape.name == "slowed" && (res.ResidentBound == 0 || res.Parked == 0) {
-						t.Errorf("slowed consumer never hit backpressure — the bound was not exercised: %+v", res)
-					}
+					floodRow(t, cfg)
 				})
 			}
 		}
+	}
+	for _, r := range chaosRows(hostile...) {
+		t.Run("chaos/"+r.name, func(t *testing.T) {
+			replayHint(t, r.seed)
+			cfg := slowed
+			cfg.Transport, cfg.Aggregation, cfg.Count = r.spec, r.aggregation(), 400
+			floodRow(t, cfg)
+		})
+	}
+}
+
+// floodRow runs one flood of 8-byte messages and checks both verdicts,
+// the count, and that a slowed consumer really hit backpressure.
+func floodRow(t *testing.T, cfg FloodConfig) {
+	t.Helper()
+	cfg.Bytes = 8
+	res, err := Flood(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.ExactlyOnce(); err != nil {
+		t.Error(err)
+	}
+	if err := res.Bounded(); err != nil {
+		t.Error(err)
+	}
+	if res.Sent == 0 || (cfg.Count > 0 && res.Sent != int64(cfg.Count)) {
+		t.Errorf("sent %d messages of Count %d", res.Sent, cfg.Count)
+	}
+	if res.Send <= 0 || res.InWindow > res.Sent || res.Stats.Injected < res.Sent/128 {
+		t.Errorf("implausible result: %+v", res)
+	}
+	if cfg.Slow > 0 && (res.ResidentBound == 0 || res.Parked == 0) {
+		t.Errorf("slowed consumer never hit backpressure — the bound was not exercised: %+v", res)
 	}
 }
 
@@ -146,8 +161,8 @@ func TestFloodLedger(t *testing.T) {
 	}
 }
 
-// The residency verdict names whichever bound was crossed, and promises
-// nothing when flow control was not armed.
+// The residency verdict names whichever bound was crossed or credit
+// leaked, and promises nothing when flow control was not armed.
 func TestResidencyBounded(t *testing.T) {
 	ok := Residency{PeakResident: 10, ResidentBound: 10, PeakReorder: 5, ReorderCap: 5}
 	if err := ok.Bounded(); err != nil {
@@ -165,5 +180,10 @@ func TestResidencyBounded(t *testing.T) {
 	over.PeakReorder++
 	if err := over.Bounded(); err == nil || !strings.Contains(err.Error(), "6 > 5") {
 		t.Errorf("reorder over: %v", err)
+	}
+	over = ok
+	over.Charged = 1
+	if err := over.Bounded(); err == nil || !strings.Contains(err.Error(), "1 credits still charged") {
+		t.Errorf("leaked credit: %v", err)
 	}
 }

@@ -208,12 +208,14 @@ func Imbalance(cfg ImbalanceConfig) (Result, error) {
 	}
 	lbm.Manage(a, -1)
 
-	res, err := h.run(cfg.Timeout, func(pe *converse.PE) {
-		if h.mgr == nil {
-			resume(pe)
-		} else if err := h.checkpoint(pe, resume); err != nil {
-			h.fail(fmt.Errorf("initial checkpoint: %w", err))
-		}
+	res, err := h.run(cfg.Timeout, func() {
+		h.rt.Run(func(pe *converse.PE) {
+			if h.mgr == nil {
+				resume(pe)
+			} else if err := h.checkpoint(pe, resume); err != nil {
+				h.fail(fmt.Errorf("initial checkpoint: %w", err))
+			}
+		})
 	})
 	res.Moves = lbm.Moves()
 	res.Phase = time.Duration(phase.Load())

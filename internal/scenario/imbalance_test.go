@@ -67,3 +67,49 @@ func TestImbalanceKillMidMigration(t *testing.T) {
 		t.Errorf("across the kill: %v", err)
 	}
 }
+
+// The migration chaos rows: a 12-element array whose heavy block rotates
+// around the initial placement every phase, so each barrier's GreedyLB
+// pass re-creates real packed-blob migrations, with a checkpoint of the
+// migrated layout between phases, flow control armed, over each hostile
+// wire. PEs 1 and 3 fail-stop 150 ms apart starting right after the first
+// pass issues its commands, so deaths land while blobs are on the wire.
+// Element state is a pure function of (index, iterations): Exact catches
+// any delivery lost or duplicated across migrations, forwarding, parking
+// or recovery replay.
+func TestImbalanceRotating(t *testing.T) {
+	const (
+		nodes, elems = 4, 12
+		perPhase     = 6
+		phases       = 8
+	)
+	for _, r := range chaosRows(hostile...) {
+		t.Run(r.name, func(t *testing.T) {
+			replayHint(t, r.seed)
+			got, err := Imbalance(ImbalanceConfig{
+				Nodes: nodes, Workers: 1, Elems: elems,
+				Warmup: perPhase, Every: perPhase, Total: phases * perPhase,
+				Heavy:     func(idx, phase int) bool { return idx/3 == phase%nodes },
+				HeavyCost: 2 * time.Millisecond,
+				Transport: r.spec, FlowControl: slowFC(), Aggregation: r.aggregation(),
+				LB: lb.Config{Strategy: lb.Greedy{}}, FT: true,
+				Faults: Faults{Kill: []int{1, 3}, Spread: 150 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := SameBits(Exact(elems, phases*perPhase), got); err != nil {
+				t.Error(err)
+			}
+			if err := got.Bounded(); err != nil {
+				t.Error(err)
+			}
+			if got.Moves == 0 {
+				t.Error("the rotating imbalance never triggered a migration")
+			}
+			if got.Stats.Recoveries < 1 {
+				t.Errorf("kill schedule ran but no recovery happened: %+v", got.Stats)
+			}
+		})
+	}
+}

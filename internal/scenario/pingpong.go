@@ -1,57 +1,13 @@
 package scenario
 
 import (
-	"flag"
 	"fmt"
 	"sync/atomic"
 	"time"
 
-	"blueq/internal/aggregate"
 	"blueq/internal/converse"
 	"blueq/internal/transport"
 )
-
-// Flags are the runtime settings cmd/experiments and cmd/soak both expose,
-// declared once so the two commands cannot drift: a command fills in its
-// own defaults, calls Register, and reads the fields back after flag.Parse.
-type Flags struct {
-	Transport     string        // -transport
-	Seed          int64         // -seed
-	FCWindow      int           // -fc-window
-	FCOverflowCap int           // -fc-overflow-cap
-	Agg           bool          // -agg
-	AggBytes      int           // -agg-bytes
-	AggDelay      time.Duration // -agg-delay
-}
-
-// Register declares the flags on fs with f's current values as defaults.
-func (f *Flags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.Transport, "transport", f.Transport,
-		"transport spec: inproc, contended[:scale=F], faulty[:seed=N,drop=F,dup=F,corrupt=F,truncate=F,delayrate=F,delaymax=D]")
-	fs.Int64Var(&f.Seed, "seed", f.Seed, "seed for faulty transports and kill schedules (non-zero overrides any seed= in -transport)")
-	fs.IntVar(&f.FCWindow, "fc-window", f.FCWindow, "flow-control credit window per (src,dst) node pair (0 = flowctl's default)")
-	fs.IntVar(&f.FCOverflowCap, "fc-overflow-cap", f.FCOverflowCap, "flow-control cap on the lockless overflow queue (0 = flowctl's default)")
-	fs.BoolVar(&f.Agg, "agg", f.Agg, "arm the per-destination message aggregation layer")
-	fs.IntVar(&f.AggBytes, "agg-bytes", f.AggBytes, "aggregation batch size in bytes (0 = aggregate's default; non-zero implies -agg)")
-	fs.DurationVar(&f.AggDelay, "agg-delay", f.AggDelay, "aggregation max flush delay (0 = aggregate's default; non-zero implies -agg)")
-}
-
-// Spec is the -transport spec with a non-zero -seed applied.
-func (f *Flags) Spec() string {
-	if f.Seed == 0 {
-		return f.Transport
-	}
-	return transport.WithSeed(f.Transport, f.Seed)
-}
-
-// Aggregation is the aggregation config the flags ask for, nil when none
-// of them arms the layer.
-func (f *Flags) Aggregation() *aggregate.Config {
-	if !f.Agg && f.AggBytes == 0 && f.AggDelay == 0 {
-		return nil
-	}
-	return &aggregate.Config{MaxBatchBytes: f.AggBytes, MaxDelay: f.AggDelay}
-}
 
 // PingPongResult is what one PingPong run measured.
 type PingPongResult struct {

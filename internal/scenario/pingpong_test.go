@@ -1,9 +1,7 @@
 package scenario
 
 import (
-	"flag"
 	"testing"
-	"time"
 
 	"blueq/internal/aggregate"
 	"blueq/internal/converse"
@@ -55,32 +53,5 @@ func TestPingPongExactlyOnce(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// The shared flags keep the command's defaults, apply a non-zero seed to
-// the transport spec, and arm aggregation from any of its three flags.
-func TestFlags(t *testing.T) {
-	f := Flags{Transport: "both", Seed: 1, FCWindow: 16}
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f.Register(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if f.Transport != "both" || f.Seed != 1 || f.FCWindow != 16 || f.Aggregation() != nil {
-		t.Fatalf("defaults not kept: %+v", f)
-	}
-	if err := fs.Parse([]string{"-transport=faulty:seed=3,drop=0.1", "-seed=7", "-agg-delay=1ms"}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := f.Spec(), "faulty:seed=7,drop=0.1"; got != want {
-		t.Errorf("Spec() = %q, want %q", got, want)
-	}
-	if agc := f.Aggregation(); agc == nil || agc.MaxDelay != time.Millisecond {
-		t.Errorf("Aggregation() = %+v, want armed with a 1 ms flush delay", agc)
-	}
-	f.Seed = 0
-	if got, want := f.Spec(), "faulty:seed=3,drop=0.1"; got != want {
-		t.Errorf("Spec() with no seed = %q, want the spec untouched (%q)", got, want)
 	}
 }

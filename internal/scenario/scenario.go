@@ -1,28 +1,30 @@
-// Package scenario is the one driver behind every "runtime + ft + workload
-// + fault schedule + bitwise compare" run in the repo. The E14/E17/E18/E19
-// tables (cmd/experiments), the chaos cells (cmd/soak) and the recovery
-// tests each describe a run as a config plus a Faults schedule and get the
-// outcome back as a Result; what they print or assert is theirs.
+// Package scenario is the one driver behind every "runtime + workload +
+// fault schedule + verdict" run in the repo, and its table tests are the
+// one chaos front door. The E14–E19 tables (cmd/experiments), the recovery
+// tests and the chaos rows (TestFloodVerdicts, TestFFTUnderFaults,
+// TestMDUnderFaults, TestImbalanceRotating; the test flag -seeds=N replays
+// each over seeds 1..N) describe a run as a config plus a Faults schedule
+// and get the outcome back as a Result; what they print or assert is
+// theirs.
 //
-// Two workloads exist: FFT (the iterated 3D FFT under ft) and Imbalance (the
-// migratable iter/sum array under lb, optionally under ft). Nothing here
-// exits the process or fails a test: every failure — including a wedged
-// run, which the always-armed watchdog turns into ErrWedged — is a returned
-// error, beside a Result filled in as far as the run got.
+// Three workloads run under the harness: FFT (the iterated 3D FFT under
+// ft), MD (the mini-NAMD step) and Imbalance (the migratable iter/sum array
+// under lb, optionally under ft). Nothing here exits the process or fails a
+// test: every failure — including a wedged run, which the always-armed
+// watchdog turns into ErrWedged — is a returned error, beside a Result
+// filled in as far as the run got. A run with flow control armed carries
+// its sampled Residency, whose Bounded method is the bounded-memory
+// verdict.
 //
 // PingPong is the one ping-pong driver outside bench/: the root Fig 5
 // benchmarks and their 0-allocs test, cmd/obsdump and cmd/experiments all
-// bounce through it. Flood is the one flood driver: cmd/soak's flood and
-// sweep cells and cmd/experiments' E16 / E17 rate tables; WatchResidency is
-// the bounded-memory sampler it and the other soak cells share. Flags
-// declares the runtime flags cmd/experiments and cmd/soak share.
+// bounce through it. Flood is the one flood driver: the flood chaos rows
+// and cmd/experiments' E15 saturation sweep and E16 / E17 rate tables.
 package scenario
 
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,6 +32,7 @@ import (
 	"blueq/internal/charm"
 	"blueq/internal/converse"
 	"blueq/internal/ft"
+	"blueq/internal/md"
 	"blueq/internal/transport"
 )
 
@@ -52,62 +55,25 @@ type Faults struct {
 	// held down for Hold, then healed before the next one fails.
 	Flaps int
 	Hold  time.Duration
-	// Pre runs before the machine starts (pre-existing faults, samplers);
+	// Pre runs before the machine starts (pre-existing faults);
 	// Mid runs when the schedule fires, before the kills. mgr is nil in a
 	// run without fault tolerance.
 	Pre, Mid func(rt *charm.Runtime, mgr *ft.Manager)
 }
 
-// cellVictims are the fail-stop victims on the 4-node cell in schedule
-// order: 1 then 3 are non-adjacent in the buddy ring, so a verified replica
-// of every checkpoint batch survives both deaths.
-var cellVictims = []int{1, 3}
-
 // cellLinks are the 4-node cell's physical links in flap order; they form
 // the cycle 0-1-3-2-0, so one dead wire never partitions the cell.
 var cellLinks = [][2]int{{0, 1}, {1, 3}, {2, 3}, {0, 2}}
 
-// ParseSchedule parses the N@DUR form shared by soak's -kills and -links
-// flags (e.g. "2@100ms"): a count of at least one and a duration that is
-// not negative. flag names the flag in error messages.
-func ParseSchedule(flag, s string) (n int, d time.Duration, err error) {
-	count, dur, ok := strings.Cut(s, "@")
-	if !ok {
-		return 0, 0, fmt.Errorf("%s=%q: want N@DUR, e.g. 2@100ms", flag, s)
-	}
-	if n, err = strconv.Atoi(count); err != nil || n < 1 {
-		return 0, 0, fmt.Errorf("%s=%q: bad count", flag, s)
-	}
-	if d, err = time.ParseDuration(dur); err != nil {
-		return 0, 0, fmt.Errorf("%s=%q: bad duration: %v", flag, s, err)
-	}
-	if d < 0 {
-		return 0, 0, fmt.Errorf("%s=%q: bad duration: negative", flag, s)
-	}
-	return n, d, nil
-}
-
-// ParseKills parses a -kills=N@DUR schedule into the PEs to fail-stop on
-// the 4-node cell, in order, and the spread between them.
-func ParseKills(s string) (victims []int, spread time.Duration, err error) {
-	n, spread, err := ParseSchedule("-kills", s)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > len(cellVictims) {
-		// Double in-memory checkpointing on 4 nodes: a third kill cannot
-		// leave a surviving replica of everything.
-		return nil, 0, fmt.Errorf("-kills=%q: at most %d kills are recoverable on the 4-node cell", s, len(cellVictims))
-	}
-	return append([]int(nil), cellVictims[:n]...), spread, nil
-}
-
 // Result is what a run produced. Fields a workload does not produce stay
-// zero (Grids for Imbalance; States, Moves and Phase for FFT).
+// zero (Grids outside FFT, Atoms outside MD; States, Moves and Phase
+// outside Imbalance; Stats without ft; Residency without flow control).
 type Result struct {
 	Grids  [][]complex128 // FFT: final Z-phase grid of every PE
+	Atoms  []md.Vec3      // MD: final position of every atom
 	States [][2]uint64    // Imbalance: final (iterations, sum) per element
 	Stats  ft.Stats
+	Residency
 	// Recover is the time from the schedule firing to the application's
 	// first restart (zero: never restarted); Replayed is how many FFT
 	// iterations that restart re-executed.
@@ -121,8 +87,8 @@ type Result struct {
 }
 
 // SameBits reports the first place got differs from ref: a PE count or
-// grid length mismatch, the first differing grid cell, or the first
-// differing element state. nil means bitwise identical.
+// grid length mismatch, the first differing grid cell, atom position or
+// element state. nil means bitwise identical.
 func SameBits(ref, got Result) error {
 	if len(got.Grids) != len(ref.Grids) {
 		return fmt.Errorf("%d PE grids vs reference %d", len(got.Grids), len(ref.Grids))
@@ -135,6 +101,14 @@ func SameBits(ref, got Result) error {
 			if got.Grids[pe][i] != want {
 				return fmt.Errorf("PE %d grid[%d] = %v, reference %v: not bitwise identical", pe, i, got.Grids[pe][i], want)
 			}
+		}
+	}
+	if len(got.Atoms) != len(ref.Atoms) {
+		return fmt.Errorf("%d atoms vs reference %d", len(got.Atoms), len(ref.Atoms))
+	}
+	for i, want := range ref.Atoms {
+		if got.Atoms[i] != want {
+			return fmt.Errorf("atom %d at %v, reference %v: not bitwise identical", i, got.Atoms[i], want)
 		}
 	}
 	if len(got.States) != len(ref.States) {
@@ -161,7 +135,7 @@ func Reference(res Result, err error) (Result, error) {
 	return res, nil
 }
 
-// harness is what the two workloads share: the runtime under test, the
+// harness is what the workloads share: the runtime under test, the
 // first error any goroutine reported, the watchdog and the fault injector.
 type harness struct {
 	rt  *charm.Runtime
@@ -293,20 +267,26 @@ func armWatchdog(timeout time.Duration, fail func(error)) *time.Timer {
 	return time.AfterFunc(timeout, func() { fail(fmt.Errorf("%w: no finish within %v", ErrWedged, timeout)) })
 }
 
-// run arms the watchdog, runs Pre, drives the machine from start until it
-// shuts down, and returns the run's common results with its verdict: an
-// unrecoverable failure first, else the first error reported.
-func (h *harness) run(timeout time.Duration, start func(pe *converse.PE)) (Result, error) {
+// run arms the watchdog, runs Pre, samples residency when flow control is
+// armed, runs drive until the machine shuts down, and returns the run's
+// common results with its verdict: an unrecoverable failure first, else
+// the first error reported.
+func (h *harness) run(timeout time.Duration, drive func()) (Result, error) {
 	watchdog := armWatchdog(timeout, h.fail)
 	defer watchdog.Stop()
 	if h.f.Pre != nil {
 		h.f.Pre(h.rt, h.mgr)
 	}
-	begin := time.Now()
-	h.rt.Run(start)
 	m := h.rt.Machine()
+	residency := func() Residency { return Residency{} }
+	if m.FlowController() != nil {
+		residency = watchResidency(m, m.NumPEs())
+	}
+	begin := time.Now()
+	drive()
 	res := Result{
 		Elapsed:      time.Since(begin),
+		Residency:    residency(),
 		Recover:      time.Duration(h.recoverNS.Load()),
 		Reroutes:     m.Torus().Reroutes(),
 		Detours:      m.Torus().Detours(),

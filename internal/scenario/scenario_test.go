@@ -2,74 +2,104 @@ package scenario
 
 import (
 	"errors"
+	"flag"
 	"fmt"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"blueq/internal/aggregate"
+	"blueq/internal/flowctl"
 	"blueq/internal/ft"
+	"blueq/internal/md"
+	"blueq/internal/transport"
 )
 
-// The harness's own failure modes: a bad schedule flag, a diverged or
-// truncated result, a tainted reference and a wedged run must each come
-// back as a descriptive error.
+// seeds is how many seeds every chaos row replays: each row runs once per
+// seed in 1..-seeds, as a subtest whose name ends in seed=N. It goes after
+// the package (go test ./internal/scenario -seeds=10): go test ends its
+// package list at the first flag it does not know.
+var seeds = flag.Int("seeds", 1, "replay every chaos row over seeds 1..N")
 
-func TestParseSchedule(t *testing.T) {
-	for _, tc := range []struct {
-		in      string
-		n       int
-		d       time.Duration
-		wantErr string
-	}{
-		{in: "2@100ms", n: 2, d: 100 * time.Millisecond},
-		{in: "4@50ms", n: 4, d: 50 * time.Millisecond},
-		{in: "2", wantErr: "want N@DUR"},
-		{in: "0@50ms", wantErr: "bad count"},
-		{in: "x@50ms", wantErr: "bad count"},
-		{in: "2@soon", wantErr: "bad duration"},
-		{in: "2@0s", n: 2},
-		{in: "2@-100ms", wantErr: "negative"},
-		{in: "1@-1ns", wantErr: "negative"},
-	} {
-		n, d, err := ParseSchedule("-links", tc.in)
-		if tc.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), "-links") {
-				t.Errorf("ParseSchedule(%q) error = %v, want one naming -links and %q", tc.in, err, tc.wantErr)
+// hostile are the chaos rows' wires, by row label: seeded drops and
+// duplicates, the same with corruption and truncation, and modelled link
+// stalls. No label is a substring of another, so -run picks one.
+var hostile = []wire{
+	{"dropdup", "faulty:drop=0.05,dup=0.02"},
+	{"corrupt", "faulty:drop=0.05,dup=0.02,corrupt=0.02,truncate=0.01"},
+	{"contended", "contended:scale=3"},
+}
+
+type wire struct{ label, spec string }
+
+// slowFC is the slowed rows' flow control: caps tight enough that the
+// slowed PE holds its backlog at the bound.
+func slowFC() *flowctl.Config { return &flowctl.Config{Window: 16, OverflowCap: 64} }
+
+// slow is the chaos rows' per-execution delay on the slowed PE.
+const slow = 50 * time.Microsecond
+
+// chaosRow is one point of the chaos axes: a wire, aggregation off or on,
+// and the seed its dice roll with.
+type chaosRow struct {
+	name string // <wire>/agg=<off|on>/seed=<n>
+	spec string // the wire's spec, reseeded
+	agg  bool
+	seed int64
+}
+
+func (r chaosRow) aggregation() *aggregate.Config {
+	if r.agg {
+		return &aggregate.Config{}
+	}
+	return nil
+}
+
+// chaosRows is every (wire, aggregation, seed) row over wires.
+func chaosRows(wires ...wire) []chaosRow {
+	var rows []chaosRow
+	for _, w := range wires {
+		for _, agg := range []string{"off", "on"} {
+			for seed := int64(1); seed <= int64(*seeds); seed++ {
+				rows = append(rows, chaosRow{
+					name: fmt.Sprintf("%s/agg=%s/seed=%d", w.label, agg, seed),
+					spec: transport.WithSeed(w.spec, seed), agg: agg == "on", seed: seed,
+				})
 			}
-			continue
-		}
-		if err != nil || n != tc.n || d != tc.d {
-			t.Errorf("ParseSchedule(%q) = %d, %v, %v; want %d, %v", tc.in, n, d, err, tc.n, tc.d)
 		}
 	}
+	return rows
 }
 
-func TestParseKills(t *testing.T) {
-	victims, spread, err := ParseKills("2@150ms")
-	if err != nil || len(victims) != 2 || victims[0] != 1 || victims[1] != 3 || spread != 150*time.Millisecond {
-		t.Errorf("ParseKills(2@150ms) = %v, %v, %v; want [1 3], 150ms", victims, spread, err)
-	}
-	if victims, _, err := ParseKills("1@1s"); err != nil || len(victims) != 1 || victims[0] != 1 {
-		t.Errorf("ParseKills(1@1s) = %v, %v; want [1]", victims, err)
-	}
-	if _, _, err := ParseKills("3@1s"); err == nil || !strings.Contains(err.Error(), "at most 2 kills") {
-		t.Errorf("ParseKills(3@1s) error = %v, want the 4-node cell's two-kill limit", err)
-	}
-	if _, _, err := ParseKills("2@-1s"); err == nil || !strings.Contains(err.Error(), "negative") {
-		t.Errorf("ParseKills(2@-1s) error = %v, want the negative spread refused", err)
-	}
-	if _, _, err := ParseKills("2-1s"); err == nil || !strings.Contains(err.Error(), "-kills") {
-		t.Errorf("ParseKills(2-1s) error = %v, want one naming -kills", err)
-	}
+// replayHint logs, if t fails, the command that reruns exactly t: every
+// level of its name anchored, and -seeds wide enough to reach its seed.
+func replayHint(t *testing.T, seed int64) {
+	t.Cleanup(func() {
+		if !t.Failed() {
+			return
+		}
+		levels := strings.Split(t.Name(), "/")
+		for i, l := range levels {
+			levels[i] = "^" + regexp.QuoteMeta(l) + "$"
+		}
+		t.Logf("replay: go test -count=1 -run '%s' ./internal/scenario -seeds=%d", strings.Join(levels, "/"), seed)
+	})
 }
+
+// The harness's own failure modes: a diverged or truncated result, a
+// tainted reference and a wedged run must each come back as a descriptive
+// error.
 
 func TestSameBits(t *testing.T) {
 	ref := Result{
 		Grids:  [][]complex128{{1, 2, 3}, {4, 5, 6}},
+		Atoms:  []md.Vec3{{1, 2, 3}, {4, 5, 6}},
 		States: [][2]uint64{{3, 6}, {3, 12}},
 	}
 	clone := func() Result {
-		c := Result{States: append([][2]uint64(nil), ref.States...)}
+		c := Result{Atoms: slices.Clone(ref.Atoms), States: slices.Clone(ref.States)}
 		for _, g := range ref.Grids {
 			c.Grids = append(c.Grids, append([]complex128(nil), g...))
 		}
@@ -86,6 +116,8 @@ func TestSameBits(t *testing.T) {
 		{"first differing cell", func(r *Result) { r.Grids[1][1] = 50; r.Grids[1][2] = 60 }, "PE 1 grid[1]"},
 		{"short grid", func(r *Result) { r.Grids[0] = r.Grids[0][:2] }, "PE 0 grid length 2 vs reference 3"},
 		{"missing PE", func(r *Result) { r.Grids = r.Grids[:1] }, "1 PE grids vs reference 2"},
+		{"atom position", func(r *Result) { r.Atoms[1][2] = 6.5 }, "atom 1 at"},
+		{"missing atom", func(r *Result) { r.Atoms = r.Atoms[:1] }, "1 atoms vs reference 2"},
 		{"element state", func(r *Result) { r.States[1][1]++ }, "element 1"},
 		{"missing element", func(r *Result) { r.States = r.States[:1] }, "1 element states vs reference 2"},
 	} {
@@ -153,31 +185,4 @@ func TestBadTransportSpecIsAnError(t *testing.T) {
 	if _, err := Imbalance(ImbalanceConfig{Nodes: 2, Workers: 1, Elems: 2, Total: 1, Transport: "warp-drive"}); err == nil {
 		t.Error("Imbalance accepted an unknown transport")
 	}
-}
-
-// FuzzParseSchedule: any flag value is refused with an error naming the
-// flag, or parses to a count of at least one and a duration that is not
-// negative and that prints back to an equal schedule.
-func FuzzParseSchedule(f *testing.F) {
-	for _, s := range []string{
-		"2@50ms", "2@100ms", "2@150ms", "4@50ms", "1@1s", "3@1s", "2@0s",
-		"2", "0@50ms", "x@50ms", "2@soon", "2@-100ms", "2@-1s", "2-1s", "@", "",
-	} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		n, d, err := ParseSchedule("-links", s)
-		if err != nil {
-			if !strings.Contains(err.Error(), "-links") {
-				t.Fatalf("ParseSchedule(%q) error %q does not name the flag", s, err)
-			}
-			return
-		}
-		if n < 1 || d < 0 {
-			t.Fatalf("ParseSchedule(%q) = %d, %v: want a count >= 1 and a duration >= 0", s, n, d)
-		}
-		if n2, d2, err := ParseSchedule("-links", fmt.Sprintf("%d@%s", n, d)); err != nil || n2 != n || d2 != d {
-			t.Fatalf("ParseSchedule(%q) = %d@%s re-parses to %d, %v, %v", s, n, d, n2, d2, err)
-		}
-	})
 }

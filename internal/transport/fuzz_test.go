@@ -6,7 +6,7 @@ import (
 )
 
 // specCorpus seeds FuzzNew with the specs the tests, the CI smokes, the
-// soak defaults and the README use, plus the malformed shapes the
+// chaos rows and the README use, plus the malformed shapes the
 // validation tables reject.
 var specCorpus = []string{
 	"", "inproc", "contended", "contended:scale=3", "contended:scale=2.5", "contended:scale=50",
