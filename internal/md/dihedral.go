@@ -28,8 +28,9 @@ func DihedralAngle(box Box, pi, pj, pk, pl Vec3) float64 {
 
 // DihedralForces evaluates one proper torsion E = K(1 + cos(nφ - φ0)) at
 // the four given positions, returning the per-atom forces and the energy.
-// ok is false when three atoms are collinear (torsion undefined). Exposed
-// so the parallel patch engine can evaluate with its own position cache.
+// ok is false when three atoms are collinear (torsion undefined). Like the
+// other force-term kernels it takes positions rather than a System, so the
+// parallel patch engine evaluates it against its own position cache.
 func DihedralForces(box Box, pi, pj, pk, pl Vec3, d Dihedral) (fi, fj, fk, fl Vec3, energy float64, ok bool) {
 	b1 := box.MinImage(pj.Sub(pi))
 	b2 := box.MinImage(pk.Sub(pj))

@@ -24,8 +24,6 @@ type Forces struct {
 	BondEnergy     float64
 	AngleEnergy    float64
 	DihedralEnergy float64
-	// Virial is the scalar virial Σ r·F (for pressure).
-	Virial float64
 	// Pairs is the number of pair interactions inside the cutoff.
 	Pairs int64
 }
@@ -38,7 +36,7 @@ func (f *Forces) Reset() {
 	for i := range f.F {
 		f.F[i] = Vec3{}
 	}
-	f.LJEnergy, f.ElecEnergy, f.BondEnergy, f.AngleEnergy, f.DihedralEnergy, f.Virial = 0, 0, 0, 0, 0, 0
+	f.LJEnergy, f.ElecEnergy, f.BondEnergy, f.AngleEnergy, f.DihedralEnergy = 0, 0, 0, 0, 0
 	f.Pairs = 0
 }
 
@@ -202,112 +200,160 @@ func ljSwitch(r2, ron2, roff2 float64) (sw, dswdr2 float64) {
 	return sw, dswdr2
 }
 
+// PairKernel is the cutoff pair interaction: Lennard-Jones with
+// Lorentz-Berthelot mixing and switching, plus the real-space Ewald term
+// through the erfc table when NonbondedParams.TableBins asks for one. It
+// is built once from NonbondedParams; ComputeNonbonded and the parallel
+// patch engine both evaluate every pair through it.
+type PairKernel struct {
+	cut2, ron2, beta float64
+	tab              *erfcTable
+}
+
+// NewPairKernel builds the pair kernel for p.
+func NewPairKernel(p NonbondedParams) *PairKernel {
+	k := &PairKernel{cut2: p.Cutoff * p.Cutoff, beta: p.EwaldBeta}
+	k.ron2 = k.cut2
+	if p.SwitchDist > 0 {
+		k.ron2 = p.SwitchDist * p.SwitchDist
+	}
+	if p.EwaldBeta > 0 && p.TableBins > 0 {
+		k.tab = newErfcTable(p.EwaldBeta, p.Cutoff, p.TableBins)
+	}
+	return k
+}
+
+// Eval evaluates atoms i and j of s at minimum-image displacement
+// d = r_i - r_j: the force on i is fr·d (and -fr·d on j); elj and eel are
+// the pair's switched LJ and real-space electrostatic energies. ok is
+// false for an excluded pair, coincident atoms, or r at or beyond the
+// cutoff.
+func (k *PairKernel) Eval(s *System, i, j int, d Vec3) (fr, elj, eel float64, ok bool) {
+	if s.IsExcluded(i, j) {
+		return
+	}
+	r2 := d.Norm2()
+	if r2 >= k.cut2 || r2 == 0 {
+		return
+	}
+	// Lennard-Jones with Lorentz-Berthelot mixing and switching.
+	eps := math.Sqrt(s.Eps[i] * s.Eps[j])
+	sig := 0.5 * (s.Sigma[i] + s.Sigma[j])
+	if eps != 0 {
+		sr2 := sig * sig / r2
+		sr6 := sr2 * sr2 * sr2
+		sr12 := sr6 * sr6
+		e := 4 * eps * (sr12 - sr6)
+		dlj := 24 * eps * (2*sr12 - sr6) / r2 // -dE/dr / r
+		sw, dsw := ljSwitch(r2, k.ron2, k.cut2)
+		elj = e * sw
+		fr += dlj*sw - e*dsw*2 // d(e·sw)/dr2 · (-2)
+	}
+	// Real-space Ewald.
+	if k.beta > 0 {
+		qq := s.Charge[i] * s.Charge[j]
+		if qq != 0 {
+			var fscale float64
+			if k.tab != nil {
+				eel = qq * k.tab.energy.Lookup(r2)
+				fscale = qq * k.tab.force.Lookup(r2)
+			} else {
+				beta := k.beta
+				r := math.Sqrt(r2)
+				er := math.Erfc(beta * r)
+				eel = qq * er / r
+				fscale = qq * (er/r + 2*beta/math.SqrtPi*math.Exp(-beta*beta*r2)) / r2
+			}
+			fr += fscale
+		}
+	}
+	return fr, elj, eel, true
+}
+
 // ComputeNonbonded evaluates LJ + real-space Ewald forces within the cutoff
 // into out; p.TableBins selects direct or table erfc evaluation.
 func ComputeNonbonded(s *System, p NonbondedParams, out *Forces) {
-	cl := NewCellList(s, p.Cutoff)
-	var tab *erfcTable
-	if p.EwaldBeta > 0 && p.TableBins > 0 {
-		tab = newErfcTable(p.EwaldBeta, p.Cutoff, p.TableBins)
-	}
-	cut2 := p.Cutoff * p.Cutoff
-	ron2 := cut2
-	if p.SwitchDist > 0 {
-		ron2 = p.SwitchDist * p.SwitchDist
-	}
-	beta := p.EwaldBeta
-	cl.ForEachPair(func(i, j int) {
-		if s.IsExcluded(i, j) {
-			return
-		}
+	k := NewPairKernel(p)
+	NewCellList(s, p.Cutoff).ForEachPair(func(i, j int) {
 		d := s.Box.MinImage(s.Pos[i].Sub(s.Pos[j]))
-		r2 := d.Norm2()
-		if r2 >= cut2 || r2 == 0 {
+		fr, elj, eel, ok := k.Eval(s, i, j, d)
+		if !ok {
 			return
 		}
 		out.Pairs++
-		// Lennard-Jones with Lorentz-Berthelot mixing and switching.
-		eps := math.Sqrt(s.Eps[i] * s.Eps[j])
-		sig := 0.5 * (s.Sigma[i] + s.Sigma[j])
-		var fr float64 // dE/dr · (1/r): force = -fr·d
-		if eps != 0 {
-			sr2 := sig * sig / r2
-			sr6 := sr2 * sr2 * sr2
-			sr12 := sr6 * sr6
-			elj := 4 * eps * (sr12 - sr6)
-			dlj := 24 * eps * (2*sr12 - sr6) / r2 // -dE/dr / r
-			sw, dsw := ljSwitch(r2, ron2, cut2)
-			out.LJEnergy += elj * sw
-			fr += dlj*sw - elj*dsw*2 // d(elj·sw)/dr2 · (-2)
-		}
-		// Real-space Ewald.
-		if beta > 0 {
-			qq := s.Charge[i] * s.Charge[j]
-			if qq != 0 {
-				var e, fscale float64
-				if tab != nil {
-					e = qq * tab.energy.Lookup(r2)
-					fscale = qq * tab.force.Lookup(r2)
-				} else {
-					r := math.Sqrt(r2)
-					er := math.Erfc(beta * r)
-					e = qq * er / r
-					fscale = qq * (er/r + 2*beta/math.SqrtPi*math.Exp(-beta*beta*r2)) / r2
-				}
-				out.ElecEnergy += e
-				fr += fscale
-			}
-		}
+		out.LJEnergy += elj
+		out.ElecEnergy += eel
 		f := d.Scale(fr)
 		out.F[i] = out.F[i].Add(f)
 		out.F[j] = out.F[j].Sub(f)
-		out.Virial += fr * r2
 	})
 }
 
 // ---------------------------------------------------------------------------
 // Bonded terms
 
+// BondForce evaluates the harmonic bond E = K(r - R0)² at the positions of
+// its atoms I and J: the force on I is f (and -f on J). ok is false for
+// coincident atoms.
+func BondForce(box Box, pi, pj Vec3, b Bond) (f Vec3, energy float64, ok bool) {
+	d := box.MinImage(pi.Sub(pj))
+	r := d.Norm()
+	if r == 0 {
+		return
+	}
+	dr := r - b.R0
+	// F_I = -dE/dr · d/r
+	return d.Scale(-2 * b.K * dr / r), b.K * dr * dr, true
+}
+
+// AngleForces evaluates the harmonic angle E = Kth(θ - θ0)² at the
+// positions of its atoms I, J (the vertex) and K, returning the per-atom
+// forces and the energy. At a collinear geometry (sin θ below 1e-8) the
+// force direction is undefined: the energy comes back with zero forces.
+// ok is false when an arm has zero length.
+func AngleForces(box Box, pi, pj, pk Vec3, a Angle) (fi, fj, fk Vec3, energy float64, ok bool) {
+	rij := box.MinImage(pi.Sub(pj))
+	rkj := box.MinImage(pk.Sub(pj))
+	lij, lkj := rij.Norm(), rkj.Norm()
+	if lij == 0 || lkj == 0 {
+		return
+	}
+	cosT := rij.Dot(rkj) / (lij * lkj)
+	cosT = math.Max(-1, math.Min(1, cosT))
+	theta := math.Acos(cosT)
+	dT := theta - a.Theta0
+	energy = a.Kth * dT * dT
+	// Force via -dE/dθ with standard geometric derivatives.
+	sinT := math.Sqrt(1 - cosT*cosT)
+	if sinT < 1e-8 {
+		return fi, fj, fk, energy, true
+	}
+	c := 2 * a.Kth * dT / sinT
+	fi = rkj.Scale(1 / (lij * lkj)).Sub(rij.Scale(cosT / (lij * lij))).Scale(c)
+	fk = rij.Scale(1 / (lij * lkj)).Sub(rkj.Scale(cosT / (lkj * lkj))).Scale(c)
+	return fi, fi.Add(fk).Scale(-1), fk, energy, true
+}
+
 // ComputeBonded accumulates harmonic bond, angle and torsion forces.
 func ComputeBonded(s *System, out *Forces) {
 	ComputeDihedrals(s, out)
 	for _, b := range s.Bonds {
-		d := s.Box.MinImage(s.Pos[b.I].Sub(s.Pos[b.J]))
-		r := d.Norm()
-		if r == 0 {
+		f, e, ok := BondForce(s.Box, s.Pos[b.I], s.Pos[b.J], b)
+		if !ok {
 			continue
 		}
-		dr := r - b.R0
-		out.BondEnergy += b.K * dr * dr
-		// F_I = -dE/dr · d/r
-		fmag := -2 * b.K * dr / r
-		f := d.Scale(fmag)
+		out.BondEnergy += e
 		out.F[b.I] = out.F[b.I].Add(f)
 		out.F[b.J] = out.F[b.J].Sub(f)
-		out.Virial += fmag * r * r
 	}
 	for _, a := range s.Angles {
-		rij := s.Box.MinImage(s.Pos[a.I].Sub(s.Pos[a.J]))
-		rkj := s.Box.MinImage(s.Pos[a.K].Sub(s.Pos[a.J]))
-		lij, lkj := rij.Norm(), rkj.Norm()
-		if lij == 0 || lkj == 0 {
+		fi, fj, fk, e, ok := AngleForces(s.Box, s.Pos[a.I], s.Pos[a.J], s.Pos[a.K], a)
+		if !ok {
 			continue
 		}
-		cosT := rij.Dot(rkj) / (lij * lkj)
-		cosT = math.Max(-1, math.Min(1, cosT))
-		theta := math.Acos(cosT)
-		dT := theta - a.Theta0
-		out.AngleEnergy += a.Kth * dT * dT
-		// Force via -dE/dθ with standard geometric derivatives.
-		sinT := math.Sqrt(1 - cosT*cosT)
-		if sinT < 1e-8 {
-			continue
-		}
-		c := 2 * a.Kth * dT / sinT
-		fi := rkj.Scale(1 / (lij * lkj)).Sub(rij.Scale(cosT / (lij * lij))).Scale(c)
-		fk := rij.Scale(1 / (lij * lkj)).Sub(rkj.Scale(cosT / (lkj * lkj))).Scale(c)
+		out.AngleEnergy += e
 		out.F[a.I] = out.F[a.I].Add(fi)
 		out.F[a.K] = out.F[a.K].Add(fk)
-		out.F[a.J] = out.F[a.J].Sub(fi.Add(fk))
+		out.F[a.J] = out.F[a.J].Add(fj)
 	}
 }

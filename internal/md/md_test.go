@@ -247,6 +247,33 @@ func TestMomentumConservation(t *testing.T) {
 	}
 }
 
+// A straight angle (θ = π) has a well-defined energy but no defined force
+// direction: AngleForces returns the energy with zero forces, and
+// ComputeBonded counts that energy.
+func TestAngleCollinear(t *testing.T) {
+	box := Box{L: Vec3{10, 10, 10}}
+	pi, pj, pk := Vec3{6, 5, 5}, Vec3{5, 5, 5}, Vec3{3.5, 5, 5}
+	a := Angle{I: 0, J: 1, K: 2, Kth: 55, Theta0: 1.91}
+	want := a.Kth * (math.Pi - a.Theta0) * (math.Pi - a.Theta0)
+	fi, fj, fk, e, ok := AngleForces(box, pi, pj, pk, a)
+	if !ok {
+		t.Fatal("collinear angle reported undefined")
+	}
+	if math.Abs(e-want) > 1e-12*want {
+		t.Fatalf("energy %g, want Kth(π-θ0)² = %g", e, want)
+	}
+	if fi != (Vec3{}) || fj != (Vec3{}) || fk != (Vec3{}) {
+		t.Fatalf("forces %v %v %v, want zero", fi, fj, fk)
+	}
+
+	s := &System{Box: box, Pos: []Vec3{pi, pj, pk}, Angles: []Angle{a}}
+	out := NewForces(3)
+	ComputeBonded(s, out)
+	if out.AngleEnergy != e {
+		t.Fatalf("ComputeBonded angle energy %g, want %g", out.AngleEnergy, e)
+	}
+}
+
 func TestLJSwitchContinuity(t *testing.T) {
 	ron2, roff2 := 9.0, 16.0
 	// Continuity at both ends.

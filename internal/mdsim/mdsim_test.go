@@ -22,36 +22,52 @@ func testSystem(mols int, seed int64) *md.System {
 }
 
 // Parallel prime evaluation must reproduce the serial cutoff force field:
-// same energies and same per-atom forces.
+// same energies and same per-atom forces. The table row uses a coarse
+// erfc interpolation table, so it also shows the parallel path evaluates
+// pairs through the table NonbondedParams.TableBins asks for.
 func TestPrimeMatchesSerialCutoff(t *testing.T) {
-	sys := testSystem(64, 1)
-	nb := md.NonbondedParams{Cutoff: 4, SwitchDist: 3.2, EwaldBeta: 0.8}
-	sim, err := New(Config{
-		System: sys, Nonbonded: nb, DT: 1e-4, Steps: 0, Runtime: smallRuntime(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := sim.Run()
+	for _, tc := range []struct {
+		name string
+		bins int
+	}{{"exact", 0}, {"table", 64}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := testSystem(64, 1)
+			nb := md.NonbondedParams{Cutoff: 4, SwitchDist: 3.2, EwaldBeta: 0.8, TableBins: tc.bins}
+			serial := md.NewForces(sys.N())
+			md.ComputeNonbonded(sys, nb, serial)
+			md.ComputeBonded(sys, serial)
+			if tc.bins > 0 {
+				exact := md.NewForces(sys.N())
+				md.ComputeNonbonded(sys, md.NonbondedParams{Cutoff: 4, SwitchDist: 3.2, EwaldBeta: 0.8}, exact)
+				if rel := math.Abs(serial.ElecEnergy-exact.ElecEnergy) / math.Abs(exact.ElecEnergy); rel <= 1e-10 {
+					t.Fatalf("%d-bin table is within %g of exact erfc: the row cannot tell the two apart", tc.bins, rel)
+				}
+			}
 
-	serial := md.NewForces(sys.N())
-	md.ComputeNonbonded(sys, nb, serial)
-	md.ComputeBonded(sys, serial)
+			sim, err := New(Config{
+				System: sys, Nonbonded: nb, DT: 1e-4, Steps: 0, Runtime: smallRuntime(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := sim.Run()
 
-	if rel := math.Abs(rep.LJEnergy-serial.LJEnergy) / math.Abs(serial.LJEnergy); rel > 1e-10 {
-		t.Fatalf("LJ %g vs serial %g", rep.LJEnergy, serial.LJEnergy)
-	}
-	if rel := math.Abs(rep.ElecEnergy-serial.ElecEnergy) / math.Abs(serial.ElecEnergy); rel > 1e-10 {
-		t.Fatalf("elec %g vs serial %g", rep.ElecEnergy, serial.ElecEnergy)
-	}
-	if math.Abs(rep.BondEnergy-serial.BondEnergy) > 1e-9 || math.Abs(rep.AngleEnergy-serial.AngleEnergy) > 1e-9 {
-		t.Fatalf("bonded %g/%g vs serial %g/%g", rep.BondEnergy, rep.AngleEnergy, serial.BondEnergy, serial.AngleEnergy)
-	}
-	pf := sim.ForcesByAtom()
-	for i := range pf {
-		if d := pf[i].Sub(serial.F[i]).Norm(); d > 1e-9*(1+serial.F[i].Norm()) {
-			t.Fatalf("atom %d: parallel %v vs serial %v", i, pf[i], serial.F[i])
-		}
+			if rel := math.Abs(rep.LJEnergy-serial.LJEnergy) / math.Abs(serial.LJEnergy); rel > 1e-10 {
+				t.Fatalf("LJ %g vs serial %g", rep.LJEnergy, serial.LJEnergy)
+			}
+			if rel := math.Abs(rep.ElecEnergy-serial.ElecEnergy) / math.Abs(serial.ElecEnergy); rel > 1e-10 {
+				t.Fatalf("elec %g vs serial %g", rep.ElecEnergy, serial.ElecEnergy)
+			}
+			if math.Abs(rep.BondEnergy-serial.BondEnergy) > 1e-9 || math.Abs(rep.AngleEnergy-serial.AngleEnergy) > 1e-9 {
+				t.Fatalf("bonded %g/%g vs serial %g/%g", rep.BondEnergy, rep.AngleEnergy, serial.BondEnergy, serial.AngleEnergy)
+			}
+			pf := sim.ForcesByAtom()
+			for i := range pf {
+				if d := pf[i].Sub(serial.F[i]).Norm(); d > 1e-9*(1+serial.F[i].Norm()) {
+					t.Fatalf("atom %d: parallel %v vs serial %v", i, pf[i], serial.F[i])
+				}
+			}
+		})
 	}
 }
 

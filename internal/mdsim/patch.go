@@ -2,11 +2,11 @@ package mdsim
 
 import (
 	"fmt"
-	"math"
 
 	"blueq/internal/charm"
 	"blueq/internal/converse"
 	"blueq/internal/md"
+	"blueq/internal/pme"
 )
 
 // atomRec is the migrating per-atom state. Static properties (charge,
@@ -268,18 +268,36 @@ func (p *patch) lookup(id int32) (md.Vec3, bool) {
 	return md.Vec3{}, false
 }
 
+// pos returns the position of atom id, which a term of this patch's atoms
+// needs: every bonded or excluded partner lies in this patch or a
+// neighbour, so a miss is a decomposition bug.
+func (p *patch) pos(id int, term string, idx int32) md.Vec3 {
+	v, ok := p.lookup(int32(id))
+	if !ok {
+		panic(fmt.Sprintf("mdsim: %s %d: atom %d not visible from patch %d eval %d; own=%d cache=%d",
+			term, idx, id, p.idx, p.curEval, len(p.atoms), len(p.cache)))
+	}
+	return v
+}
+
+// addForce adds f to atom id's force if this patch owns the atom, and
+// reports whether it does.
+func (p *patch) addForce(id int, f md.Vec3) bool {
+	i, own := p.ownSet[int32(id)]
+	if own {
+		p.newF[i] = p.newF[i].Add(f)
+	}
+	return own
+}
+
 // computeForces evaluates nonbonded (LJ + real-space Ewald), bonded and
-// exclusion-correction forces for the atoms this patch owns.
+// exclusion-correction forces for the atoms this patch owns, through the
+// kernels of internal/md and internal/pme that the serial force field
+// uses.
 func (p *patch) computeForces(pe *converse.PE) {
 	s := p.sim
 	sys := s.cfg.System
-	nb := s.cfg.Nonbonded
-	cut2 := nb.Cutoff * nb.Cutoff
-	ron2 := cut2
-	if nb.SwitchDist > 0 {
-		ron2 = nb.SwitchDist * nb.SwitchDist
-	}
-	beta := nb.EwaldBeta
+	box := sys.Box
 	if len(p.newF) < len(p.atoms) {
 		p.newF = make([]md.Vec3, len(p.atoms))
 	}
@@ -289,42 +307,19 @@ func (p *patch) computeForces(pe *converse.PE) {
 	}
 	var elj, eel, ebond, eangle, edihedral float64
 
+	// pair adds one nonbonded pair; bOwn is b's index in p.atoms, or -1
+	// for a neighbour's atom, whose own patch takes the reaction force.
+	// The energy of a pair split across patches is counted by the patch
+	// owning the lower id.
 	pair := func(ai int, aID int32, apos md.Vec3, bID int32, bpos md.Vec3, bOwn int) {
-		if sys.IsExcluded(int(aID), int(bID)) {
+		d := box.MinImage(apos.Sub(bpos))
+		fr, lj, el, ok := s.pairs.Eval(sys, int(aID), int(bID), d)
+		if !ok {
 			return
 		}
-		d := sys.Box.MinImage(apos.Sub(bpos))
-		r2 := d.Norm2()
-		if r2 >= cut2 || r2 == 0 {
-			return
-		}
-		i, j := int(aID), int(bID)
-		eps := math.Sqrt(sys.Eps[i] * sys.Eps[j])
-		sig := 0.5 * (sys.Sigma[i] + sys.Sigma[j])
-		countEnergy := bOwn >= 0 || aID < bID
-		var fr float64
-		if eps != 0 {
-			sr2 := sig * sig / r2
-			sr6 := sr2 * sr2 * sr2
-			sr12 := sr6 * sr6
-			e := 4 * eps * (sr12 - sr6)
-			dljv := 24 * eps * (2*sr12 - sr6) / r2
-			sw, dsw := ljSwitchLocal(r2, ron2, cut2)
-			if countEnergy {
-				elj += e * sw
-			}
-			fr += dljv*sw - e*dsw*2
-		}
-		if beta > 0 {
-			qq := sys.Charge[i] * sys.Charge[j]
-			if qq != 0 {
-				r := math.Sqrt(r2)
-				er := math.Erfc(beta * r)
-				if countEnergy {
-					eel += qq * er / r
-				}
-				fr += qq * (er/r + 2*beta/math.SqrtPi*math.Exp(-beta*beta*r2)) / r2
-			}
+		if bOwn >= 0 || aID < bID {
+			elj += lj
+			eel += el
 		}
 		f := d.Scale(fr)
 		p.newF[ai] = p.newF[ai].Add(f)
@@ -344,9 +339,9 @@ func (p *patch) computeForces(pe *converse.PE) {
 		}
 	}
 
-	// Bonded terms: computed by every patch owning an endpoint, forces
-	// accumulated only for owned atoms; energies counted once by the
-	// canonical owner (bond: I; angle: the centre J).
+	// Bonded terms: computed by every patch owning an atom of the term,
+	// forces accumulated only for owned atoms; energies counted once by
+	// the canonical owner (bond: I; angle and torsion: J).
 	processedBonds := map[int32]bool{}
 	processedAngles := map[int32]bool{}
 	for _, a := range p.atoms {
@@ -356,27 +351,14 @@ func (p *patch) computeForces(pe *converse.PE) {
 			}
 			processedBonds[bIdx] = true
 			b := sys.Bonds[bIdx]
-			pi, okI := p.lookup(int32(b.I))
-			pj, okJ := p.lookup(int32(b.J))
-			if !okI || !okJ {
-				panic(fmt.Sprintf("mdsim: bond %d (%d ok=%v, %d ok=%v) not visible from patch %d eval %d; own=%d cache=%d",
-					bIdx, b.I, okI, b.J, okJ, p.idx, p.curEval, len(p.atoms), len(p.cache)))
-			}
-			d := sys.Box.MinImage(pi.Sub(pj))
-			r := d.Norm()
-			if r == 0 {
+			f, e, ok := md.BondForce(box, p.pos(b.I, "bond", bIdx), p.pos(b.J, "bond", bIdx), b)
+			if !ok {
 				continue
 			}
-			dr := r - b.R0
-			fmag := -2 * b.K * dr / r
-			f := d.Scale(fmag)
-			if oi, ok := p.ownSet[int32(b.I)]; ok {
-				p.newF[oi] = p.newF[oi].Add(f)
-				ebond += b.K * dr * dr
+			if p.addForce(b.I, f) {
+				ebond += e
 			}
-			if oj, ok := p.ownSet[int32(b.J)]; ok {
-				p.newF[oj] = p.newF[oj].Sub(f)
-			}
+			p.addForce(b.J, f.Scale(-1))
 		}
 		for _, aIdx := range s.anglesOf[a.id] {
 			if processedAngles[aIdx] {
@@ -384,43 +366,18 @@ func (p *patch) computeForces(pe *converse.PE) {
 			}
 			processedAngles[aIdx] = true
 			an := sys.Angles[aIdx]
-			pi, okI := p.lookup(int32(an.I))
-			pj, okJ := p.lookup(int32(an.J))
-			pk, okK := p.lookup(int32(an.K))
-			if !okI || !okJ || !okK {
-				panic(fmt.Sprintf("mdsim: angle %d atoms not visible from patch %d", aIdx, p.idx))
-			}
-			rij := sys.Box.MinImage(pi.Sub(pj))
-			rkj := sys.Box.MinImage(pk.Sub(pj))
-			lij, lkj := rij.Norm(), rkj.Norm()
-			if lij == 0 || lkj == 0 {
+			fi, fj, fk, e, ok := md.AngleForces(box,
+				p.pos(an.I, "angle", aIdx), p.pos(an.J, "angle", aIdx), p.pos(an.K, "angle", aIdx), an)
+			if !ok {
 				continue
 			}
-			cosT := rij.Dot(rkj) / (lij * lkj)
-			cosT = math.Max(-1, math.Min(1, cosT))
-			theta := math.Acos(cosT)
-			dT := theta - an.Theta0
-			sinT := math.Sqrt(1 - cosT*cosT)
-			if sinT < 1e-8 {
-				continue
-			}
-			c := 2 * an.Kth * dT / sinT
-			fi := rkj.Scale(1 / (lij * lkj)).Sub(rij.Scale(cosT / (lij * lij))).Scale(c)
-			fk := rij.Scale(1 / (lij * lkj)).Sub(rkj.Scale(cosT / (lkj * lkj))).Scale(c)
-			if oi, ok := p.ownSet[int32(an.I)]; ok {
-				p.newF[oi] = p.newF[oi].Add(fi)
-			}
-			if ok2, ok := p.ownSet[int32(an.K)]; ok {
-				p.newF[ok2] = p.newF[ok2].Add(fk)
-			}
-			if oj, ok := p.ownSet[int32(an.J)]; ok {
-				p.newF[oj] = p.newF[oj].Sub(fi.Add(fk))
-				eangle += an.Kth * dT * dT
+			p.addForce(an.I, fi)
+			p.addForce(an.K, fk)
+			if p.addForce(an.J, fj) {
+				eangle += e
 			}
 		}
 	}
-
-	// Torsions: same ownership rule; energy counted by the owner of J.
 	processedDihedrals := map[int32]bool{}
 	for _, a := range p.atoms {
 		for _, dIdx := range s.dihedralsOf[a.id] {
@@ -429,61 +386,34 @@ func (p *patch) computeForces(pe *converse.PE) {
 			}
 			processedDihedrals[dIdx] = true
 			d := sys.Dihedrals[dIdx]
-			pi, okI := p.lookup(int32(d.I))
-			pj, okJ := p.lookup(int32(d.J))
-			pk, okK := p.lookup(int32(d.K))
-			pl, okL := p.lookup(int32(d.L))
-			if !okI || !okJ || !okK || !okL {
-				panic(fmt.Sprintf("mdsim: dihedral %d atoms not visible from patch %d", dIdx, p.idx))
-			}
-			fi, fj, fk, fl, e, ok := md.DihedralForces(sys.Box, pi, pj, pk, pl, d)
+			fi, fj, fk, fl, e, ok := md.DihedralForces(box, p.pos(d.I, "dihedral", dIdx),
+				p.pos(d.J, "dihedral", dIdx), p.pos(d.K, "dihedral", dIdx), p.pos(d.L, "dihedral", dIdx), d)
 			if !ok {
 				continue
 			}
-			if oi, own := p.ownSet[int32(d.I)]; own {
-				p.newF[oi] = p.newF[oi].Add(fi)
-			}
-			if oj, own := p.ownSet[int32(d.J)]; own {
-				p.newF[oj] = p.newF[oj].Add(fj)
+			p.addForce(d.I, fi)
+			if p.addForce(d.J, fj) {
 				edihedral += e
 			}
-			if ok2, own := p.ownSet[int32(d.K)]; own {
-				p.newF[ok2] = p.newF[ok2].Add(fk)
-			}
-			if ol, own := p.ownSet[int32(d.L)]; own {
-				p.newF[ol] = p.newF[ol].Add(fl)
-			}
+			p.addForce(d.K, fk)
+			p.addForce(d.L, fl)
 		}
 	}
 
-	// Exclusion correction (PME runs only): subtract erf(βr)/r for
-	// excluded pairs (see internal/pme).
+	// Exclusion correction (PME runs only). Each excluded pair is visited
+	// from both atoms' patches; its energy is counted from the lower id.
 	if s.cfg.PME != nil {
 		for ai := range p.atoms {
 			a := &p.atoms[ai]
 			for _, ex := range sys.Excl[a.id] {
-				qq := sys.Charge[a.id] * sys.Charge[ex]
-				if qq == 0 {
-					continue
-				}
-				bpos, ok := p.lookup(ex)
+				d := box.MinImage(a.pos.Sub(p.pos(int(ex), "exclusion of atom", a.id)))
+				fr, e, ok := pme.ExclusionPair(sys, s.cfg.PME.Beta, int(a.id), int(ex), d)
 				if !ok {
-					panic(fmt.Sprintf("mdsim: excluded partner %d of %d not visible", ex, a.id))
-				}
-				d := sys.Box.MinImage(a.pos.Sub(bpos))
-				r2 := d.Norm2()
-				r := math.Sqrt(r2)
-				if r == 0 {
 					continue
 				}
-				erf := math.Erf(beta * r)
 				if a.id < ex {
-					eel += -qq * erf / r
-					// partner's energy share counted by its own patch when
-					// it iterates the reverse direction? No: each pair is
-					// visited from both sides; count energy once (a.id<ex).
+					eel += e
 				}
-				fr := -qq * (erf/r - 2*beta/math.SqrtPi*math.Exp(-beta*beta*r2)) / r2
 				p.newF[ai] = p.newF[ai].Add(d.Scale(fr))
 			}
 		}
@@ -547,18 +477,4 @@ func (p *patch) drainPending(pe *converse.PE) {
 		}
 	}
 	p.pending = append(p.pending, rest...)
-}
-
-func ljSwitchLocal(r2, ron2, roff2 float64) (sw, dswdr2 float64) {
-	if r2 <= ron2 {
-		return 1, 0
-	}
-	if r2 >= roff2 {
-		return 0, 0
-	}
-	d := roff2 - ron2
-	t := roff2 - r2
-	sw = t * t * (roff2 + 2*r2 - 3*ron2) / (d * d * d)
-	dswdr2 = 6 * t * (ron2 - r2) / (d * d * d)
-	return sw, dswdr2
 }

@@ -18,7 +18,6 @@ package mdsim
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -96,6 +95,7 @@ type Simulation struct {
 	ePatchStep, eExchange, ePatchPME int
 	eCharges, eRecipBack, eStepDone  int
 
+	pairs      *md.PairKernel
 	selfEnergy float64
 
 	// static topology lookup: atom id -> indices into System.Bonds/Angles/
@@ -152,7 +152,7 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulation{cfg: cfg, rt: rt}
+	s := &Simulation{cfg: cfg, rt: rt, pairs: md.NewPairKernel(cfg.Nonbonded)}
 	s.px, s.py, s.pz = s.choosePatchGrid()
 	for d, p := range []int{s.px, s.py, s.pz} {
 		if size := cfg.System.Box.L[d] / float64(p); p > 1 && size < cfg.Nonbonded.Cutoff {
@@ -175,11 +175,7 @@ func New(cfg Config) (*Simulation, error) {
 		}
 		s.eng = eng
 		eng.SetOnLocalComplete(func(pe *converse.PE) { s.coord(pe).fftDone(pe) })
-		var q2 float64
-		for _, c := range cfg.System.Charge {
-			q2 += c * c
-		}
-		s.selfEnergy = -cfg.PME.Beta / math.SqrtPi * q2
+		s.selfEnergy = pme.SelfEnergy(cfg.PME.Beta, cfg.System.Charge)
 	}
 
 	s.declarePatches()
@@ -214,32 +210,15 @@ func (s *Simulation) NumPatches() int { return s.px * s.py * s.pz }
 // Runtime exposes the underlying Charm++ runtime.
 func (s *Simulation) Runtime() *charm.Runtime { return s.rt }
 
-// influence returns the PME spectral filter D(m) (see internal/pme).
+// influence returns the PME spectral filter: multiplication by pme's
+// influence function D(m).
 func (s *Simulation) influence() func(kx, ky, kz int, v complex128) complex128 {
 	p := s.cfg.PME
+	inf := pme.NewInfluence(pme.Config{Grid: p.Grid, Order: p.Order, Beta: p.Beta})
 	box := s.cfg.System.Box
-	bx := pmeSplineModuli(p.Grid[0], p.Order)
-	by := pmeSplineModuli(p.Grid[1], p.Order)
-	bz := pmeSplineModuli(p.Grid[2], p.Order)
-	beta := p.Beta
 	return func(kx, ky, kz int, v complex128) complex128 {
-		if kx == 0 && ky == 0 && kz == 0 {
-			return 0
-		}
-		fx := float64(wrapFreq(kx, p.Grid[0])) / box.L[0]
-		fy := float64(wrapFreq(ky, p.Grid[1])) / box.L[1]
-		fz := float64(wrapFreq(kz, p.Grid[2])) / box.L[2]
-		m2 := fx*fx + fy*fy + fz*fz
-		d := math.Exp(-math.Pi*math.Pi*m2/(beta*beta)) / m2 * bx[kx] * by[ky] * bz[kz]
-		return v * complex(d, 0)
+		return v * complex(inf.At(box, kx, ky, kz), 0)
 	}
-}
-
-func wrapFreq(m, k int) int {
-	if m > k/2 {
-		return m - k
-	}
-	return m
 }
 
 // Run executes the configured number of steps and returns the report of
@@ -352,6 +331,3 @@ func (s *Simulation) ExtractSystem() *md.System {
 	}
 	return &out
 }
-
-// pmeSplineModuli mirrors pme's spline moduli for the influence function.
-func pmeSplineModuli(k, order int) []float64 { return pme.SplineModuli(k, order) }

@@ -29,7 +29,7 @@ import (
 //     garbage collector instead of accumulating in a pool nobody will
 //     ever Get from again.
 //
-// The per-owner queue reuses the bufQueue ring/overflow algorithm, but a
+// The per-owner queue is the §III-A ring/overflow algorithm, but a
 // pool above its spill threshold drops frees to the GC instead of
 // growing the mutex overflow — an envelope pool exists to bound steady
 // state reuse, not to cache unbounded bursts.
@@ -157,7 +157,8 @@ func shardFor(tid int) int {
 	return tid
 }
 
-// envQueue is bufQueue generalized over the pooled type: an L2-atomic
+// envQueue is the §III-A lockless queue over *T, shared by
+// PoolAllocator's buffer pools and EnvPool's envelope pools: an L2-atomic
 // bounded load-increment pointer ring with a mutex overflow, multi
 // producer (remote frees), single consumer (the owning PE).
 type envQueue[T any] struct {

@@ -57,7 +57,7 @@ const DefaultPoolThreshold = 512
 
 // PoolAllocator implements the lockless per-thread buffer pools.
 type PoolAllocator struct {
-	pools     []*bufQueue
+	pools     []*envQueue[Buffer]
 	threshold int
 	stats     *Stats
 
@@ -81,12 +81,12 @@ func NewPoolAllocator(nthreads, threshold int) *PoolAllocator {
 		threshold = DefaultPoolThreshold
 	}
 	p := &PoolAllocator{
-		pools:     make([]*bufQueue, nthreads),
+		pools:     make([]*envQueue[Buffer], nthreads),
 		threshold: threshold,
 		stats:     &Stats{},
 	}
 	for i := range p.pools {
-		p.pools[i] = newBufQueue(threshold)
+		p.pools[i] = newEnvQueue[Buffer](threshold)
 	}
 	return p
 }

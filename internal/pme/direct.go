@@ -53,12 +53,7 @@ func DirectRecip(s *md.System, beta float64, mmax int, f *md.Forces) float64 {
 		}
 	}
 	energy /= 2 * math.Pi * V
-	var q2 float64
-	for _, c := range s.Charge {
-		q2 += c * c
-	}
-	self := -beta / math.SqrtPi * q2
-	f.ElecEnergy += energy + self
+	f.ElecEnergy += energy + SelfEnergy(beta, s.Charge)
 	return energy
 }
 

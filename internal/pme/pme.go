@@ -5,10 +5,13 @@
 // The reciprocal-space sum is evaluated by spreading charges onto a grid
 // with cardinal B-splines, a 3D FFT, multiplication by the Ewald influence
 // function, an inverse FFT, and force interpolation with the spline
-// derivatives. The real-space erfc part lives in internal/md's nonbonded
+// derivatives. The real-space erfc part lives in internal/md's pair
 // kernel; the exclusion correction (subtracting erf terms for bonded
 // pairs) is provided here so the combined force field implements full
-// Ewald electrostatics.
+// Ewald electrostatics. The per-term kernels — ExclusionPair, Influence
+// and SelfEnergy — are shared with internal/mdsim's distributed PME, so
+// the serial and parallel force fields evaluate each term through one
+// function.
 //
 // Conventions: Coulomb constant 1, energy E = Σ_{i<j} qiqj/rij over all
 // periodic images, splitting parameter β, reciprocal sum
@@ -49,9 +52,7 @@ func (c Config) validate() error {
 type Recip struct {
 	cfg  Config
 	grid *fft3d.Grid
-	// bsqInv[d][m] = |b_d(m)|² (Euler spline factors per dimension)
-	bsq [3][]float64
-	// scratch spline weights per atom
+	inf  *Influence
 }
 
 // NewRecip builds a PME engine for the given configuration.
@@ -59,16 +60,59 @@ func NewRecip(cfg Config) (*Recip, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	r := &Recip{cfg: cfg, grid: fft3d.NewGrid(cfg.Grid[0], cfg.Grid[1], cfg.Grid[2])}
-	for d := 0; d < 3; d++ {
-		r.bsq[d] = splineModuli(cfg.Grid[d], cfg.Order)
-	}
-	return r, nil
+	return &Recip{cfg: cfg, grid: fft3d.NewGrid(cfg.Grid[0], cfg.Grid[1], cfg.Grid[2]), inf: NewInfluence(cfg)}, nil
 }
 
-// SplineModuli returns |b(m)|² for m = 0..K-1 (the Euler spline factors of
-// the PME influence function); exported for the distributed PME layer.
-func SplineModuli(k, order int) []float64 { return splineModuli(k, order) }
+// Influence is the Ewald influence function of a PME grid,
+// D(m) = exp(-π²m̂²/β²)/m̂² · |b1(m1)|²|b2(m2)|²|b3(m3)|², with the Euler
+// spline factors precomputed per dimension. Recip.Compute and the
+// distributed PME of internal/mdsim both filter the transformed charge
+// grid with it.
+type Influence struct {
+	cfg Config
+	bsq [3][]float64 // bsq[d][m] = |b_d(m)|²
+}
+
+// NewInfluence precomputes the influence function of cfg's grid.
+func NewInfluence(cfg Config) *Influence {
+	in := &Influence{cfg: cfg}
+	for d := 0; d < 3; d++ {
+		in.bsq[d] = splineModuli(cfg.Grid[d], cfg.Order)
+	}
+	return in
+}
+
+// At returns D at grid frequency indices (m1, m2, m3) of box; D(0) = 0.
+func (in *Influence) At(box md.Box, m1, m2, m3 int) float64 {
+	if m1 == 0 && m2 == 0 && m3 == 0 {
+		return 0
+	}
+	fx := float64(wrapFreq(m1, in.cfg.Grid[0])) / box.L[0]
+	fy := float64(wrapFreq(m2, in.cfg.Grid[1])) / box.L[1]
+	fz := float64(wrapFreq(m3, in.cfg.Grid[2])) / box.L[2]
+	m2hat := fx*fx + fy*fy + fz*fz
+	beta := in.cfg.Beta
+	return math.Exp(-math.Pi*math.Pi*m2hat/(beta*beta)) / m2hat *
+		in.bsq[0][m1] * in.bsq[1][m2] * in.bsq[2][m3]
+}
+
+// wrapFreq maps grid index m to the signed frequency in (-K/2, K/2].
+func wrapFreq(m, k int) int {
+	if m > k/2 {
+		return m - k
+	}
+	return m
+}
+
+// SelfEnergy is the Ewald self term -β/√π Σ qi², which belongs to the
+// diagonal of the reciprocal sum.
+func SelfEnergy(beta float64, charges []float64) float64 {
+	var q2 float64
+	for _, c := range charges {
+		q2 += c * c
+	}
+	return -beta / math.SqrtPi * q2
+}
 
 // BsplineWeights fills w and dw with the order B-spline values and
 // derivatives covering scaled coordinate u, returning the first grid index
@@ -140,8 +184,8 @@ func bsplineWeights(order int, u float64, w, dw []float64) (k0 int) {
 // Result carries the reciprocal-space outputs.
 type Result struct {
 	Energy float64
-	// SelfEnergy is -β/√π Σ qi² (always included in Energy? no: reported
-	// separately; see Compute docs).
+	// SelfEnergy is the self term -β/√π Σ qi², reported apart from
+	// Energy (Compute adds both to f.ElecEnergy).
 	SelfEnergy float64
 }
 
@@ -155,7 +199,6 @@ func (r *Recip) Compute(s *md.System, f *md.Forces) Result {
 	order := r.cfg.Order
 	n := s.N()
 	V := s.Box.Volume()
-	beta := r.cfg.Beta
 
 	// 1. Spread charges.
 	q := r.grid
@@ -201,28 +244,15 @@ func (r *Recip) Compute(s *md.System, f *md.Forces) Result {
 	// 2. Forward FFT.
 	fft3d.SerialForward(q)
 
-	// 3. Influence function: D(m) = exp(-π²m̂²/β²)/m̂² · B(m); energy
-	// accumulated as (1/2πV)·Σ D|F(Q)|².
+	// 3. Influence function D(m); energy accumulated as
+	// (1/2πV)·Σ D|F(Q)|².
 	energy := 0.0
 	idx := 0
 	for m1 := 0; m1 < K1; m1++ {
-		mp1 := wrapFreq(m1, K1)
-		fx := float64(mp1) / s.Box.L[0]
 		for m2 := 0; m2 < K2; m2++ {
-			mp2 := wrapFreq(m2, K2)
-			fy := float64(mp2) / s.Box.L[1]
 			for m3 := 0; m3 < K3; m3++ {
 				v := q.Data[idx]
-				if m1 == 0 && m2 == 0 && m3 == 0 {
-					q.Data[idx] = 0
-					idx++
-					continue
-				}
-				mp3 := wrapFreq(m3, K3)
-				fz := float64(mp3) / s.Box.L[2]
-				m2hat := fx*fx + fy*fy + fz*fz
-				d := math.Exp(-math.Pi*math.Pi*m2hat/(beta*beta)) / m2hat *
-					r.bsq[0][m1] * r.bsq[1][m2] * r.bsq[2][m3]
+				d := r.inf.At(s.Box, m1, m2, m3)
 				mag2 := real(v)*real(v) + imag(v)*imag(v)
 				energy += d * mag2
 				q.Data[idx] = v * complex(d, 0)
@@ -267,13 +297,7 @@ func (r *Recip) Compute(s *md.System, f *md.Forces) Result {
 		})
 	}
 
-	// Self energy.
-	var q2 float64
-	for _, c := range s.Charge {
-		q2 += c * c
-	}
-	self := -beta / math.SqrtPi * q2
-
+	self := SelfEnergy(r.cfg.Beta, s.Charge)
 	f.ElecEnergy += energy + self
 	return Result{Energy: energy, SelfEnergy: self}
 }
@@ -286,41 +310,41 @@ func mod(a, n int) int {
 	return a
 }
 
-// wrapFreq maps grid index m to the signed frequency in (-K/2, K/2].
-func wrapFreq(m, k int) int {
-	if m > k/2 {
-		return m - k
+// ExclusionPair evaluates the correction for excluded atoms i and j of s
+// at minimum-image displacement d = r_i - r_j: PME's reciprocal sum adds
+// the full 1/r Ewald interaction between them, of which the real-space
+// erfc part is skipped, so erf(βr)/r must be subtracted. The force on i is
+// fr·d (and -fr·d on j). ok is false for an uncharged pair or coincident
+// atoms.
+func ExclusionPair(s *md.System, beta float64, i, j int, d md.Vec3) (fr, energy float64, ok bool) {
+	qq := s.Charge[i] * s.Charge[j]
+	r2 := d.Norm2()
+	r := math.Sqrt(r2)
+	if qq == 0 || r == 0 {
+		return
 	}
-	return m
+	erf := math.Erf(beta * r)
+	// F_i for E = -qq·erf(βr)/r:
+	// dE/dr = qq(erf/r² - 2β/√π·e^{-β²r²}/r); F_i = -dE/dr·d̂.
+	fr = -qq * (erf/r - 2*beta/math.SqrtPi*math.Exp(-beta*beta*r2)) / r2
+	return fr, -qq * erf / r, true
 }
 
-// ExclusionCorrection removes the reciprocal-space interaction that PME
-// adds between excluded (bonded) pairs: for each excluded pair the full
-// 1/r Ewald interaction minus the real-space erfc part is erf(βr)/r, which
-// must be subtracted. Forces are corrected accordingly.
+// ExclusionCorrection applies ExclusionPair to every excluded pair of s,
+// accumulating forces into f and the energy into f.ElecEnergy, and
+// returns the energy.
 func ExclusionCorrection(s *md.System, beta float64, f *md.Forces) float64 {
 	corr := 0.0
 	s.ForEachExcludedPair(func(i, j int) {
-		qq := s.Charge[i] * s.Charge[j]
-		if qq == 0 {
-			return
-		}
 		d := s.Box.MinImage(s.Pos[i].Sub(s.Pos[j]))
-		r2 := d.Norm2()
-		r := math.Sqrt(r2)
-		if r == 0 {
+		fr, e, ok := ExclusionPair(s, beta, i, j, d)
+		if !ok {
 			return
 		}
-		erf := math.Erf(beta * r)
-		e := -qq * erf / r
 		corr += e
-		// F_i for E = -qq·erf(βr)/r:
-		// dE/dr = qq(erf/r² - 2β/√π·e^{-β²r²}/r); F_i = -dE/dr·d̂.
-		fr := -qq * (erf/r - 2*beta/math.SqrtPi*math.Exp(-beta*beta*r2)) / r2
 		fv := d.Scale(fr)
 		f.F[i] = f.F[i].Add(fv)
 		f.F[j] = f.F[j].Sub(fv)
-		f.Virial += fr * r2
 	})
 	f.ElecEnergy += corr
 	return corr
