@@ -229,8 +229,8 @@ type Machine struct {
 
 	rzvStats RendezvousStats
 
-	// internal handler id for spanning-tree broadcasts
-	bcastHandler int
+	// internal handler ids for spanning-tree broadcasts and Post
+	bcastHandler, postHandler int
 
 	// shutdown hooks (OnShutdown), run once from Shutdown so subsystems
 	// layered above the machine (fault tolerance, checkpoint timers) tear
@@ -335,6 +335,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	m.registerRendezvous()
 	m.registerBroadcast()
+	m.postHandler = m.RegisterHandler(func(pe *PE, msg *Message) { msg.Payload.(func(*PE))(pe) })
 	if cfg.Aggregation != nil && cfg.Nodes > 1 {
 		// Adaptive flush: a scheduler that ran dry has nothing to gain from
 		// waiting out MaxDelay, so latency-sensitive request/response
@@ -797,6 +798,19 @@ func (pe *PE) Send(dst int, msg *Message) error {
 		return pe.sendRendezvous(target, msg)
 	}
 	return pe.sendDirect(target, msg)
+}
+
+// Post runs fn on pe's scheduler, as a message at the default priority.
+// Unlike Send it may be called from any goroutine: the envelope is
+// unpooled, so nothing is drawn from a PE's single-consumer pool. Code
+// that runs off every scheduler (a recovery pass, a goroutine waiting out
+// migrations) posts the work that has to send as pe.
+func (pe *PE) Post(fn func(pe *PE)) {
+	msg := pe.node.machine.NewMessage()
+	msg.Handler = pe.node.machine.postHandler
+	msg.Payload = fn
+	msg.SrcPE = pe.id
+	pe.enqueue(msg)
 }
 
 // sendDirect injects one message on its own: the pre-aggregation eager

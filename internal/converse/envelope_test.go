@@ -172,3 +172,38 @@ func TestCopyFromSkipsBookkeeping(t *testing.T) {
 			dst.seq, dst.enqNS, dst.viaNet, dst.fromNode)
 	}
 }
+
+// TestPostRunsOnPEScheduler: a goroutine on no scheduler posts work to a
+// PE, which runs it on its own scheduler, where the work may send from the
+// PE's pool.
+func TestPostRunsOnPEScheduler(t *testing.T) {
+	var ranOn atomic.Int64
+	ranOn.Store(-1)
+	var h int
+	runMachine(t, Config{Nodes: 2, WorkersPerNode: 1, Mode: ModeSMP},
+		func(m *Machine) {
+			h = m.RegisterHandler(func(pe *PE, msg *Message) {
+				if !msg.Pooled() {
+					t.Error("the posted work's send was not drawn from the PE's pool")
+				}
+				pe.Machine().Shutdown()
+			})
+		},
+		func(pe *PE) {
+			if pe.Id() != 0 {
+				return
+			}
+			target := pe.Machine().PE(1)
+			go target.Post(func(pe *PE) {
+				ranOn.Store(int64(pe.Id()))
+				msg := pe.NewMessage()
+				msg.Handler = h
+				if err := pe.Send(0, msg); err != nil {
+					t.Errorf("send from posted work: %v", err)
+				}
+			})
+		})
+	if got := ranOn.Load(); got != 1 {
+		t.Fatalf("posted work ran on PE %d, want 1", got)
+	}
+}

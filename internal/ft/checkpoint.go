@@ -188,11 +188,6 @@ func (mgr *Manager) registerGroup() {
 	mgr.eCkpt = mgr.grp.Entry(func(pe *converse.PE, _ charm.Element, p any) { mgr.onCkpt(pe, p.(*ckptMsg)) })
 	mgr.eBuddy = mgr.grp.Entry(func(pe *converse.PE, _ charm.Element, p any) { mgr.onBuddy(pe, p.(*buddyMsg)) })
 	mgr.eAck = mgr.grp.Entry(func(pe *converse.PE, _ charm.Element, p any) { mgr.onAck(pe, p.(*ackMsg)) })
-	mgr.eRestore = mgr.grp.Entry(func(pe *converse.PE, _ charm.Element, p any) {
-		if _, restore := mgr.appHooks(); restore != nil {
-			restore(pe, p.([]byte))
-		}
-	})
 }
 
 // Checkpoint starts a coordinated checkpoint. Call from an entry method at

@@ -127,13 +127,13 @@ type Manager struct {
 	appRestore func(pe *converse.PE, blob []byte)
 
 	// checkpoint protocol (checkpoint.go)
-	grp                           *charm.Group
-	eCkpt, eBuddy, eAck, eRestore int
-	stores                        []*nodeStore
-	ckptMu                        sync.Mutex
-	ckptSeq                       uint64
-	round                         *ckptRound
-	committed                     atomic.Uint64
+	grp                 *charm.Group
+	eCkpt, eBuddy, eAck int
+	stores              []*nodeStore
+	ckptMu              sync.Mutex
+	ckptSeq             uint64
+	round               *ckptRound
+	committed           atomic.Uint64
 
 	// detector (detector.go)
 	lastHeard [][]atomic.Int64 // [observer][target] ns of last heartbeat

@@ -1,10 +1,12 @@
 package ft
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"time"
 
+	"blueq/internal/converse"
 	"blueq/internal/obs"
 )
 
@@ -28,12 +30,12 @@ import (
 //  5. Roll back every protected element to the committed epoch from a
 //     surviving, checksum-verified copy; elements homed on dead nodes
 //     re-home onto the holder of their surviving copy.
-//  6. Take a fresh checkpoint over the surviving nodes — the ring
-//     re-buddies around the dead, so the rolled-back state is double-
-//     copied again before the application resumes — and wait for it to
-//     commit.
-//  7. Hand the application blob to the restart hook, delivered as an
-//     entry on the leader PE so the hook runs on that PE's scheduler.
+//  6. Take a fresh checkpoint over the surviving nodes, started on the
+//     leader PE — the ring re-buddies around the dead, so the rolled-back
+//     state is double-copied again before the application resumes — and
+//     wait for it to commit.
+//  7. Hand the application blob to the restart hook, run on the leader
+//     PE's scheduler.
 //
 // After steps 2, 5 and 6 the pass checks whether the dead set grew (the
 // detector kept running); if so it restarts from step 1 with the larger
@@ -170,15 +172,13 @@ func (mgr *Manager) runRecovery() {
 			obsRecoveryNS.Observe(d, time.Since(start).Nanoseconds())
 		}
 	}
-	// The restart hook sends from the PE it is handed, and a PE's envelope
-	// pool has one consumer: its scheduler. Send the hook to the leader PE
-	// as an entry (one message from this goroutine while the application
-	// is stopped, like the checkpoint round's) rather than run it here.
+	// The restart hook sends from the PE it is handed, and only a PE's
+	// scheduler may draw from its envelope pool: post the hook to the
+	// leader rather than run it here.
 	epoch := mgr.committed.Load()
 	if _, restore := mgr.appHooks(); restore != nil && epoch > 0 {
-		leader := mgr.leaderPE()
 		app := mgr.findApp(epoch)
-		_ = mgr.grp.Send(mgr.m.PE(leader), leader, mgr.eRestore, app, 16+len(app))
+		mgr.m.PE(mgr.leaderPE()).Post(func(pe *converse.PE) { restore(pe, app) })
 	}
 }
 
@@ -280,16 +280,26 @@ func (mgr *Manager) recoverPass(dead []int) (rolled, ok bool) {
 	// first recovery "succeeded". The app blob is carried over from the
 	// restored epoch — the application has not restarted yet, so packing
 	// fresh app state here would snapshot a cursor ahead of the elements.
+	// The round sends from the leader PE, so it starts on that PE's
+	// scheduler. If a node dies before it does, a restored element is
+	// homed on the dead node and the round refuses with ErrRecovering: the
+	// caller folds that death into a fresh pass.
 	app := mgr.findApp(epoch)
-	if err := mgr.checkpointWithApp(mgr.m.PE(mgr.leaderPE()), app, nil); err != nil {
-		mgr.reportUnrecoverable(fmt.Errorf("ft: post-recovery checkpoint: %v", err))
-		return false, false
-	}
+	started := make(chan error, 1)
+	mgr.m.PE(mgr.leaderPE()).Post(func(pe *converse.PE) { started <- mgr.checkpointWithApp(pe, app, nil) })
 	deadline := time.Now().Add(10 * time.Second)
 	for mgr.committed.Load() <= epoch {
 		select {
 		case <-mgr.stop:
 			return false, false
+		case err := <-started:
+			if errors.Is(err, ErrRecovering) {
+				return false, true
+			}
+			if err != nil {
+				mgr.reportUnrecoverable(fmt.Errorf("ft: post-recovery checkpoint: %v", err))
+				return false, false
+			}
 		case <-time.After(time.Millisecond):
 		}
 		if mgr.newDeathsPending(dead) {

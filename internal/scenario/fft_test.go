@@ -225,46 +225,50 @@ func TestFFTUnderFaults(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.retryBase > 0 {
-				s := time.Duration(raceScale)
-				base, max := pami.RetryBase, pami.RetryMax
-				pami.RetryBase, pami.RetryMax = s*tc.retryBase, 10*s*tc.retryBase
-				defer func() { pami.RetryBase, pami.RetryMax = base, max }()
-			}
-			var ref Result
 			if tc.seed != 0 {
 				replayHint(t, tc.seed)
-				ref = reference(t, fftCase{spec: "inproc", iters: tc.iters})
-			} else {
-				ref = reference(t, tc)
 			}
-			got, err := FFT(tc.config())
-			switch {
-			case tc.wantErr == "" && err != nil:
-				t.Fatalf("run failed: %v (stats %+v)", err, got.Stats)
-			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
-				t.Fatalf("error = %v, want one containing %q (stats %+v)", err, tc.wantErr, got.Stats)
-			}
-			if n := got.Stats.Recoveries; n < tc.recovs[0] || n > tc.recovs[1] {
-				t.Errorf("recoveries = %d, want in %v (stats %+v)", n, tc.recovs, got.Stats)
-			}
-			if n := got.Stats.Confirmations; n < tc.confirms[0] || n > tc.confirms[1] {
-				t.Errorf("confirmations = %d, want in %v (stats %+v)", n, tc.confirms, got.Stats)
-			}
-			if got.Stats.Unrecoverable != tc.unrecov {
-				t.Errorf("unrecoverable = %d, want %d", got.Stats.Unrecoverable, tc.unrecov)
-			}
-			if tc.wantErr == "" {
-				if err := SameBits(ref, got); err != nil {
-					t.Errorf("vs fault-free run: %v", err)
+			bubble(t, func(t *testing.T) {
+				if tc.retryBase > 0 {
+					s := time.Duration(raceScale)
+					base, max := pami.RetryBase, pami.RetryMax
+					pami.RetryBase, pami.RetryMax = s*tc.retryBase, 10*s*tc.retryBase
+					defer func() { pami.RetryBase, pami.RetryMax = base, max }()
 				}
-			}
-			if err := got.Bounded(); err != nil {
-				t.Error(err)
-			}
-			if tc.more != nil {
-				tc.more(t, got)
-			}
+				var ref Result
+				if tc.seed != 0 {
+					ref = reference(t, fftCase{spec: "inproc", iters: tc.iters})
+				} else {
+					ref = reference(t, tc)
+				}
+				got, err := FFT(tc.config())
+				switch {
+				case tc.wantErr == "" && err != nil:
+					t.Fatalf("run failed: %v (stats %+v)", err, got.Stats)
+				case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+					t.Fatalf("error = %v, want one containing %q (stats %+v)", err, tc.wantErr, got.Stats)
+				}
+				if n := got.Stats.Recoveries; n < tc.recovs[0] || n > tc.recovs[1] {
+					t.Errorf("recoveries = %d, want in %v (stats %+v)", n, tc.recovs, got.Stats)
+				}
+				if n := got.Stats.Confirmations; n < tc.confirms[0] || n > tc.confirms[1] {
+					t.Errorf("confirmations = %d, want in %v (stats %+v)", n, tc.confirms, got.Stats)
+				}
+				if got.Stats.Unrecoverable != tc.unrecov {
+					t.Errorf("unrecoverable = %d, want %d", got.Stats.Unrecoverable, tc.unrecov)
+				}
+				if tc.wantErr == "" {
+					if err := SameBits(ref, got); err != nil {
+						t.Errorf("vs fault-free run: %v", err)
+					}
+				}
+				if err := got.Bounded(); err != nil {
+					t.Error(err)
+				}
+				if tc.more != nil {
+					tc.more(t, got)
+				}
+			})
 		})
 	}
 }

@@ -14,7 +14,9 @@ import (
 // transport; bare, with flow control plus aggregation armed, and with a
 // slowed consumer behind tight flow-control caps; bounded by a message
 // count and by a duration. The chaos rows run the slowed shape over every
-// hostile wire, aggregation off and on, per seed.
+// hostile wire, aggregation off and on, per seed, each in a bubble. The
+// duration-bounded rows stay on the wall clock: a sender that never
+// blocks never lets virtual time pass.
 func TestFloodVerdicts(t *testing.T) {
 	slowed := FloodConfig{Slow: slow, RingSize: 64, FlowControl: slowFC()}
 	shapes := []struct {
@@ -48,9 +50,11 @@ func TestFloodVerdicts(t *testing.T) {
 	for _, r := range chaosRows(hostile...) {
 		t.Run("chaos/"+r.name, func(t *testing.T) {
 			replayHint(t, r.seed)
-			cfg := slowed
-			cfg.Transport, cfg.Aggregation, cfg.Count = r.spec, r.aggregation(), 400
-			floodRow(t, cfg)
+			bubble(t, func(t *testing.T) {
+				cfg := slowed
+				cfg.Transport, cfg.Aggregation, cfg.Count = r.spec, r.aggregation(), 400
+				floodRow(t, cfg)
+			})
 		})
 	}
 }

@@ -120,9 +120,10 @@ func Imbalance(cfg ImbalanceConfig) (Result, error) {
 	// schedule, and resume — under ft only after the in-flight blobs have
 	// settled and the migrated layout is checkpointed. That wait runs off
 	// the scheduler (blocking a worker PE in SettleMigrations would
-	// deadlock against blob installs destined for it), and the generation
-	// stamp voids the continuation when a recovery restarts the run
-	// underneath it: the restart hook re-drives everything itself.
+	// deadlock against blob installs destined for it); the round it then
+	// starts sends from pe, so it is posted back to pe's scheduler. The
+	// generation stamp voids the continuation when a recovery restarts the
+	// run underneath it: the restart hook re-drives everything itself.
 	barrier := func(pe *converse.PE) {
 		if cfg.LB.Strategy != nil {
 			lbm.RunCentral(pe)
@@ -141,16 +142,23 @@ func Imbalance(cfg ImbalanceConfig) (Result, error) {
 			if gen.Load() != g {
 				return
 			}
-			if err == nil {
-				err = h.checkpoint(pe, func(pe *converse.PE) {
+			if err != nil {
+				h.fail(fmt.Errorf("barrier checkpoint: %w", err))
+				return
+			}
+			pe.Post(func(pe *converse.PE) {
+				if gen.Load() != g {
+					return
+				}
+				err := h.checkpoint(pe, func(pe *converse.PE) {
 					if gen.Load() == g {
 						resume(pe)
 					}
 				})
-			}
-			if err != nil && gen.Load() == g {
-				h.fail(fmt.Errorf("barrier checkpoint: %w", err))
-			}
+				if err != nil && gen.Load() == g {
+					h.fail(fmt.Errorf("barrier checkpoint: %w", err))
+				}
+			})
 		}()
 	}
 	// phaseOf counts the barriers an element with it iterations done has

@@ -86,30 +86,32 @@ func TestImbalanceRotating(t *testing.T) {
 	for _, r := range chaosRows(hostile...) {
 		t.Run(r.name, func(t *testing.T) {
 			replayHint(t, r.seed)
-			got, err := Imbalance(ImbalanceConfig{
-				Nodes: nodes, Workers: 1, Elems: elems,
-				Warmup: perPhase, Every: perPhase, Total: phases * perPhase,
-				Heavy:     func(idx, phase int) bool { return idx/3 == phase%nodes },
-				HeavyCost: 2 * time.Millisecond,
-				Transport: r.spec, FlowControl: slowFC(), Aggregation: r.aggregation(),
-				LB: lb.Config{Strategy: lb.Greedy{}}, FT: true,
-				Faults: Faults{Kill: []int{1, 3}, Spread: 150 * time.Millisecond},
+			bubble(t, func(t *testing.T) {
+				got, err := Imbalance(ImbalanceConfig{
+					Nodes: nodes, Workers: 1, Elems: elems,
+					Warmup: perPhase, Every: perPhase, Total: phases * perPhase,
+					Heavy:     func(idx, phase int) bool { return idx/3 == phase%nodes },
+					HeavyCost: 2 * time.Millisecond,
+					Transport: r.spec, FlowControl: slowFC(), Aggregation: r.aggregation(),
+					LB: lb.Config{Strategy: lb.Greedy{}}, FT: true,
+					Faults: Faults{Kill: []int{1, 3}, Spread: 150 * time.Millisecond},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := SameBits(Exact(elems, phases*perPhase), got); err != nil {
+					t.Error(err)
+				}
+				if err := got.Bounded(); err != nil {
+					t.Error(err)
+				}
+				if got.Moves == 0 {
+					t.Error("the rotating imbalance never triggered a migration")
+				}
+				if got.Stats.Recoveries < 1 {
+					t.Errorf("kill schedule ran but no recovery happened: %+v", got.Stats)
+				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := SameBits(Exact(elems, phases*perPhase), got); err != nil {
-				t.Error(err)
-			}
-			if err := got.Bounded(); err != nil {
-				t.Error(err)
-			}
-			if got.Moves == 0 {
-				t.Error("the rotating imbalance never triggered a migration")
-			}
-			if got.Stats.Recoveries < 1 {
-				t.Errorf("kill schedule ran but no recovery happened: %+v", got.Stats)
-			}
 		})
 	}
 }

@@ -12,30 +12,32 @@ func TestMDUnderFaults(t *testing.T) {
 	for _, r := range chaosRows(hostile...) {
 		t.Run(r.name, func(t *testing.T) {
 			replayHint(t, r.seed)
-			ref, ok := refs[r.seed]
-			if !ok {
-				var err error
-				if ref, err = MD(MDConfig{Seed: r.seed}); err != nil {
-					t.Fatalf("reference run: %v", err)
+			bubble(t, func(t *testing.T) {
+				ref, ok := refs[r.seed]
+				if !ok {
+					var err error
+					if ref, err = MD(MDConfig{Seed: r.seed}); err != nil {
+						t.Fatalf("reference run: %v", err)
+					}
+					refs[r.seed] = ref
 				}
-				refs[r.seed] = ref
-			}
-			got, err := MD(MDConfig{
-				Seed: r.seed, Transport: r.spec, Aggregation: r.aggregation(),
-				FlowControl: slowFC(), Slow: slow,
+				got, err := MD(MDConfig{
+					Seed: r.seed, Transport: r.spec, Aggregation: r.aggregation(),
+					FlowControl: slowFC(), Slow: slow,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := SameBits(ref, got); err != nil {
+					t.Errorf("vs fault-free in-process run: %v", err)
+				}
+				if err := got.Bounded(); err != nil {
+					t.Error(err)
+				}
+				if got.ResidentBound == 0 {
+					t.Error("flow control armed but no residency sampled")
+				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := SameBits(ref, got); err != nil {
-				t.Errorf("vs fault-free in-process run: %v", err)
-			}
-			if err := got.Bounded(); err != nil {
-				t.Error(err)
-			}
-			if got.ResidentBound == 0 {
-				t.Error("flow control armed but no residency sampled")
-			}
 		})
 	}
 }

@@ -74,7 +74,8 @@ func chaosRows(wires ...wire) []chaosRow {
 }
 
 // replayHint logs, if t fails, the command that reruns exactly t: every
-// level of its name anchored, and -seeds wide enough to reach its seed.
+// level of its name anchored, -seeds wide enough to reach its seed, and in
+// virtual time if t ran there.
 func replayHint(t *testing.T, seed int64) {
 	t.Cleanup(func() {
 		if !t.Failed() {
@@ -84,7 +85,11 @@ func replayHint(t *testing.T, seed int64) {
 		for i, l := range levels {
 			levels[i] = "^" + regexp.QuoteMeta(l) + "$"
 		}
-		t.Logf("replay: go test -count=1 -run '%s' ./internal/scenario -seeds=%d", strings.Join(levels, "/"), seed)
+		env := ""
+		if virtual {
+			env = "GOEXPERIMENT=synctest "
+		}
+		t.Logf("replay: %sgo test -count=1 -run '%s' ./internal/scenario -seeds=%d", env, strings.Join(levels, "/"), seed)
 	})
 }
 

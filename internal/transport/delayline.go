@@ -155,6 +155,11 @@ func (dl *delayLine) run() {
 	defer close(dl.done)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
+	// spun is the wait the last yield saw. A running clock moves across a
+	// yield, so the spin goes on; a clock that stands still while nothing
+	// blocks (a testing/synctest bubble's) would spin forever, so the
+	// line parks on its timer instead and lets that clock advance.
+	var spun time.Duration
 	for {
 		dl.mu.Lock()
 		if dl.closed {
@@ -169,7 +174,8 @@ func (dl *delayLine) run() {
 		switch {
 		case wait <= 0:
 			dl.advance() // only with a flight due: an idle line never blocks inline delivery
-		case wait < spinHorizon:
+		case wait < spinHorizon && wait != spun:
+			spun = wait
 			runtime.Gosched()
 		default:
 			timer.Reset(wait)
