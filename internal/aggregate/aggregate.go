@@ -125,9 +125,7 @@ func (r FlushReason) String() string {
 // appended since the buffer opened, plus the mempool buffer modelling the
 // contiguous batch allocation. The receiver iterates Items and then
 // returns the batch with Recycle; batches are reused, so receivers must
-// not retain the slice past that call (handing it to a consumer that
-// copies synchronously — a batch scheduler enqueue — is fine, and is what
-// keeps the unpack path free of a per-message copy).
+// not retain the slice past that call.
 type Batch struct {
 	Items []any
 	wire  int

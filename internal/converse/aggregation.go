@@ -54,32 +54,27 @@ func (pe *PE) sendAggregated(target *PE, msg *Message) error {
 	return nil
 }
 
-// onAggBatch is the dispAggBatch dispatch callback: unpack the batch,
-// enqueue every inner message locally, and hand the batch back to the
+// onAggBatch is the dispAggBatch dispatch callback: sort the batch into
+// per-worker buckets, land each bucket on its worker's scheduler queue in
+// one ring reservation and one wakeup, and hand the batch back to the
 // sender's recycle pool. Each inner message returns its own credit when it
 // executes — identical accounting to a message that travelled alone on
-// dispConverse.
-func (n *SMPNode) onAggBatch(src int, data any, bytes int) {
-	b := data.(*aggregate.Batch)
+// dispConverse. buckets is scratch owned by the receiving PAMI context,
+// whose dispatch runs under that context's lock, so it is reused from
+// batch to batch. EnqueueBatch copies into ring slots before returning,
+// so neither the buckets' reuse nor the Recycle below can race the
+// consumer.
+func (n *SMPNode) onAggBatch(buckets [][]*Message, src int, b *aggregate.Batch) {
 	for _, it := range b.Items {
-		n.machine.fromNetwork(it.(*Message), src)
+		msg := it.(*Message)
+		n.machine.fromNetwork(msg, src)
+		buckets[msg.destLocal] = append(buckets[msg.destLocal], msg)
 	}
-	if len(n.pes) == 1 {
-		// Single-worker node: the whole batch lands on one scheduler queue
-		// in one ring reservation and one wakeup. Items is handed to the
-		// queue directly — EnqueueBatch copies into ring slots before
-		// returning, so the Recycle below cannot race the consumer.
-		n.pes[0].enqueueBatch(b.Items)
-	} else {
-		perPE := make([][]any, len(n.pes))
-		for _, it := range b.Items {
-			msg := it.(*Message)
-			perPE[msg.destLocal] = append(perPE[msg.destLocal], msg)
-		}
-		for w, msgs := range perPE {
-			if len(msgs) > 0 {
-				n.pes[w].enqueueBatch(msgs)
-			}
+	for w, msgs := range buckets {
+		if len(msgs) > 0 {
+			n.pes[w].enqueueBatch(msgs)
+			clear(msgs) // the scratch must not pin envelopes past their release
+			buckets[w] = msgs[:0]
 		}
 	}
 	if srcAgg := n.machine.nodes[src].agg; srcAgg != nil {

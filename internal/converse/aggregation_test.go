@@ -290,42 +290,41 @@ func TestAggregationBypasses(t *testing.T) {
 	}
 }
 
-// BroadcastFanout: zero defaults to 4, values below 2 are rejected, and
-// the tree delivers everywhere at non-default arities.
-func TestBroadcastFanoutConfig(t *testing.T) {
-	cfg := Config{Nodes: 2}
-	if err := cfg.normalize(); err != nil || cfg.BroadcastFanout != DefaultBroadcastFanout {
-		t.Fatalf("default fanout: %d, err %v", cfg.BroadcastFanout, err)
+// Unpacking a batch onto a 2-worker node sorts it into the receiving
+// context's per-worker buckets, which are reused from batch to batch: the
+// unpack allocates nothing.
+func TestAggBatchUnpackAllocFree(t *testing.T) {
+	m, err := NewMachine(Config{Nodes: 2, WorkersPerNode: 2, Mode: ModeSMP})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []int{1, -1, -4} {
-		c := Config{Nodes: 2, BroadcastFanout: bad}
-		if err := c.normalize(); err == nil {
-			t.Errorf("BroadcastFanout=%d accepted", bad)
+	node := m.Node(1)
+	buckets := make([][]*Message, len(node.pes))
+	msgs := make([]*Message, 8)
+	for i := range msgs {
+		msgs[i] = &Message{destLocal: i % len(node.pes)}
+	}
+	b := &aggregate.Batch{Items: make([]any, 0, len(msgs))}
+	unpack := func() {
+		b.Items = b.Items[:0]
+		for _, msg := range msgs {
+			b.Items = append(b.Items, msg)
 		}
-	}
-	for _, fanout := range []int{2, 3, 8} {
-		c := Config{Nodes: 5, WorkersPerNode: 2, Mode: ModeSMP, BroadcastFanout: fanout}
-		var count atomic.Int64
-		var h int
-		total := int64(10)
-		runMachine(t, c,
-			func(m *Machine) {
-				h = m.RegisterHandler(func(pe *PE, msg *Message) {
-					if count.Add(1) == total {
-						pe.Machine().Shutdown()
-					}
-				})
-			},
-			func(pe *PE) {
-				if pe.Id() == 0 {
-					if err := pe.Broadcast(&Message{Handler: h, Bytes: 8}); err != nil {
-						t.Errorf("broadcast: %v", err)
-					}
+		node.onAggBatch(buckets, 0, b)
+		for _, pe := range node.pes {
+			for {
+				if _, ok := pe.queue.Dequeue(); !ok {
+					break
 				}
-			})
-		if c := count.Load(); c != total {
-			t.Errorf("fanout %d: delivered %d, want %d", fanout, c, total)
+			}
 		}
+	}
+	unpack() // the first batch sizes the buckets
+	if got := node.pes[0].Enqueued() + node.pes[1].Enqueued(); got != int64(len(msgs)) {
+		t.Fatalf("unpack enqueued %d messages, want %d", got, len(msgs))
+	}
+	if allocs := testing.AllocsPerRun(100, unpack); allocs != 0 {
+		t.Fatalf("unpacking a batch onto a 2-worker node allocates %.1f per batch, want 0", allocs)
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 // and fans out to the local PEs of each node by pointer exchange — the
 // way Charm++ broadcasts avoid serializing on the root's injection FIFOs.
 
-// DefaultBroadcastFanout is the tree arity over nodes when
-// Config.BroadcastFanout is left zero.
-const DefaultBroadcastFanout = 4
+// broadcastFanout is the tree arity over nodes.
+const broadcastFanout = 4
 
 // bcastMsg wraps the user message with tree-routing state.
 type bcastMsg struct {
@@ -77,9 +76,8 @@ func (n *SMPNode) onBroadcast(pe *PE, bm *bcastMsg) {
 func (n *SMPNode) forwardBroadcast(pe *PE, bm *bcastMsg, rel int) {
 	m := n.machine
 	nodes := len(m.nodes)
-	fanout := m.cfg.BroadcastFanout
-	for k := 1; k <= fanout; k++ {
-		childRel := rel*fanout + k
+	for k := 1; k <= broadcastFanout; k++ {
+		childRel := rel*broadcastFanout + k
 		if childRel >= nodes {
 			break
 		}

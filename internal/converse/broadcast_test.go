@@ -74,8 +74,8 @@ func TestTreeBroadcastLargePayload(t *testing.T) {
 // A halted interior node does not cut its subtree off: its parent adopts
 // the children, so every live PE still gets exactly one copy.
 func TestTreeBroadcastRoutesAroundHaltedNode(t *testing.T) {
-	// Seven nodes at fanout 2: node 1 is the parent of nodes 3 and 4.
-	cfg := Config{Nodes: 7, WorkersPerNode: 2, Mode: ModeSMP, BroadcastFanout: 2}
+	// Six nodes at fanout 4: node 1 is the parent of node 5.
+	cfg := Config{Nodes: 6, WorkersPerNode: 2, Mode: ModeSMP}
 	var got sync.Map
 	var count atomic.Int64
 	var h int
@@ -88,7 +88,7 @@ func TestTreeBroadcastRoutesAroundHaltedNode(t *testing.T) {
 				if _, dup := got.LoadOrStore(pe.Id(), true); dup {
 					t.Errorf("PE %d received broadcast twice", pe.Id())
 				}
-				if count.Add(1) == 12 {
+				if count.Add(1) == 10 {
 					pe.Machine().Shutdown()
 				}
 			})
@@ -103,7 +103,7 @@ func TestTreeBroadcastRoutesAroundHaltedNode(t *testing.T) {
 				}
 			}
 		})
-	if count.Load() != 12 {
-		t.Fatalf("broadcast reached %d live PEs, want 12", count.Load())
+	if count.Load() != 10 {
+		t.Fatalf("broadcast reached %d live PEs, want 10", count.Load())
 	}
 }

@@ -58,16 +58,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// QueueKind selects the intra-node queue implementation (Fig. 8 ablation).
-type QueueKind int
-
-const (
-	// L2Queues uses the lockless L2-atomic queues (the paper's scheme).
-	L2Queues QueueKind = iota
-	// MutexQueues uses the traditional mutex-guarded queues (baseline).
-	MutexQueues
-)
-
 // Config describes a Converse machine.
 type Config struct {
 	// Nodes is the number of simulated processes (BG/Q nodes in SMP mode).
@@ -80,8 +70,6 @@ type Config struct {
 	CommThreads int
 	// Mode selects the execution mode.
 	Mode Mode
-	// Queues selects the intra-node queue implementation.
-	Queues QueueKind
 	// RingSize overrides the L2 queue ring size (0 = default). Must be a
 	// power of two: the L2 ring indexes slots by masking the producer
 	// ticket, exactly as the BG/Q machine layer does.
@@ -101,10 +89,6 @@ type Config struct {
 	// NoAgg bypass the layer. Nil (the default) keeps the one-inject-per-
 	// message path.
 	Aggregation *aggregate.Config
-	// BroadcastFanout is the spanning-tree arity for Broadcast (children
-	// per node). Zero selects the default of 4; values below 2 are
-	// rejected (a unary tree serializes the broadcast on a chain).
-	BroadcastFanout int
 	// FlowControl, when non-nil, arms the end-to-end flow-control and
 	// overload-protection layer: per-(src,dst node) credit windows — every
 	// remote message is charged one credit when it leaves its PE and
@@ -139,12 +123,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Mode != ModeSMPComm {
 		c.CommThreads = 0
-	}
-	if c.BroadcastFanout == 0 {
-		c.BroadcastFanout = DefaultBroadcastFanout
-	}
-	if c.BroadcastFanout < 2 {
-		return fmt.Errorf("converse: BroadcastFanout = %d, must be >= 2", c.BroadcastFanout)
 	}
 	return nil
 }
@@ -299,18 +277,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 				id:    r*cfg.WorkersPerNode + w,
 				local: w,
 				node:  node,
+				queue: lockless.NewL2QueueOf[*Message](cfg.RingSize),
 				wake:  wakeup.NewUnit(),
 			}
-			switch cfg.Queues {
-			case MutexQueues:
-				pe.queue = lockless.NewMutexQueue()
-			default:
-				q := lockless.NewL2Queue(cfg.RingSize)
-				if fc != nil {
-					fcc := fc.Config()
-					q.SetOverflowCap(fcc.OverflowCap, fcc.MaxBlock)
-				}
-				pe.queue = q
+			if fc != nil {
+				fcc := fc.Config()
+				pe.queue.SetOverflowCap(fcc.OverflowCap, fcc.MaxBlock)
 			}
 			node.pes = append(node.pes, pe)
 			m.pes = append(m.pes, pe)
@@ -320,7 +292,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 			ctx := m.client.Node(r).Context(c)
 			node.contexts = append(node.contexts, ctx)
 			ctx.RegisterDispatch(m.dispConverse, node.onNetworkMessage)
-			ctx.RegisterDispatch(m.dispAggBatch, node.onAggBatch)
+			buckets := make([][]*Message, cfg.WorkersPerNode)
+			ctx.RegisterDispatch(m.dispAggBatch, func(src int, data any, _ int) {
+				node.onAggBatch(buckets, src, data.(*aggregate.Batch))
+			})
 		}
 		if cfg.Aggregation != nil && cfg.Nodes > 1 {
 			node.initAggregator(*cfg.Aggregation)
@@ -496,13 +471,13 @@ func (m *Machine) HaltNode(rank int) {
 	if m.fc != nil {
 		m.fc.DropPeer(rank)
 	}
-	// Quarantine the dead PEs' envelope pools: frees of envelopes they
-	// owned (from survivors executing their last messages) fall through to
-	// the GC instead of accumulating in pools nobody will allocate from
-	// again. Envelopes still sitting in the dead node's scheduler queues
-	// are dropped with the queues themselves — fail-stop, no leak.
+	// Each dead PE quarantines its envelope pool as its scheduler exits
+	// (run): from then on, frees of envelopes it owned (from survivors
+	// executing their last messages) fall through to the GC instead of
+	// accumulating in a pool nobody will allocate from again. Envelopes
+	// still sitting in the dead node's scheduler queues are dropped with
+	// the queues themselves — fail-stop, no leak.
 	for _, pe := range node.pes {
-		m.envPool.DropOwner(pe.id)
 		pe.wake.Signal() // a parked scheduler wakes to see the halt
 	}
 }
@@ -682,7 +657,7 @@ type PE struct {
 	id    int
 	local int
 	node  *SMPNode
-	queue lockless.Queue
+	queue *lockless.L2Queue[*Message]
 	wake  *wakeup.Unit
 
 	sched    schedq
@@ -743,12 +718,12 @@ func (pe *PE) enqueue(msg *Message) {
 // enqueueBatch lands a run of messages bound for this PE with one counter
 // update, one ring reservation, and one wakeup — the receive-side half of
 // the aggregation amortization.
-func (pe *PE) enqueueBatch(msgs []any) {
+func (pe *PE) enqueueBatch(msgs []*Message) {
 	pe.enqueued.Add(int64(len(msgs)))
 	if obs.On() {
 		now := time.Now().UnixNano()
 		for _, m := range msgs {
-			m.(*Message).enqNS = now
+			m.enqNS = now
 		}
 	}
 	pe.queue.EnqueueBatch(msgs)
@@ -844,6 +819,13 @@ func (pe *PE) run(initPE func(pe *PE)) {
 	m := pe.node.machine
 	defer m.wg.Done()
 	defer func() {
+		if pe.node.dead.Load() {
+			// Quarantine this PE's envelope pool (see HaltNode) from its
+			// own goroutine: the drain is a Get, and the pool's ring has one
+			// consumer, which a handler still running when the node was
+			// halted may have been using.
+			m.envPool.DropOwner(pe.id)
+		}
 		// Last PE out closes the node's halted channel, the signal
 		// recovery waits on before touching the node's state.
 		if pe.node.exited.Add(1) == int32(len(pe.node.pes)) {
@@ -871,11 +853,11 @@ func (pe *PE) run(initPE func(pe *PE)) {
 		// Pull available messages into the local priority queue, then run
 		// the best one.
 		for pe.sched.len() < schedPullBound {
-			v, ok := pe.queue.Dequeue()
+			msg, ok := pe.queue.Dequeue()
 			if !ok {
 				break
 			}
-			pe.sched.push(v.(*Message))
+			pe.sched.push(msg)
 		}
 		drained := pe.sched.len() < schedPullBound // the pull emptied the queue
 		// Invoke a short burst between network advances: one Advance per

@@ -114,8 +114,8 @@ func TestKillWhileThrottledUnblocksParkedSenders(t *testing.T) {
 // with the throttled-kill path: the victim dies while (a) a survivor is
 // parked on its exhausted credit window and (b) envelopes the victim's
 // pool owns are still in flight toward a slow survivor. The kill fires
-// EnvPool.DropOwner and flowctl.DropPeer back to back for the same PE;
-// the parked sender must release, and every late free of a victim-owned
+// flowctl.DropPeer, and the victim's scheduler runs EnvPool.DropOwner as
+// it exits; the parked sender must release, and every late free of a victim-owned
 // envelope must fall through to the GC (DeadDrops) instead of wedging or
 // accumulating in a pool nobody will drain. Run under -race in CI: the
 // quarantine racing remote frees is the point.

@@ -8,8 +8,8 @@ import (
 
 // Observability instrumentation (internal/obs). Every update below is
 // guarded by obs.On() at the call site, so the disabled cost is one atomic
-// load; shard keys are per-queue ids, which map one-to-one onto consumer
-// PEs in the Converse machine (each PE owns its scheduler queue).
+// load; shard keys are per-queue ids: one per PE scheduler queue, MU
+// reception FIFO, PAMI work queue and pool free list.
 var (
 	mEnqueue  = obs.NewCounter("lockless", "enqueue_total", 0)
 	mDequeue  = obs.NewCounter("lockless", "dequeue_total", 0)

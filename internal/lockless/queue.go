@@ -4,11 +4,10 @@
 // The central structure is L2Queue, a multi-producer single-consumer queue
 // built on a pair of adjacent L2 atomic words: the producer counter and the
 // bound. A producer performs a bounded load-increment; the returned ticket
-// modulo the ring size selects the slot where the message pointer is
-// published. The consumer dequeues a slot and raises the bound by one,
-// re-opening the slot for producers. When the ring is full the bounded
-// increment fails and the producer falls back to a mutex-protected overflow
-// queue.
+// modulo the ring size selects the slot where the message is published.
+// The consumer dequeues a slot and raises the bound by one, re-opening the
+// slot for producers. When the ring is full the bounded increment fails
+// and the producer falls back to a mutex-protected overflow queue.
 //
 // Charm++ has no message-ordering requirement, so — unlike the PAMI variant
 // used for MPI, which must lock and consult the overflow queue before
@@ -34,36 +33,16 @@ import (
 // passes size <= 0. 1024 slots matches the Charm++ BG/Q machine layer.
 const DefaultRingSize = 1024
 
-// Queue is the interface shared by the lockless and mutex-based
-// implementations, so the Converse machine layer can switch between them
-// (the Fig. 8 ablation).
-type Queue interface {
-	// Enqueue publishes a message. It never fails: lockless queues spill to
-	// their overflow queue when the ring is full.
-	Enqueue(msg any)
-	// EnqueueBatch publishes a run of messages, amortizing the
-	// reservation cost over the batch where the implementation allows
-	// (one bounded load-add on the L2 ring, one lock on the mutex queue).
-	// Same never-fails contract as Enqueue.
-	EnqueueBatch(msgs []any)
-	// Dequeue removes one message, returning ok=false if the queue is empty.
-	Dequeue() (msg any, ok bool)
-	// Empty reports whether the queue appears empty. It is advisory under
-	// concurrency, as on the hardware.
-	Empty() bool
-	// Len returns the approximate number of queued messages.
-	Len() int
-}
-
 // L2Queue is the lockless multi-producer single-consumer queue from the
-// paper. Only one consumer goroutine may call Dequeue; any number of
-// goroutines may call Enqueue.
-type L2Queue struct {
-	pc    l2atomic.BoundedCounter // producer counter + bound, adjacent words
-	mask  uint64
-	ring  []atomic.Pointer[slot]
-	slots []slot // preallocated boxes, one per ring slot (see Enqueue)
-	id    int    // metric shard key (one queue per consumer PE)
+// paper, carrying items of type T. Only one consumer goroutine may call
+// Dequeue; any number of goroutines may call Enqueue. The same ring
+// carries the PE scheduler queues, the MU reception FIFOs, the PAMI work
+// queues and the §III-B per-thread pool free lists.
+type L2Queue[T any] struct {
+	pc   l2atomic.BoundedCounter // producer counter + bound, adjacent words
+	mask uint64
+	ring []slot[T]
+	id   int // metric shard key (one per queue)
 
 	// consumed counts messages the consumer has taken from the ring. Only
 	// the consumer writes it; it is atomic so that monitoring threads may
@@ -73,7 +52,7 @@ type L2Queue struct {
 	// Overflow queue, used by producers only when the ring is full and by
 	// the consumer only when the ring is empty.
 	omu      sync.Mutex
-	overflow anyDeque
+	overflow deque[T]
 	olen     atomic.Int64
 
 	// Overflow cap (flow control): when ocap > 0, producers finding the
@@ -85,30 +64,33 @@ type L2Queue struct {
 	ogate     wakeup.Gate
 }
 
-// slot boxes a message so the ring can distinguish "published" from "empty"
-// even when the message itself is a nil interface. Slots are preallocated
-// one per ring index and recycled in place: a producer may write
-// slots[i] only while it holds ticket i (the bounded counter admits one
-// outstanding ticket per index), and the consumer re-opens the slot —
-// clearing both the box and the ring pointer first — with the bound
-// raise the next producer's load-increment acquires. That ordering makes
-// the in-place reuse race-free and keeps the enqueue fast path
-// allocation-free, which the §III-B envelope pool depends on: a pooled
+// slot is one ring index: a message and the flag that publishes it, so the
+// ring can tell "published" from "empty" even when the message is a zero
+// value. A producer may write ring[i] only while it holds ticket i (the
+// bounded counter admits one outstanding ticket per index): it stores the
+// message, then sets full. The consumer takes the message and clears both
+// before the bound raise the next producer's load-increment acquires. That
+// ordering makes the in-place reuse race-free, and message and flag share
+// a cache line, so a publish from another core moves one line. The enqueue
+// fast path allocates nothing, which the §III-B pools depend on: a pooled
 // message path that heap-boxed every queue publication would put the GC
 // right back in the hot loop.
-type slot struct{ msg any }
+type slot[T any] struct {
+	msg  T
+	full atomic.Bool
+}
 
-// anyDeque is a FIFO of fixed-size chunks, the overflow queue's backing
-// store. A single growing []any is pathological under sustained spill: the
+// deque is a FIFO of fixed-size chunks, the overflow queue's backing
+// store. A single growing slice is pathological under sustained spill: the
 // consumer pops by reslicing, so the front capacity is never reused and
 // every append eventually regrows the whole backlog — an O(backlog) copy
 // with a bulk write barrier over every pointer. Chunks never move once
 // allocated and drained chunks recycle through a small free list, so
 // steady-state spill traffic allocates nothing. Callers synchronize.
-type anyDeque struct {
-	chunks [][]any // FIFO of chunks; all but the last are full
-	head   int     // pop index into chunks[0]
-	free   [][]any // retired chunks ready for reuse
+type deque[T any] struct {
+	chunks [][]T // FIFO of chunks; all but the last are full
+	head   int   // pop index into chunks[0]
+	free   [][]T // retired chunks ready for reuse
 }
 
 const (
@@ -116,17 +98,17 @@ const (
 	dequeFreeMax = 8
 )
 
-func (d *anyDeque) grab() []any {
+func (d *deque[T]) grab() []T {
 	if n := len(d.free); n > 0 {
 		c := d.free[n-1]
 		d.free = d.free[:n-1]
 		return c
 	}
-	return make([]any, 0, dequeChunk)
+	return make([]T, 0, dequeChunk)
 }
 
 // pushN appends msgs in chunk-sized gulps.
-func (d *anyDeque) pushN(msgs []any) {
+func (d *deque[T]) pushN(msgs []T) {
 	for len(msgs) > 0 {
 		n := len(d.chunks)
 		if n == 0 || len(d.chunks[n-1]) == dequeChunk {
@@ -143,13 +125,14 @@ func (d *anyDeque) pushN(msgs []any) {
 	}
 }
 
-func (d *anyDeque) pop() (any, bool) {
+func (d *deque[T]) pop() (T, bool) {
+	var zero T
 	if len(d.chunks) == 0 || d.head >= len(d.chunks[0]) {
-		return nil, false
+		return zero, false
 	}
 	c := d.chunks[0]
 	m := c[d.head]
-	c[d.head] = nil
+	c[d.head] = zero
 	d.head++
 	if d.head == len(c) {
 		d.head = 0
@@ -161,9 +144,12 @@ func (d *anyDeque) pop() (any, bool) {
 	return m, true
 }
 
-// NewL2Queue returns a queue whose ring has the given number of slots,
-// rounded up to a power of two; size <= 0 selects DefaultRingSize.
-func NewL2Queue(size int) *L2Queue {
+// NewL2Queue returns an untyped queue, NewL2QueueOf[any].
+func NewL2Queue(size int) *L2Queue[any] { return NewL2QueueOf[any](size) }
+
+// NewL2QueueOf returns a queue of T whose ring has the given number of
+// slots, rounded up to a power of two; size <= 0 selects DefaultRingSize.
+func NewL2QueueOf[T any](size int) *L2Queue[T] {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
@@ -171,11 +157,10 @@ func NewL2Queue(size int) *L2Queue {
 	for n < size {
 		n <<= 1
 	}
-	q := &L2Queue{
-		mask:  uint64(n - 1),
-		ring:  make([]atomic.Pointer[slot], n),
-		slots: make([]slot, n),
-		id:    nextQueueID(),
+	q := &L2Queue[T]{
+		mask: uint64(n - 1),
+		ring: make([]slot[T], n),
+		id:   nextQueueID(),
 	}
 	q.pc.Reset(0, uint64(n))
 	return q
@@ -187,30 +172,30 @@ func NewL2Queue(size int) *L2Queue {
 // liveness escape, never a drop. cap <= 0 restores the unbounded
 // behaviour. Call before traffic flows; the cap is read without
 // synchronization on the producer slow path.
-func (q *L2Queue) SetOverflowCap(cap int, maxBlock time.Duration) {
+func (q *L2Queue[T]) SetOverflowCap(cap int, maxBlock time.Duration) {
 	q.ocap = int64(cap)
 	q.omaxBlock = maxBlock
 }
 
 // OverflowCap returns the configured overflow cap (0 = unbounded).
-func (q *L2Queue) OverflowCap() int { return int(q.ocap) }
+func (q *L2Queue[T]) OverflowCap() int { return int(q.ocap) }
 
 // Enqueue publishes msg. The fast path is a single bounded load-increment
-// plus a pointer store; when the ring is full the message goes to the
+// plus a slot store; when the ring is full the message goes to the
 // overflow queue under its mutex (parking first when the overflow cap is
 // reached).
-func (q *L2Queue) Enqueue(msg any) {
+func (q *L2Queue[T]) Enqueue(msg T) {
 	if ticket, ok := q.pc.BoundedLoadIncrement(); ok {
-		s := &q.slots[ticket&q.mask]
+		s := &q.ring[ticket&q.mask]
 		s.msg = msg
-		q.ring[ticket&q.mask].Store(s)
+		s.full.Store(true)
 		if obs.On() {
 			mEnqueue.Inc(q.id)
 			mDepthHW.SetMax(int64(ticket + 1 - q.consumed.Load()))
 		}
 		return
 	}
-	q.spill([]any{msg})
+	q.spill([]T{msg})
 }
 
 // EnqueueBatch publishes msgs with one bounded load-add per contiguous run
@@ -219,19 +204,18 @@ func (q *L2Queue) Enqueue(msg any) {
 // mirroring how the BG/Q MU reserves a descriptor chain per injection
 // burst. Messages that do not fit the ring spill as Enqueue's do,
 // parking at the overflow cap.
-func (q *L2Queue) EnqueueBatch(msgs []any) {
+func (q *L2Queue[T]) EnqueueBatch(msgs []T) {
 	for len(msgs) > 0 {
 		base, got := q.pc.BoundedLoadAdd(uint64(len(msgs)))
 		if got == 0 {
 			break
 		}
-		// Each reserved ticket owns its preallocated box exclusively, so
-		// the whole run publishes without allocating.
+		// Each reserved ticket owns its slot exclusively, so the whole run
+		// publishes without allocating.
 		for i := uint64(0); i < got; i++ {
-			idx := (base + i) & q.mask
-			s := &q.slots[idx]
+			s := &q.ring[(base+i)&q.mask]
 			s.msg = msgs[i]
-			q.ring[idx].Store(s)
+			s.full.Store(true)
 		}
 		if obs.On() {
 			mEnqueue.Add(q.id, int64(got))
@@ -247,7 +231,7 @@ func (q *L2Queue) EnqueueBatch(msgs []any) {
 // bounded by the headroom under the overflow cap (everything at once when
 // uncapped), so producers still park at the cap between chunks and the
 // backlog bound grows by at most one chunk per racing producer.
-func (q *L2Queue) spill(msgs []any) {
+func (q *L2Queue[T]) spill(msgs []T) {
 	for len(msgs) > 0 {
 		n := len(msgs)
 		if q.ocap > 0 {
@@ -283,15 +267,15 @@ func (q *L2Queue) spill(msgs []any) {
 // Dequeue removes one message. It drains the L2 ring first; the overflow
 // queue is consulted only when the ring is empty, exploiting Charm++'s lack
 // of ordering requirements.
-func (q *L2Queue) Dequeue() (any, bool) {
-	idx := q.consumed.Load() & q.mask
-	if s := q.ring[idx].Load(); s != nil {
-		// Take the message and clear the box BEFORE raising the bound:
-		// the raise re-opens this index for producers, who recycle the
-		// box in place.
+func (q *L2Queue[T]) Dequeue() (T, bool) {
+	var zero T
+	if s := &q.ring[q.consumed.Load()&q.mask]; s.full.Load() {
+		// Take the message and clear the slot BEFORE raising the bound:
+		// the raise re-opens this index for producers, who reuse the slot
+		// in place.
 		msg := s.msg
-		s.msg = nil
-		q.ring[idx].Store(nil)
+		s.msg = zero
+		s.full.Store(false)
 		q.consumed.Add(1)
 		q.pc.StoreAddBound(1)
 		if obs.On() {
@@ -302,17 +286,17 @@ func (q *L2Queue) Dequeue() (any, bool) {
 	if q.olen.Load() > 0 {
 		return q.popOverflow()
 	}
-	return nil, false
+	return zero, false
 }
 
 // popOverflow takes the overflow queue's head, opening the cap's gate when
 // the pop leaves the queue below the cap.
-func (q *L2Queue) popOverflow() (any, bool) {
+func (q *L2Queue[T]) popOverflow() (T, bool) {
 	q.omu.Lock()
 	msg, ok := q.overflow.pop()
 	q.omu.Unlock()
 	if !ok {
-		return nil, false
+		return msg, false
 	}
 	if q.olen.Add(-1) < q.ocap {
 		q.ogate.Open()
@@ -328,12 +312,12 @@ func (q *L2Queue) popOverflow() (any, bool) {
 // The idle-poll loop (paper §III-D) spins on exactly this check: a load of
 // the producer counter (an L2 atomic load on hardware, ~60 cycles) plus the
 // overflow length.
-func (q *L2Queue) Empty() bool {
+func (q *L2Queue[T]) Empty() bool {
 	return q.pc.Counter() == q.consumed.Load() && q.olen.Load() == 0
 }
 
 // Len returns the approximate queue length (ring + overflow).
-func (q *L2Queue) Len() int {
+func (q *L2Queue[T]) Len() int {
 	n := int(q.pc.Counter()-q.consumed.Load()) + int(q.olen.Load())
 	if n < 0 {
 		return 0
@@ -343,10 +327,10 @@ func (q *L2Queue) Len() int {
 
 // OverflowLen returns the number of messages currently in the overflow
 // queue; used by tests and by the machine-layer statistics.
-func (q *L2Queue) OverflowLen() int { return int(q.olen.Load()) }
+func (q *L2Queue[T]) OverflowLen() int { return int(q.olen.Load()) }
 
 // RingCap returns the ring capacity in slots.
-func (q *L2Queue) RingCap() int { return len(q.ring) }
+func (q *L2Queue[T]) RingCap() int { return len(q.ring) }
 
 // MutexQueue is the traditional producer/consumer queue guarded by a single
 // mutex. It is the baseline the paper replaces: under many concurrent
@@ -414,8 +398,3 @@ func (q *MutexQueue) Len() int {
 	defer q.mu.Unlock()
 	return len(q.buf) - q.head
 }
-
-var (
-	_ Queue = (*L2Queue)(nil)
-	_ Queue = (*MutexQueue)(nil)
-)

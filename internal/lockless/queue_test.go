@@ -93,25 +93,40 @@ func TestL2QueueWraparound(t *testing.T) {
 }
 
 // The paper's central claim: many producers may concurrently enqueue to one
-// consumer; every message is delivered exactly once.
+// consumer; every message is delivered exactly once. The ring is small, so
+// the run wraps it many times and spills to the overflow queue; it runs
+// with boxed items and with by-value items wider than a word.
 func TestL2QueueConcurrentProducers(t *testing.T) {
+	t.Run("any", func(t *testing.T) {
+		exactlyOnce(t, NewL2Queue(64),
+			func(p, i int) any { return [2]int{p, i} },
+			func(v any) [2]int { return v.([2]int) })
+	})
+	type pair struct{ a, b uint64 }
+	t.Run("value", func(t *testing.T) {
+		exactlyOnce(t, NewL2QueueOf[pair](64),
+			func(p, i int) pair { return pair{uint64(p), uint64(i)} },
+			func(v pair) [2]int { return [2]int{int(v.a), int(v.b)} })
+	})
+}
+
+func exactlyOnce[T any](t *testing.T, q *L2Queue[T], mk func(p, i int) T, key func(T) [2]int) {
 	const producers = 16
 	const perP = 5000
-	q := NewL2Queue(64) // small ring to force overflow traffic
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perP; i++ {
-				q.Enqueue([2]int{p, i})
+				q.Enqueue(mk(p, i))
 			}
 		}(p)
 	}
 	got := map[[2]int]bool{}
 	for len(got) < producers*perP {
 		if v, ok := q.Dequeue(); ok {
-			k := v.([2]int)
+			k := key(v)
 			if got[k] {
 				t.Fatalf("message %v delivered twice", k)
 			}
@@ -277,7 +292,14 @@ func TestWorkQueueConcurrentPost(t *testing.T) {
 	<-done
 }
 
-func benchQueue(b *testing.B, mk func() Queue, producers int) {
+// queue is what the producer benchmarks drive: the L2 ring and its Fig 8
+// mutex baseline.
+type queue interface {
+	Enqueue(any)
+	Dequeue() (any, bool)
+}
+
+func benchQueue(b *testing.B, mk func() queue, producers int) {
 	q := mk()
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -321,7 +343,7 @@ func benchQueue(b *testing.B, mk func() Queue, producers int) {
 func BenchmarkL2QueueProducers(b *testing.B) {
 	for _, p := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			benchQueue(b, func() Queue { return NewL2Queue(1024) }, p)
+			benchQueue(b, func() queue { return NewL2Queue(1024) }, p)
 		})
 	}
 }
@@ -329,7 +351,7 @@ func BenchmarkL2QueueProducers(b *testing.B) {
 func BenchmarkMutexQueueProducers(b *testing.B) {
 	for _, p := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			benchQueue(b, func() Queue { return NewMutexQueue() }, p)
+			benchQueue(b, func() queue { return NewMutexQueue() }, p)
 		})
 	}
 }

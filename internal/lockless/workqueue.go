@@ -4,14 +4,14 @@ package lockless
 // paragraph): worker threads post closures ("message and summing work
 // requests"); a communication thread drains and executes them.
 //
-// It is an L2Queue of functions, with the MPI-compatible variant's
+// It is an L2Queue of Work, with the MPI-compatible variant's
 // ordering constraint available as an option. When Ordered is true the
 // consumer must check the overflow queue before raising the bound — the
 // extra locking the paper attributes to PAMI's MPI match-ordering
 // requirement; this path exists so the ablation benchmarks can measure the
 // cost Charm++ avoids.
 type WorkQueue struct {
-	q       *L2Queue
+	q       *L2Queue[Work]
 	ordered bool
 }
 
@@ -21,7 +21,7 @@ type Work func()
 // NewWorkQueue returns a work queue with the given ring size (<=0 selects
 // DefaultRingSize). ordered selects the MPI-compatible drain rule.
 func NewWorkQueue(size int, ordered bool) *WorkQueue {
-	return &WorkQueue{q: NewL2Queue(size), ordered: ordered}
+	return &WorkQueue{q: NewL2QueueOf[Work](size), ordered: ordered}
 }
 
 // Post enqueues w for execution by the consumer thread. Safe for concurrent
@@ -30,7 +30,7 @@ func (wq *WorkQueue) Post(w Work) { wq.q.Enqueue(w) }
 
 // RunOne executes one pending work item, if any, and reports whether it did.
 func (wq *WorkQueue) RunOne() bool {
-	var w any
+	var w Work
 	var ok bool
 	if wq.ordered {
 		// The paper: "lockless queues in PAMI must lock the overflow queue
@@ -51,7 +51,7 @@ func (wq *WorkQueue) RunOne() bool {
 	if !ok {
 		return false
 	}
-	w.(Work)()
+	w()
 	return true
 }
 

@@ -1,10 +1,9 @@
 package mempool
 
 import (
-	"sync"
 	"sync/atomic"
 
-	"blueq/internal/l2atomic"
+	"blueq/internal/lockless"
 	"blueq/internal/obs"
 )
 
@@ -27,14 +26,15 @@ import (
 //   - DropOwner(owner) quarantines a dead PE's pool during fault
 //     recovery: subsequent frees of its envelopes fall through to the
 //     garbage collector instead of accumulating in a pool nobody will
-//     ever Get from again.
+//     ever Get from again. It drains the pool, so it is single-consumer
+//     like Get.
 //
-// The per-owner queue is the §III-A ring/overflow algorithm, but a
-// pool above its spill threshold drops frees to the GC instead of
-// growing the mutex overflow — an envelope pool exists to bound steady
-// state reuse, not to cache unbounded bursts.
+// The per-owner queue is the §III-A lockless.L2Queue, but a pool above
+// its spill threshold drops frees to the GC instead of growing the mutex
+// overflow — an envelope pool exists to bound steady state reuse, not to
+// cache unbounded bursts.
 type EnvPool[T any] struct {
-	pools     []*envQueue[T]
+	pools     []*lockless.L2Queue[*T]
 	dead      []atomic.Bool
 	threshold int
 	stats     EnvStats
@@ -65,12 +65,12 @@ func NewEnvPool[T any](owners, threshold int) *EnvPool[T] {
 		threshold = DefaultEnvPoolThreshold
 	}
 	p := &EnvPool[T]{
-		pools:     make([]*envQueue[T], owners),
+		pools:     make([]*lockless.L2Queue[*T], owners),
 		dead:      make([]atomic.Bool, owners),
 		threshold: threshold,
 	}
 	for i := range p.pools {
-		p.pools[i] = newEnvQueue[T](threshold)
+		p.pools[i] = lockless.NewL2QueueOf[*T](threshold)
 	}
 	return p
 }
@@ -79,7 +79,7 @@ func NewEnvPool[T any](owners, threshold int) *EnvPool[T] {
 // allocation on a miss. Single consumer: only the owning PE's scheduler
 // goroutine may Get from its pool.
 func (p *EnvPool[T]) Get(owner int) *T {
-	if v := p.pools[owner].dequeue(); v != nil {
+	if v, ok := p.pools[owner].Dequeue(); ok {
 		p.stats.Hits.Add(1)
 		if obs.On() {
 			mEnvHit.Inc(owner)
@@ -107,14 +107,14 @@ func (p *EnvPool[T]) Put(tid, owner int, v *T) {
 		return
 	}
 	q := p.pools[owner]
-	if q.len() >= p.threshold {
+	if q.Len() >= p.threshold {
 		p.stats.HeapFrees.Add(1)
 		if obs.On() {
 			mEnvHeapFree.Inc(shardFor(tid))
 		}
 		return
 	}
-	q.enqueue(v)
+	q.Enqueue(v)
 	if tid == owner {
 		p.stats.LocalFrees.Add(1)
 		if obs.On() {
@@ -133,19 +133,24 @@ func (p *EnvPool[T]) Put(tid, owner int, v *T) {
 // are dropped rather than pooled, so recovery leaks nothing into a pool
 // that will never be drained. Safe to call concurrently with remote
 // frees; a free racing the drop at worst parks one envelope in the
-// drained queue, which the GC reclaims with the queue itself.
+// drained queue, which the GC reclaims with the queue itself. The drain
+// consumes the pool like Get does, so only owner's goroutine may call it,
+// or any goroutine once the owner has stopped.
 func (p *EnvPool[T]) DropOwner(owner int) {
 	if owner < 0 || owner >= len(p.pools) {
 		return
 	}
 	p.dead[owner].Store(true)
-	for p.pools[owner].dequeue() != nil {
+	for {
+		if _, ok := p.pools[owner].Dequeue(); !ok {
+			return
+		}
 		p.stats.DeadDrops.Add(1)
 	}
 }
 
 // Len reports the current depth of owner's pool.
-func (p *EnvPool[T]) Len(owner int) int { return p.pools[owner].len() }
+func (p *EnvPool[T]) Len(owner int) int { return p.pools[owner].Len() }
 
 // Stats returns the instance-level counters.
 func (p *EnvPool[T]) Stats() *EnvStats { return &p.stats }
@@ -155,71 +160,4 @@ func shardFor(tid int) int {
 		return 0
 	}
 	return tid
-}
-
-// envQueue is the §III-A lockless queue over *T, shared by
-// PoolAllocator's buffer pools and EnvPool's envelope pools: an L2-atomic
-// bounded load-increment pointer ring with a mutex overflow, multi
-// producer (remote frees), single consumer (the owning PE).
-type envQueue[T any] struct {
-	pc       l2atomic.BoundedCounter
-	mask     uint64
-	ring     []atomic.Pointer[T]
-	consumed atomic.Uint64
-
-	omu      sync.Mutex
-	overflow []*T
-	olen     atomic.Int64
-}
-
-func newEnvQueue[T any](size int) *envQueue[T] {
-	n := 1
-	for n < size {
-		n <<= 1
-	}
-	q := &envQueue[T]{mask: uint64(n - 1), ring: make([]atomic.Pointer[T], n)}
-	q.pc.Reset(0, uint64(n))
-	return q
-}
-
-func (q *envQueue[T]) enqueue(v *T) {
-	if ticket, ok := q.pc.BoundedLoadIncrement(); ok {
-		q.ring[ticket&q.mask].Store(v)
-		return
-	}
-	q.omu.Lock()
-	q.overflow = append(q.overflow, v)
-	q.omu.Unlock()
-	q.olen.Add(1)
-}
-
-func (q *envQueue[T]) dequeue() *T {
-	idx := q.consumed.Load() & q.mask
-	if v := q.ring[idx].Load(); v != nil {
-		q.ring[idx].Store(nil)
-		q.consumed.Add(1)
-		q.pc.StoreAddBound(1)
-		return v
-	}
-	if q.olen.Load() > 0 {
-		q.omu.Lock()
-		if len(q.overflow) > 0 {
-			v := q.overflow[0]
-			q.overflow[0] = nil
-			q.overflow = q.overflow[1:]
-			q.omu.Unlock()
-			q.olen.Add(-1)
-			return v
-		}
-		q.omu.Unlock()
-	}
-	return nil
-}
-
-func (q *envQueue[T]) len() int {
-	n := int(q.pc.Counter()-q.consumed.Load()) + int(q.olen.Load())
-	if n < 0 {
-		return 0
-	}
-	return n
 }

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blueq/internal/lockless"
 	"blueq/internal/obs"
 )
 
@@ -57,7 +58,7 @@ const DefaultPoolThreshold = 512
 
 // PoolAllocator implements the lockless per-thread buffer pools.
 type PoolAllocator struct {
-	pools     []*envQueue[Buffer]
+	pools     []*lockless.L2Queue[*Buffer]
 	threshold int
 	stats     *Stats
 
@@ -81,12 +82,12 @@ func NewPoolAllocator(nthreads, threshold int) *PoolAllocator {
 		threshold = DefaultPoolThreshold
 	}
 	p := &PoolAllocator{
-		pools:     make([]*envQueue[Buffer], nthreads),
+		pools:     make([]*lockless.L2Queue[*Buffer], nthreads),
 		threshold: threshold,
 		stats:     &Stats{},
 	}
 	for i := range p.pools {
-		p.pools[i] = newEnvQueue[Buffer](threshold)
+		p.pools[i] = lockless.NewL2QueueOf[*Buffer](threshold)
 	}
 	return p
 }
@@ -153,7 +154,7 @@ func (p *PoolAllocator) updateLevel(live int64) {
 // the heap and brands the buffer with the caller as owner.
 func (p *PoolAllocator) Alloc(tid, size int) *Buffer {
 	p.trackAlloc(size)
-	if b := p.pools[tid].dequeue(); b != nil {
+	if b, ok := p.pools[tid].Dequeue(); ok {
 		if cap(b.Data) >= size {
 			p.stats.PoolHits.Add(1)
 			if obs.On() {
@@ -177,7 +178,7 @@ func (p *PoolAllocator) Alloc(tid, size int) *Buffer {
 func (p *PoolAllocator) Free(tid int, b *Buffer) {
 	p.trackFree(len(b.Data))
 	pool := p.pools[b.Owner]
-	if pool.len() >= p.threshold {
+	if pool.Len() >= p.threshold {
 		p.stats.HeapFrees.Add(1)
 		if obs.On() {
 			mHeapFree.Inc(tid)
@@ -185,10 +186,10 @@ func (p *PoolAllocator) Free(tid int, b *Buffer) {
 		return // dropped; reclaimed by the garbage collector
 	}
 	p.stats.PoolFrees.Add(1)
-	pool.enqueue(b)
+	pool.Enqueue(b)
 	if obs.On() {
 		mPoolFree.Inc(tid)
-		mPoolDepth.SetMax(int64(pool.len()))
+		mPoolDepth.SetMax(int64(pool.Len()))
 	}
 }
 

@@ -38,11 +38,12 @@ type Packet struct {
 // MU is the Messaging Unit of one node: injection FIFOs on the send side
 // and reception FIFOs on the receive side. Reception FIFOs are lockless
 // queues so several remote injectors can target one node concurrently,
-// and several local threads can each own a FIFO.
+// and several local threads can each own a FIFO. A FIFO holds each
+// packet by pointer: Inject copies the packet to the heap once.
 type MU struct {
 	rank     int
 	network  *Network
-	recv     []*lockless.L2Queue
+	recv     []*lockless.L2Queue[*Packet]
 	onArrive []func() // wakeup-unit hooks, one per reception FIFO
 	injected atomic.Int64
 	received atomic.Int64
@@ -68,11 +69,11 @@ func NewNetwork(t *Torus, fifosPerNode int) *Network {
 		mu := &MU{
 			rank:     r,
 			network:  n,
-			recv:     make([]*lockless.L2Queue, fifosPerNode),
+			recv:     make([]*lockless.L2Queue[*Packet], fifosPerNode),
 			onArrive: make([]func(), fifosPerNode),
 		}
 		for i := range mu.recv {
-			mu.recv[i] = lockless.NewL2Queue(0)
+			mu.recv[i] = lockless.NewL2QueueOf[*Packet](0)
 		}
 		n.mus[r] = mu
 	}
@@ -112,7 +113,7 @@ func (m *MU) Inject(p Packet) error {
 	if fifo < 0 || fifo >= len(dst.recv) {
 		fifo = 0
 	}
-	dst.recv[fifo].Enqueue(p)
+	dst.recv[fifo].Enqueue(&p)
 	dst.received.Add(1)
 	if hook := dst.onArrive[fifo]; hook != nil {
 		hook()
@@ -123,11 +124,11 @@ func (m *MU) Inject(p Packet) error {
 // Poll removes one packet from the given reception FIFO. Each FIFO has a
 // single consumer (the thread that owns it), matching MU usage on BG/Q.
 func (m *MU) Poll(fifo int) (Packet, bool) {
-	v, ok := m.recv[fifo].Dequeue()
+	p, ok := m.recv[fifo].Dequeue()
 	if !ok {
 		return Packet{}, false
 	}
-	return v.(Packet), true
+	return *p, true
 }
 
 // Pending reports whether any reception FIFO holds packets.

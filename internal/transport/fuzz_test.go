@@ -3,6 +3,7 @@ package transport
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
 // specCorpus seeds FuzzNew with the specs the tests, the CI smokes, the
@@ -54,9 +55,11 @@ func FuzzNew(f *testing.F) {
 		}
 		again.Close()
 		// Close joins the delay-line goroutine, but a goroutine that has
-		// signalled its exit still counts until it returns: yield to it.
+		// signalled its exit still counts until it returns, which a loaded
+		// host can delay for many scheduling rounds: yield to it until a
+		// wall-clock deadline.
 		after := runtime.NumGoroutine()
-		for i := 0; after > before && i < 1000; i++ {
+		for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); {
 			runtime.Gosched()
 			after = runtime.NumGoroutine()
 		}
