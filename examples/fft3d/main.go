@@ -3,14 +3,16 @@
 // A 16³ complex grid is pencil-decomposed over 8 PEs; ten
 // forward+backward iterations run with the point-to-point transposes and
 // ten more with the CmiDirectManytomany bursts. The example checks the
-// distributed forward transform against the serial reference and reports
-// per-iteration wall time for each transport.
+// distributed forward transform against the serial reference, and the
+// round trip against the input, and reports per-iteration wall time for
+// each transport. It exits non-zero when either error exceeds maxErr.
 //
 // Run: go run ./examples/fft3d
 package main
 
 import (
 	"fmt"
+	"log"
 	"math/cmplx"
 	"time"
 
@@ -21,8 +23,9 @@ import (
 )
 
 const (
-	n     = 16
-	iters = 10
+	n      = 16
+	iters  = 10
+	maxErr = 1e-9
 )
 
 func input(x, y, z int) complex128 {
@@ -79,8 +82,12 @@ func run(tr fft3d.Transport) {
 			worst = d
 		}
 	}
+	round := eng.RoundTripError()
 	fmt.Printf("%-4s: %6.2f ms/iteration, forward max err vs serial %.2e, round-trip err %.2e\n",
-		tr, elapsed.Seconds()*1e3/iters, worst, eng.RoundTripError())
+		tr, elapsed.Seconds()*1e3/iters, worst, round)
+	if !(worst <= maxErr && round <= maxErr) {
+		log.Fatalf("%s: error above %.0e: the distributed transform is wrong", tr, maxErr)
+	}
 }
 
 func main() {

@@ -3,13 +3,15 @@
 // A chare array of Greeter elements is spread over the PEs of a simulated
 // 2-node SMP machine. The mainchare broadcasts a greeting; every element
 // responds with an asynchronous entry-method invocation back to element 0,
-// which contributes the tally into a reduction that shuts the run down.
+// which contributes the tally into a reduction that shuts the run down. The
+// example exits non-zero if the reduction's sum is wrong.
 //
 // Run: go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"log"
 	"sync/atomic"
 
 	"blueq/internal/charm"
@@ -60,6 +62,9 @@ func main() {
 		err := greeters.Contribute(pe, 1, []float64{float64(idx)}, charm.ReduceSum,
 			func(pe *converse.PE, result []float64) {
 				fmt.Printf("reduction over %d elements: sum of indices = %.0f\n", n, result[0])
+				if want := float64(n * (n - 1) / 2); result[0] != want {
+					log.Fatalf("reduction sum %.0f, want %.0f", result[0], want)
+				}
 				rt.Shutdown()
 			})
 		if err != nil {

@@ -96,7 +96,7 @@ func TestTreeBroadcastRoutesAroundHaltedNode(t *testing.T) {
 		func(pe *PE) {
 			if pe.Id() == 0 {
 				m := pe.Machine()
-				m.HaltNode(1)
+				m.KillNode(1)
 				<-m.NodeHalted(1)
 				if err := pe.Broadcast(&Message{Handler: h, Bytes: 8}); err != nil {
 					t.Errorf("broadcast: %v", err)

@@ -322,16 +322,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 			}
 		})
 	}
-	// A transport with fail-stop injection halts the dying node's
-	// schedulers the moment its endpoints go silent, so the simulated node
-	// stops computing exactly when it stops communicating.
-	if k, ok := tr.(transport.Killer); ok {
-		k.SetKillHook(func(rank int) {
-			if rank < cfg.Nodes {
-				m.HaltNode(rank)
-			}
-		})
-	}
 	return m, nil
 }
 
@@ -450,50 +440,49 @@ func (m *Machine) OnShutdown(fn func()) {
 	m.hooksMu.Unlock()
 }
 
-// HaltNode fail-stops the node's schedulers: every PE on it exits its run
-// loop without draining its queue, like a node board losing power. The
-// rest of the machine keeps running. Idempotent; safe from any goroutine.
-// NodeHalted's channel closes once every PE on the node has exited.
-func (m *Machine) HaltNode(rank int) {
+// KillNode fail-stops a node end to end, like a node board losing power:
+// its transport endpoints go silent (when the transport supports fail-stop
+// injection), every PE on it exits its run loop without draining its
+// queue, and the survivors give up on it at once. The rest of the machine
+// keeps running. The one way a node dies: fault schedules (scenario.Faults)
+// and tests kill through it; link faults go to the torus link table
+// (Torus().FailLink). Idempotent; safe from any goroutine. NodeHalted's
+// channel closes once every PE on the node has exited.
+func (m *Machine) KillNode(rank int) {
+	if k, ok := m.tr.(transport.Killer); ok {
+		k.KillNode(rank)
+	}
 	node := m.nodes[rank]
-	node.dead.Store(true)
+	if !node.dead.CompareAndSwap(false, true) {
+		return
+	}
 	// Batches buffered on the dying node die with it — fail-stop, exactly
 	// like packets sitting in a powered-off node's injection FIFOs.
 	if node.agg != nil {
 		node.agg.Discard()
 	}
-	// The dead node will never ack anything again: stop its reliability
-	// retransmission timers now rather than letting them fire pointlessly
-	// until machine teardown, and tear down its credit windows so any
-	// sender parked on a credit the dead node holds unblocks immediately
-	// instead of waiting out MaxBlock.
+	// The dead node will never send or ack anything again: stop its
+	// retransmission timers, empty every survivor's windows toward it, and
+	// tear down its credit windows so any sender parked on a credit the
+	// dead node holds unblocks now instead of waiting out MaxBlock.
 	m.client.Node(rank).Shutdown()
+	for r := range m.nodes {
+		if r != rank {
+			m.client.Node(r).DropPeer(rank)
+		}
+	}
 	if m.fc != nil {
 		m.fc.DropPeer(rank)
 	}
-	// Each dead PE quarantines its envelope pool as its scheduler exits
-	// (run): from then on, frees of envelopes it owned (from survivors
-	// executing their last messages) fall through to the GC instead of
-	// accumulating in a pool nobody will allocate from again. Envelopes
-	// still sitting in the dead node's scheduler queues are dropped with
-	// the queues themselves — fail-stop, no leak.
+	// Each dead PE drains its envelope pool as its scheduler exits (run).
+	// Envelopes still sitting in the dead node's scheduler queues are
+	// dropped with the queues themselves — fail-stop, no leak.
 	for _, pe := range node.pes {
 		pe.wake.Signal() // a parked scheduler wakes to see the halt
 	}
 }
 
-// KillNode fail-stops a node end to end: its transport endpoints go silent
-// (when the transport supports fail-stop injection) and its schedulers
-// halt. Fault schedules (scenario.Faults, ft.Manager.KillPE) kill through
-// it; link faults go to the torus link table (Torus().FailLink).
-func (m *Machine) KillNode(rank int) {
-	if k, ok := m.tr.(transport.Killer); ok {
-		k.KillNode(rank) // kill hook calls HaltNode
-	}
-	m.HaltNode(rank) // direct halt when the transport has no kill support
-}
-
-// NodeDead reports whether the node has been halted or killed.
+// NodeDead reports whether the node has been killed.
 func (m *Machine) NodeDead(rank int) bool { return m.nodes[rank].dead.Load() }
 
 // NodeHalted returns a channel that closes once every PE scheduler on the
@@ -820,7 +809,7 @@ func (pe *PE) run(initPE func(pe *PE)) {
 	defer m.wg.Done()
 	defer func() {
 		if pe.node.dead.Load() {
-			// Quarantine this PE's envelope pool (see HaltNode) from its
+			// Quarantine this PE's envelope pool (see KillNode) from its
 			// own goroutine: the drain is a Get, and the pool's ring has one
 			// consumer, which a handler still running when the node was
 			// halted may have been using.

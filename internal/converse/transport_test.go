@@ -156,3 +156,39 @@ func TestShutdownRacesInflightRendezvous(t *testing.T) {
 		t.Fatalf("header retransmissions continued after Shutdown: %d -> %d", r1, r2)
 	}
 }
+
+// A killed node is dropped from every survivor's retransmission windows at
+// the kill, with or without a fault-tolerance layer above: sends toward it
+// after its death are recorded and discarded, never re-injected into the
+// void.
+func TestKillStopsSurvivorRetransmits(t *testing.T) {
+	tr, err := transport.New("faulty:unreliable=1", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	cfg := Config{Nodes: 2, WorkersPerNode: 1, Mode: ModeSMP, Transport: tr}
+	var h int
+	runMachine(t, cfg, func(m *Machine) {
+		h = m.RegisterHandler(func(*PE, *Message) { t.Error("the dead node ran a message") })
+	}, func(pe *PE) {
+		if pe.Id() != 0 {
+			return
+		}
+		m := pe.Machine()
+		defer m.Shutdown()
+		m.KillNode(1)
+		<-m.NodeHalted(1)
+		for range 8 {
+			if err := pe.Send(1, &Message{Handler: h, Bytes: 8}); err != nil {
+				t.Errorf("send to the dead node: %v", err)
+			}
+		}
+		// Retries only grows, so one read after many retry rounds (RetryBase
+		// is 2 ms) sees every re-injection in the window.
+		time.Sleep(60 * time.Millisecond)
+		if n := m.PAMIClient().Node(0).ReliabilityStats().Retries; n != 0 {
+			t.Errorf("node 0 re-injected %d packets toward the dead node within 60 ms of the kill", n)
+		}
+	})
+}

@@ -27,7 +27,7 @@ func (g *guardElem) UnpackCheckpoint(data []byte) { g.v = binary.LittleEndian.Ui
 // The round would otherwise commit over the shrunken live set with the
 // dead node's elements in no PE's batch — an epoch that silently lacks
 // state, unrecoverable the moment anything rolls back to it. Regression
-// test for exactly that: the LB soak hit the window between KillPE and
+// test for exactly that: the LB soak hit the window between KillNode and
 // the recovery pass with its phase-checkpoint cadence.
 func TestCheckpointRefusedWhileDeathUnrecovered(t *testing.T) {
 	const nodes = 2
@@ -61,7 +61,7 @@ func TestCheckpointRefusedWhileDeathUnrecovered(t *testing.T) {
 	defer watchdog.Stop()
 	rt.Run(func(pe *converse.PE) {
 		if err := mgr.Checkpoint(pe, func(pe *converse.PE) {
-			mgr.KillPE(1)
+			rt.Machine().KillNode(1)
 			// Node 1 is marked dead but its elements (idx 2, 3) are still
 			// homed there: the guard must refuse before any round starts.
 			if err := mgr.Checkpoint(pe, nil); err != nil {

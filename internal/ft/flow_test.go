@@ -57,7 +57,7 @@ func TestKillWhileThrottledUnblocksParkedSenders(t *testing.T) {
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
-		mgr.KillPE(1)
+		m.KillNode(1)
 		deadline := time.Now().Add(20 * time.Second)
 		for mgr.Stats().Confirmations == 0 {
 			if time.Now().After(deadline) {
@@ -174,7 +174,7 @@ func TestKillWhileThrottledDropsPooledEnvelopes(t *testing.T) {
 		for fc.BlockedSenders() == 0 || victimSent.Load() < 4 {
 			time.Sleep(100 * time.Microsecond)
 		}
-		mgr.KillPE(1)
+		m.KillNode(1)
 		deadline := time.Now().Add(20 * time.Second)
 		for mgr.Stats().Confirmations == 0 {
 			if time.Now().After(deadline) {

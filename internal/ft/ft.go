@@ -140,7 +140,7 @@ type Manager struct {
 	interval  [][]atomic.Int64 // smoothed inter-arrival ns per pair
 	suspected [][]bool         // monitor-goroutine-private suspicion state
 	confirmed []atomic.Bool
-	dropped   []atomic.Bool // reliability channels to this peer abandoned
+	dropped   []atomic.Bool // a recovery pass handled this node's death
 
 	// prober (probe.go): link/node disambiguation before confirmation
 	probing   []atomic.Bool // a probe of this target is in flight
@@ -272,7 +272,7 @@ func (mgr *Manager) Stats() Stats {
 
 // Recovering reports whether a recovery owns (or is about to own) the
 // epoch: a pass is running, or a node is confirmed dead and its pass has
-// not yet dropped it. External checkpoint drivers use it to tell a benign
+// not yet handled it. External checkpoint drivers use it to tell a benign
 // Checkpoint refusal (recovery will checkpoint before resuming) from a
 // real error.
 func (mgr *Manager) Recovering() bool {
@@ -304,15 +304,6 @@ func (mgr *Manager) Stop() {
 	}
 	close(mgr.stop)
 	mgr.wg.Wait()
-}
-
-// KillPE programmatically fail-stops the node hosting the given PE:
-// transport endpoints go silent (when the backend supports kill
-// injection), the node's schedulers halt, and the failure then takes the
-// normal detect → confirm → recover path. The test hook for exercising
-// recovery without a faulty-transport kill schedule.
-func (mgr *Manager) KillPE(pe int) {
-	mgr.m.KillNode(pe / mgr.wpn)
 }
 
 // nodeOf maps a PE id to its SMP node rank.

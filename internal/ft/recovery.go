@@ -19,12 +19,13 @@ import (
 //
 // One recovery pass, over the cumulative dead set:
 //
-//  1. Fail-stop every dead node for real: silence its transport endpoints
-//     and halt its schedulers, then wait for its last PE to exit.
+//  1. Fail-stop every dead node for real (converse.Machine.KillNode:
+//     silence its endpoints, halt its schedulers, and drop it from every
+//     survivor's reliability and credit windows), then wait for its last
+//     PE to exit.
 //  2. Flush aggregation buffers and wait for survivor quiescence.
-//  3. Abandon reliability channels to every dead node (DropPeer on every
-//     survivor, including channels to a node that died mid-recovery) and
-//     abort any checkpoint round the failure interrupted.
+//  3. Mark the deaths handled and abort any checkpoint round the failure
+//     interrupted.
 //  4. Bump the runtime epoch (charm.BeginRecovery): every message stamped
 //     before the failure is now stale and drops at dispatch.
 //  5. Roll back every protected element to the committed epoch from a
@@ -155,7 +156,7 @@ func (mgr *Manager) runRecovery() {
 		}
 		// A kill that landed mid-pass (an OnRecoveryStart cascade) may not
 		// be confirmed yet; fold it in now rather than waiting out its
-		// detection with its reliability channels still armed.
+		// detection.
 		if folded := mgr.foldUnhandledKills(dead); len(folded) > len(dead) {
 			dead = folded
 			continue
@@ -211,15 +212,6 @@ func (mgr *Manager) recoverPass(dead []int) (rolled, ok bool) {
 		return false, true
 	}
 
-	client := mgr.m.PAMIClient()
-	for r := 0; r < mgr.m.NumNodes(); r++ {
-		if mgr.m.NodeDead(r) {
-			continue
-		}
-		for _, d := range dead {
-			client.Node(r).DropPeer(d)
-		}
-	}
 	for _, d := range dead {
 		mgr.dropped[d].Store(true)
 	}

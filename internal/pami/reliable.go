@@ -174,10 +174,13 @@ type recvChan struct {
 	owed           atomic.Bool
 }
 
-// peerChans holds one node's channels with one peer, one per FIFO.
+// peerChans holds one node's channels with one peer, one per FIFO. dead
+// is set for good once the peer fails (dropPeer): its send windows are
+// discarded instead of retransmitted.
 type peerChans struct {
 	send []sendChan
 	recv []recvChan
+	dead atomic.Bool
 }
 
 // takeAck claims an ack one of the receive channels from this peer owes,
@@ -345,12 +348,16 @@ func (r *reliator) fire(sc *sendChan) {
 }
 
 // retry re-injects the oldest unacknowledged packets on the channel, at
-// most retryBudget of them, doubling the backoff, until acks drain it.
+// most retryBudget of them, doubling the backoff, until acks drain it. A
+// dead peer's window is discarded instead: nothing will ever ack it.
 func (r *reliator) retry(sc *sendChan) {
 	sc.mu.Lock()
 	if r.down.Load() {
 		sc.mu.Unlock()
 		return
+	}
+	if r.peers[sc.peer].Load().dead.Load() {
+		sc.window = slices.Delete(sc.window, 0, len(sc.window))
 	}
 	if len(sc.window) == 0 {
 		sc.backoff = 0
@@ -581,15 +588,13 @@ func (r *reliator) resendLocked(sc *sendChan) []torus.Packet {
 	return r.oldestLocked(sc, n)
 }
 
-// dropPeer abandons the send channels to a peer declared failed: pending
+// dropPeer abandons the send channels to a failed peer for good:
 // retransmissions to a silenced endpoint can never be acknowledged, so
-// each window is cleared and its timer's next fire idles it. The channel
-// state stays registered; a straggler send would re-arm it harmlessly.
+// each window is cleared and its timer's next fire idles it. A later send
+// to the peer is recorded as usual, and the next retry round discards it.
 func (r *reliator) dropPeer(dstNode int) {
-	pc := r.existing(dstNode)
-	if pc == nil {
-		return
-	}
+	pc := r.peer(dstNode)
+	pc.dead.Store(true)
 	for f := range pc.send {
 		sc := &pc.send[f]
 		sc.mu.Lock()
@@ -633,11 +638,10 @@ func (n *Node) KickRetransmit(dstNode int) {
 	}
 }
 
-// DropPeer abandons reliable delivery to a failed peer (no-op when the
-// transport is reliable). The fault-tolerance layer calls it on every
-// survivor once a failure is confirmed; idempotent. The credit windows
-// touching the peer were already torn down when the node was halted
-// (converse.Machine.HaltNode).
+// DropPeer abandons reliable delivery to a failed peer for good (no-op
+// when the transport is reliable): nothing toward it is retransmitted
+// again. converse.Machine.KillNode calls it on every other node;
+// idempotent.
 func (n *Node) DropPeer(dstNode int) {
 	if n.rel != nil {
 		n.rel.dropPeer(dstNode)

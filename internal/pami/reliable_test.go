@@ -307,6 +307,19 @@ func TestSendWindowAcksAndRetransmitOrder(t *testing.T) {
 			for _, cum := range tc.acks {
 				rel.onAck(1, 0, cum)
 			}
+			if tc.drop {
+				// The straggler acks were harmless, and the peer stays
+				// dropped: a later send still leaves, but a retry round
+				// discards it instead of re-injecting it.
+				send()
+				arrived()
+				retries := c.Node(0).ReliabilityStats().Retries
+				rel.retry(sc)
+				if got := c.Node(0).ReliabilityStats().Retries; got != retries || len(arrived()) != 0 {
+					t.Fatalf("retry toward a dropped peer re-injected packets (Retries %d -> %d)", retries, got)
+				}
+				return
+			}
 
 			// The channel keeps working whatever the acks were: the next
 			// send takes the next sequence number, a retry round re-injects

@@ -70,7 +70,6 @@ type Faulty struct {
 	truncated  atomic.Int64
 
 	killed      []atomic.Bool
-	killHook    atomic.Value // func(rank int)
 	killedNodes atomic.Int64
 	killedDrops atomic.Int64
 
@@ -127,19 +126,7 @@ func (t *Faulty) KillNode(rank int) {
 	if obs.On() {
 		obsKillNode.Inc(rank)
 	}
-	if hook, ok := t.killHook.Load().(func(int)); ok && hook != nil {
-		hook(rank)
-	}
 }
-
-// NodeKilled reports whether the node has been fail-stopped. Implements
-// Killer.
-func (t *Faulty) NodeKilled(rank int) bool {
-	return rank >= 0 && rank < len(t.killed) && t.killed[rank].Load()
-}
-
-// SetKillHook registers the node-death callback. Implements Killer.
-func (t *Faulty) SetKillHook(hook func(rank int)) { t.killHook.Store(hook) }
 
 var _ Killer = (*Faulty)(nil)
 

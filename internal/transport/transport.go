@@ -63,17 +63,12 @@ var _ Endpoint = (*torus.MU)(nil)
 // backend that implements it can silence a node mid-run: once killed, the
 // node's endpoint neither injects nor receives — packets from it, to it,
 // and already in flight toward it vanish, exactly like powering off a BG/Q
-// node board. The faulty backend implements Killer; the fault-tolerance
-// layer (internal/ft) detects the resulting silence via heartbeats.
+// node board. The faulty backend implements Killer. converse.Machine.KillNode
+// calls it, then halts the node's schedulers; the fault-tolerance layer
+// (internal/ft) detects the resulting silence via heartbeats.
 type Killer interface {
 	// KillNode marks the node dead. Idempotent; safe from any goroutine.
 	KillNode(rank int)
-	// NodeKilled reports whether the node has been killed.
-	NodeKilled(rank int) bool
-	// SetKillHook registers a callback invoked (once per node, from the
-	// killing goroutine) when a node dies, so the runtime above can halt
-	// the node's schedulers. Must be set before traffic starts.
-	SetKillHook(hook func(rank int))
 }
 
 // Stats counts transport-level events. Wrapper backends add their own
